@@ -14,12 +14,43 @@ from __future__ import annotations
 
 import argparse
 import copy
+import csv
+import dataclasses
+import itertools
 import json
 import logging
 import os
 import sys
 
+import numpy as np
+import scipy.sparse as sp
+
+from . import subspace
+from .metrics import NoiseSpec, ap_ar_at_n, inject_noise, save_report
+from .refine import CgBreakdownError, RefineConfig, apply_factors, load_factors, save_factors
+from .refine import refine as run_refine
+from .sharing import SharingConfig, share_tags
+from .subspace import ClusterAssignment, SscConfig
+from .tagmat import (
+    DatasetBundle,
+    FeatureMatrix,
+    SimilarityGraph,
+    TagMatrix,
+    cosine_similarity_graph,
+    graph_laplacian,
+    load_dataset,
+    read_dense_matrix,
+    read_sparse_matrix,
+    save_dataset,
+    write_dense_matrix,
+    write_sparse_matrix,
+)
+from .testkit import gen_annotation_bundle, gen_planted_annotation, gen_union_of_subspaces
+
 log = logging.getLogger("tagrefinery")
+
+# Config section -> stage config class; the class defaults are the section defaults.
+_STAGE_SECTIONS = (("ssc", SscConfig), ("sharing", SharingConfig), ("refine", RefineConfig))
 
 DEFAULT_CONFIG: dict = {
     "manifest": None,
@@ -29,35 +60,7 @@ DEFAULT_CONFIG: dict = {
     "auto_k_max": 10,
     "eval_n": [2, 5, 10],
     "threads": 1,
-    "ssc": {
-        "mu": 10.0,
-        "max_iters": 4000,
-        "tol": 1e-5,
-        "penalty_init": 1.0,
-        "penalty_growth": 1.1,
-        "penalty_max": 1e8,
-        "normalize_rows": True,
-    },
-    "sharing": {
-        "n_neighbors": 5,
-        "w_local": 0.5,
-        "w_cooc": 0.3,
-        "w_freq": 0.2,
-        "max_added_per_image": 10,
-        "min_confidence": 0.2,
-        "neighbor_source": "affinity",
-    },
-    "refine": {
-        "rank": 8,
-        "lambda1": 0.1,
-        "lambda2": 0.01,
-        "mu": 0.4,
-        "outer_iters": 30,
-        "cg_iters": 200,
-        "cg_tol": 1e-8,
-        "seed": 0,
-        "obj_tol": 1e-6,
-    },
+    **{section: dataclasses.asdict(cls()) for section, cls in _STAGE_SECTIONS},
     "synth": {
         "kind": "bundle",
         "n_clusters": 5,
@@ -103,11 +106,14 @@ def _merge_section(base: dict, override: dict, prefix: str) -> None:
             if not isinstance(value, dict):
                 raise ConfigError(f"config key {path!r} must be a section/object")
             _merge_section(base[key], value, f"{path}.")
+        elif isinstance(value, dict):
+            raise ConfigError(f"config key {path!r} is a value, not a section/object")
         else:
             base[key] = value
 
 
 def _apply_override(cfg: dict, assignment: str) -> None:
+    """Merge one ``dotted.key=value`` flag as if it came from a config file."""
     if "=" not in assignment:
         raise ConfigError(f"override {assignment!r} is not of the form key=value")
     dotted, raw = assignment.split("=", 1)
@@ -115,18 +121,9 @@ def _apply_override(cfg: dict, assignment: str) -> None:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
-    node = cfg
-    parts = dotted.strip().split(".")
-    for part in parts[:-1]:
-        if part not in node or not isinstance(node[part], dict):
-            raise ConfigError(f"unknown config section {part!r} in override {assignment!r}")
-        node = node[part]
-    leaf = parts[-1]
-    if leaf not in node:
-        raise ConfigError(f"unknown config key {dotted.strip()!r}")
-    if isinstance(node[leaf], dict):
-        raise ConfigError(f"config key {dotted.strip()!r} is a section, not a value")
-    node[leaf] = value
+    for part in reversed(dotted.strip().split(".")):
+        value = {part: value}
+    _merge_section(cfg, value, "")
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
@@ -156,31 +153,18 @@ def resolve_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _build_configs(cfg: dict):
-    """Turn the resolved dict into validated stage config objects."""
-    from .refine import RefineConfig
-    from .sharing import SharingConfig
-    from .subspace import SscConfig
-
+def _build_configs(cfg: dict) -> tuple:
+    """Turn the resolved dict into validated (ssc, sharing, refine) config objects."""
     problems = []
-    try:
-        ssc = SscConfig(**cfg["ssc"])
-        ssc.validate()
-    except (TypeError, ValueError) as exc:
-        problems.append(f"ssc: {exc}")
-        ssc = None
-    try:
-        sharing = SharingConfig(**cfg["sharing"])
-        sharing.validate()
-    except (TypeError, ValueError) as exc:
-        problems.append(f"sharing: {exc}")
-        sharing = None
-    try:
-        refine_cfg = RefineConfig(**cfg["refine"])
-        refine_cfg.validate()
-    except (TypeError, ValueError) as exc:
-        problems.append(f"refine: {exc}")
-        refine_cfg = None
+    configs = []
+    for section, cls in _STAGE_SECTIONS:
+        try:
+            stage_cfg = cls(**cfg[section])
+            stage_cfg.validate()
+        except (TypeError, ValueError) as exc:
+            problems.append(f"{section}: {exc}")
+            stage_cfg = None
+        configs.append(stage_cfg)
     if not isinstance(cfg["k"], int) or cfg["k"] < 1:
         problems.append(f"k: must be a positive integer, got {cfg['k']!r}")
     if not isinstance(cfg["eval_n"], list) or not all(
@@ -189,23 +173,13 @@ def _build_configs(cfg: dict):
         problems.append(f"eval_n: must be a list of positive integers, got {cfg['eval_n']!r}")
     if problems:
         raise ConfigError("; ".join(problems))
-    return ssc, sharing, refine_cfg
+    return tuple(configs)
 
 
-def _write_snapshot(cfg: dict, out_dir: str) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "config.resolved.json")
+def _write_json(path: str, obj, sort_keys: bool = False) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(cfg, fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=sort_keys)
         fh.write("\n")
-
-
-def _require_manifest(cfg: dict):
-    from .tagmat import load_dataset
-
-    if not cfg["manifest"]:
-        raise ConfigError("manifest: no dataset manifest given (config key or --manifest)")
-    return load_dataset(cfg["manifest"])
 
 
 def _write_labels(path: str, labels) -> None:
@@ -215,8 +189,6 @@ def _write_labels(path: str, labels) -> None:
 
 
 def _read_labels(path: str):
-    import numpy as np
-
     if not os.path.exists(path):
         raise ConfigError(f"labels file not found: {path}")
     with open(path, encoding="utf-8") as fh:
@@ -229,9 +201,6 @@ def _read_labels(path: str):
 
 
 def _stage_cluster(bundle, cfg, ssc_cfg, out_dir):
-    from . import subspace
-    from .tagmat import write_dense_matrix
-
     rep = subspace.ssc_solve(bundle.image_features, ssc_cfg)
     log.info(
         "ssc: %d iterations, converged=%s, residuals: recon=%.3e rowsum=%.3e gap=%.3e",
@@ -250,93 +219,82 @@ def _stage_cluster(bundle, cfg, ssc_cfg, out_dir):
     write_dense_matrix(os.path.join(out_dir, "z.mtx"), rep.z)
     write_dense_matrix(os.path.join(out_dir, "affinity.mtx"), aff.weights)
     _write_labels(os.path.join(out_dir, "labels.txt"), assignment.labels)
-    with open(os.path.join(out_dir, "ssc_diagnostics.json"), "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "converged": rep.converged,
-                "iterations": rep.n_iters,
-                "objective": rep.objective,
-                "recon_rel": rep.residuals.recon_rel,
-                "rowsum_max": rep.residuals.rowsum_max,
-                "gap_max": rep.residuals.gap_max,
-                "k": int(k),
-                "cluster_sizes": [int(s) for s in assignment.cluster_sizes()],
-            },
-            fh,
-            indent=2,
-        )
-        fh.write("\n")
+    _write_json(
+        os.path.join(out_dir, "ssc_diagnostics.json"),
+        {
+            "converged": rep.converged,
+            "iterations": rep.n_iters,
+            "objective": rep.objective,
+            "recon_rel": rep.residuals.recon_rel,
+            "rowsum_max": rep.residuals.rowsum_max,
+            "gap_max": rep.residuals.gap_max,
+            "k": int(k),
+            "cluster_sizes": [int(s) for s in assignment.cluster_sizes()],
+        },
+    )
     return rep, aff, assignment
 
 
-def _sharing_graph(bundle, sharing_cfg, aff):
-    from .tagmat import cosine_similarity_graph
-
+def _stage_share(bundle, sharing_cfg, assignment, aff, out_dir):
+    """Share tags over the affinity graph, or over cosine similarity when asked or aff is None."""
+    sims = aff
     if sharing_cfg.neighbor_source == "cosine" or aff is None:
-        return cosine_similarity_graph(bundle.image_features)
-    return aff
-
-
-def _stage_share(bundle, sharing_cfg, assignment, sims, out_dir):
-    from .sharing import share_tags
-    from .tagmat import write_sparse_matrix
-
+        sims = cosine_similarity_graph(bundle.image_features)
     completed = share_tags(bundle.tags, assignment, sims, sharing_cfg)
     log.info("sharing: %d -> %d entries", bundle.tags.nnz, completed.nnz)
     write_sparse_matrix(os.path.join(out_dir, "completed.mtx"), completed)
     return completed
 
 
-def _stage_refine(bundle, tags, refine_cfg, out_dir, init=None):
-    from .refine import refine as run_refine, save_factors
-    from .tagmat import cosine_similarity_graph, graph_laplacian, write_dense_matrix, write_sparse_matrix
+def _laplacians(bundle):
+    """Image- and tag-similarity graph Laplacians used by refine."""
+    return (
+        graph_laplacian(cosine_similarity_graph(bundle.image_features)),
+        graph_laplacian(cosine_similarity_graph(bundle.tag_features)),
+    )
 
-    l_v = graph_laplacian(cosine_similarity_graph(bundle.image_features))
-    l_s = graph_laplacian(cosine_similarity_graph(bundle.tag_features))
+
+def _write_scores(out_dir, scores) -> None:
+    """Raw scores as refined_scores.mtx and their [0, 1] clamp as refined.mtx."""
+    write_sparse_matrix(
+        os.path.join(out_dir, "refined.mtx"), TagMatrix.from_dense(np.clip(scores, 0.0, 1.0))
+    )
+    write_dense_matrix(os.path.join(out_dir, "refined_scores.mtx"), scores)
+
+
+def _stage_refine(bundle, tags, refine_cfg, out_dir, init=None):
+    l_v, l_s = _laplacians(bundle)
     result = run_refine(tags, bundle.image_features, bundle.tag_features,
                         l_v, l_s, refine_cfg, init=init)
     log.info(
         "refine: %d objective evaluations, final objective %.6e",
         len(result.objective_trace), result.objective_trace[-1],
     )
-    write_sparse_matrix(os.path.join(out_dir, "refined.mtx"), result.tag_matrix())
-    write_dense_matrix(os.path.join(out_dir, "refined_scores.mtx"), result.scores)
+    _write_scores(out_dir, result.scores)
     save_factors(result.factors, out_dir)
     return result
 
 
-def _stage_eval(scores, truth, n_list, out_dir, prefix="eval"):
-    from .metrics import ap_ar_at_n, save_report
-
-    reports = []
+def _stage_eval(scores, truth, n_list, out_dir):
     for n in n_list:
         report = ap_ar_at_n(scores, truth, n)
         save_report(
             report,
-            os.path.join(out_dir, f"{prefix}_at_{n}.txt"),
-            per_image_csv=os.path.join(out_dir, f"{prefix}_at_{n}_per_image.csv"),
+            os.path.join(out_dir, f"eval_at_{n}.txt"),
+            per_image_csv=os.path.join(out_dir, f"eval_at_{n}_per_image.csv"),
         )
-        log.info("%s: AP@%d=%.4f AR@%d=%.4f", prefix, n, report.ap, n, report.ar)
-        reports.append(report)
-    return reports
+        log.info("eval: AP@%d=%.4f AR@%d=%.4f", n, report.ap, n, report.ar)
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each gets the parsed flags, the resolved config, the loaded
+# bundle (None for synth), the (ssc, sharing, refine) configs, and returns
+# its exit code. main() does the shared set-up and writes the snapshot.
 # ---------------------------------------------------------------------------
 
 
-def cmd_synth(args) -> int:
-    cfg = resolve_config(args)
+def cmd_synth(args, cfg, bundle, configs) -> int:
     out_dir = cfg["output_dir"]
-    os.makedirs(out_dir, exist_ok=True)
-
-    import numpy as np
-
-    from .metrics import NoiseSpec, inject_noise
-    from .tagmat import DatasetBundle, FeatureMatrix, TagMatrix, save_dataset
-    from .testkit import gen_annotation_bundle, gen_planted_annotation, gen_union_of_subspaces
-
     s = cfg["synth"]
     noise = NoiseSpec(
         missing_rate=s["missing_rate"],
@@ -413,41 +371,27 @@ def cmd_synth(args) -> int:
     manifest = save_dataset(bundle, out_dir, name=s["name"])
     if labels is not None:
         _write_labels(os.path.join(out_dir, f"{s['name']}_true_clusters.txt"), labels)
-    _write_snapshot(cfg, out_dir)
     log.info("wrote synthetic bundle: %s", manifest)
     print(manifest)
     return 0
 
 
-def cmd_cluster(args) -> int:
-    cfg = resolve_config(args)
-    ssc_cfg, _, _ = _build_configs(cfg)
-    bundle = _require_manifest(cfg)
-    out_dir = cfg["output_dir"]
-    os.makedirs(out_dir, exist_ok=True)
-    rep, _, _ = _stage_cluster(bundle, cfg, ssc_cfg, out_dir)
-    _write_snapshot(cfg, out_dir)
+def cmd_cluster(args, cfg, bundle, configs) -> int:
+    ssc_cfg = configs[0]
+    rep, _, _ = _stage_cluster(bundle, cfg, ssc_cfg, cfg["output_dir"])
     if not rep.converged:
         log.error("ssc did not converge within %d iterations", ssc_cfg.max_iters)
         return 1
     return 0
 
 
-def cmd_share(args) -> int:
-    cfg = resolve_config(args)
-    _, sharing_cfg, _ = _build_configs(cfg)
-    bundle = _require_manifest(cfg)
+def cmd_share(args, cfg, bundle, configs) -> int:
+    sharing_cfg = configs[1]
     out_dir = cfg["output_dir"]
-    os.makedirs(out_dir, exist_ok=True)
-
-    from .subspace import ClusterAssignment
-    from .tagmat import SimilarityGraph, read_dense_matrix
-
-    labels_path = args.labels or os.path.join(out_dir, "labels.txt")
-    labels = _read_labels(labels_path)
+    labels = _read_labels(args.labels or os.path.join(out_dir, "labels.txt"))
     assignment = ClusterAssignment(labels=labels, k=int(labels.max()) + 1)
 
-    sims = None
+    aff = None
     if sharing_cfg.neighbor_source == "affinity":
         aff_path = args.affinity or os.path.join(out_dir, "affinity.mtx")
         if not os.path.exists(aff_path):
@@ -455,24 +399,14 @@ def cmd_share(args) -> int:
                 f"affinity matrix not found at {aff_path}; run `cluster` first, pass "
                 "--affinity, or set sharing.neighbor_source=cosine"
             )
-        sims = SimilarityGraph(read_dense_matrix(aff_path))
-    sims = sims if sims is not None else _sharing_graph(bundle, sharing_cfg, None)
-    _stage_share(bundle, sharing_cfg, assignment, sims, out_dir)
-    _write_snapshot(cfg, out_dir)
+        aff = SimilarityGraph(read_dense_matrix(aff_path))
+    _stage_share(bundle, sharing_cfg, assignment, aff, out_dir)
     return 0
 
 
-def cmd_refine(args) -> int:
-    cfg = resolve_config(args)
-    _, _, refine_cfg = _build_configs(cfg)
-    bundle = _require_manifest(cfg)
+def cmd_refine(args, cfg, bundle, configs) -> int:
+    refine_cfg = configs[2]
     out_dir = cfg["output_dir"]
-    os.makedirs(out_dir, exist_ok=True)
-
-    from .refine import apply_factors, load_factors
-    from .tagmat import read_sparse_matrix, write_dense_matrix, write_sparse_matrix, TagMatrix
-    import numpy as np
-
     tags = bundle.tags
     if args.tags_in:
         tags = read_sparse_matrix(args.tags_in)
@@ -488,86 +422,46 @@ def cmd_refine(args) -> int:
     if args.apply:
         if init is None:
             raise ConfigError("--apply requires --import-factors P.mtx Q.mtx")
-        scores = apply_factors(bundle.image_features, bundle.tag_features, init)
-        write_dense_matrix(os.path.join(out_dir, "refined_scores.mtx"), scores)
-        write_sparse_matrix(
-            os.path.join(out_dir, "refined.mtx"),
-            TagMatrix.from_dense(np.clip(scores, 0.0, 1.0)),
-        )
-        _write_snapshot(cfg, out_dir)
+        _write_scores(out_dir, apply_factors(bundle.image_features, bundle.tag_features, init))
         return 0
 
     _stage_refine(bundle, tags, refine_cfg, out_dir, init=init)
-    _write_snapshot(cfg, out_dir)
     return 0
 
 
-def cmd_pipeline(args) -> int:
-    cfg = resolve_config(args)
-    ssc_cfg, sharing_cfg, refine_cfg = _build_configs(cfg)
-    bundle = _require_manifest(cfg)
+def cmd_pipeline(args, cfg, bundle, configs) -> int:
+    ssc_cfg, sharing_cfg, refine_cfg = configs
     out_dir = cfg["output_dir"]
-    os.makedirs(out_dir, exist_ok=True)
-
     rep, aff, assignment = _stage_cluster(bundle, cfg, ssc_cfg, out_dir)
-    sims = _sharing_graph(bundle, sharing_cfg, aff)
-    completed = _stage_share(bundle, sharing_cfg, assignment, sims, out_dir)
+    completed = _stage_share(bundle, sharing_cfg, assignment, aff, out_dir)
     result = _stage_refine(bundle, completed, refine_cfg, out_dir)
     if bundle.ground_truth is not None and not args.skip_eval:
         _stage_eval(result.scores, bundle.ground_truth, cfg["eval_n"], out_dir)
-    _write_snapshot(cfg, out_dir)
     if not rep.converged:
         log.error("ssc did not converge; artifacts preserved in %s", out_dir)
         return 1
     return 0
 
 
-def cmd_eval(args) -> int:
-    cfg = resolve_config(args)
-    bundle = _require_manifest(cfg)
-    out_dir = cfg["output_dir"]
-    os.makedirs(out_dir, exist_ok=True)
+def cmd_eval(args, cfg, bundle, configs) -> int:
     if bundle.ground_truth is None:
         raise ConfigError("manifest has no ground_truth entry; nothing to evaluate against")
-
-    import scipy.io
-    import scipy.sparse as sp
-    import numpy as np
-
-    if not os.path.exists(args.predictions):
-        raise ConfigError(f"predictions file not found: {args.predictions}")
-    pred = scipy.io.mmread(args.predictions)
-    scores = pred.toarray() if sp.issparse(pred) else np.asarray(pred, dtype=np.float64)
-    _stage_eval(scores, bundle.ground_truth, cfg["eval_n"], out_dir)
-    _write_snapshot(cfg, out_dir)
+    scores = read_dense_matrix(args.predictions)
+    _stage_eval(scores, bundle.ground_truth, cfg["eval_n"], cfg["output_dir"])
     return 0
 
 
-def cmd_tune(args) -> int:
-    cfg = resolve_config(args)
-    ssc_cfg, sharing_cfg, refine_base = _build_configs(cfg)
-    bundle = _require_manifest(cfg)
+def cmd_tune(args, cfg, bundle, configs) -> int:
+    ssc_cfg, sharing_cfg, refine_base = configs
     out_dir = cfg["output_dir"]
-    os.makedirs(out_dir, exist_ok=True)
     if bundle.ground_truth is None:
         raise ConfigError("tune needs a manifest with ground_truth for validation scoring")
-
-    import csv as csv_mod
-    import itertools
-    import dataclasses
-    import numpy as np
-    import scipy.sparse as sp
-
-    from .refine import refine as run_refine
-    from .metrics import ap_ar_at_n
-    from .tagmat import TagMatrix, cosine_similarity_graph, graph_laplacian, read_sparse_matrix
 
     if args.completed:
         completed = read_sparse_matrix(args.completed)
     else:
-        rep, aff, assignment = _stage_cluster(bundle, cfg, ssc_cfg, out_dir)
-        sims = _sharing_graph(bundle, sharing_cfg, aff)
-        completed = _stage_share(bundle, sharing_cfg, assignment, sims, out_dir)
+        _, aff, assignment = _stage_cluster(bundle, cfg, ssc_cfg, out_dir)
+        completed = _stage_share(bundle, sharing_cfg, assignment, aff, out_dir)
 
     t = cfg["tune"]
     rng = np.random.default_rng(t["split_seed"])
@@ -575,9 +469,7 @@ def cmd_tune(args) -> int:
     n_val = max(1, int(round(t["val_fraction"] * n_images)))
     val_idx = np.sort(rng.permutation(n_images)[:n_val])
     truth_val = TagMatrix(sp.csr_array(bundle.ground_truth.matrix[val_idx]))
-
-    l_v = graph_laplacian(cosine_similarity_graph(bundle.image_features))
-    l_s = graph_laplacian(cosine_similarity_graph(bundle.tag_features))
+    l_v, l_s = _laplacians(bundle)
 
     rows = []
     best = None
@@ -603,14 +495,11 @@ def cmd_tune(args) -> int:
             }
 
     with open(os.path.join(out_dir, "tune_results.csv"), "w", encoding="utf-8", newline="") as fh:
-        writer = csv_mod.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(["lambda1", "lambda2", "mu", "rank", f"ap_at_{t['n']}", f"ar_at_{t['n']}"])
         for row in rows:
             writer.writerow(row)
-    with open(os.path.join(out_dir, "tune_best.json"), "w", encoding="utf-8") as fh:
-        json.dump(best, fh, indent=2)
-        fh.write("\n")
-    _write_snapshot(cfg, out_dir)
+    _write_json(os.path.join(out_dir, "tune_best.json"), best)
     log.info("tune: best %s", best)
     return 0
 
@@ -698,10 +587,18 @@ def main(argv=None) -> int:
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(var, str(threads))
 
-    from .refine import CgBreakdownError
-
     try:
-        return args.func(args)
+        cfg = resolve_config(args)
+        configs = _build_configs(cfg)
+        bundle = None
+        if args.command != "synth":
+            if not cfg["manifest"]:
+                raise ConfigError("manifest: no dataset manifest given (config key or --manifest)")
+            bundle = load_dataset(cfg["manifest"])
+        os.makedirs(cfg["output_dir"], exist_ok=True)
+        rc = args.func(args, cfg, bundle, configs)
+        _write_json(os.path.join(cfg["output_dir"], "config.resolved.json"), cfg, sort_keys=True)
+        return rc
     except CgBreakdownError as exc:
         log.error("numerical breakdown: %s", exc)
         return 1

@@ -204,16 +204,20 @@ def affinity(rep: SelfRepresentation) -> SimilarityGraph:
 # ---------------------------------------------------------------------------
 
 
-def _spectral_embedding(weights: np.ndarray, k: int) -> np.ndarray:
-    """Row-normalized k smallest eigenvectors of the symmetric normalized Laplacian."""
+def _normalized_laplacian(weights: np.ndarray) -> np.ndarray:
+    """Symmetrized I - D^-1/2 W D^-1/2; isolated nodes get a zero D^-1/2 entry."""
     n = weights.shape[0]
     deg = weights.sum(axis=1)
     dinv = np.zeros(n)
     pos = deg > 0
     dinv[pos] = 1.0 / np.sqrt(deg[pos])
     nlap = np.eye(n) - dinv[:, None] * weights * dinv[None, :]
-    nlap = (nlap + nlap.T) / 2.0
-    _, vecs = scipy.linalg.eigh(nlap, subset_by_index=(0, k - 1))
+    return (nlap + nlap.T) / 2.0
+
+
+def _spectral_embedding(weights: np.ndarray, k: int) -> np.ndarray:
+    """Row-normalized k smallest eigenvectors of the symmetric normalized Laplacian."""
+    _, vecs = scipy.linalg.eigh(_normalized_laplacian(weights), subset_by_index=(0, k - 1))
     norms = np.linalg.norm(vecs, axis=1)
     keep = norms > 0
     vecs[keep] /= norms[keep, None]
@@ -311,12 +315,7 @@ def eigengap_k(aff: SimilarityGraph, k_max: int) -> int:
     k_max = min(k_max, n - 1)
     if k_max < 1:
         return 1
-    deg = aff.weights.sum(axis=1)
-    dinv = np.zeros(n)
-    pos = deg > 0
-    dinv[pos] = 1.0 / np.sqrt(deg[pos])
-    nlap = np.eye(n) - dinv[:, None] * aff.weights * dinv[None, :]
-    vals = scipy.linalg.eigh((nlap + nlap.T) / 2.0, eigvals_only=True,
+    vals = scipy.linalg.eigh(_normalized_laplacian(aff.weights), eigvals_only=True,
                              subset_by_index=(0, k_max))
     gaps = np.diff(vals)
     return int(np.argmax(gaps)) + 1

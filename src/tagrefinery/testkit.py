@@ -9,7 +9,6 @@ subspace-preserving-rate / clustering-accuracy oracles.
 
 from __future__ import annotations
 
-import itertools
 import logging
 from dataclasses import dataclass
 
@@ -115,7 +114,8 @@ def subspace_preserving_rate(rep, labels) -> float:
 def clustering_accuracy(pred, truth) -> float:
     """Best label-permutation agreement between a predicted and true clustering.
 
-    Exhaustive search for at most 8 labels, Hungarian assignment above.
+    The Hungarian assignment on the confusion matrix finds the best
+    permutation exactly for any number of labels.
     """
     pred_labels = pred.labels if isinstance(pred, ClusterAssignment) else np.asarray(pred)
     truth = np.asarray(truth)
@@ -127,15 +127,8 @@ def clustering_accuracy(pred, truth) -> float:
     k = int(max(pred_labels.max(initial=0), truth.max(initial=0))) + 1
     confusion = np.zeros((k, k), dtype=np.int64)
     np.add.at(confusion, (pred_labels, truth), 1)
-    if k <= 8:
-        best = max(
-            sum(confusion[a, perm[a]] for a in range(k))
-            for perm in itertools.permutations(range(k))
-        )
-    else:
-        rows, cols = scipy.optimize.linear_sum_assignment(-confusion)
-        best = confusion[rows, cols].sum()
-    return float(best) / n
+    rows, cols = scipy.optimize.linear_sum_assignment(-confusion)
+    return float(confusion[rows, cols].sum()) / n
 
 
 @dataclass(frozen=True)

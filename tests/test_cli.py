@@ -6,6 +6,7 @@ import os
 import pytest
 
 from tagrefinery.cli import DEFAULT_CONFIG, ConfigError, main, resolve_config
+from tagrefinery.tagmat import load_dataset, write_dense_matrix
 
 
 TINY = [
@@ -73,6 +74,18 @@ class TestConfigResolution:
         with pytest.raises(ConfigError, match="nonsense"):
             resolve_config(Args())
 
+    def test_object_for_value_key_in_config_file_exits_two(self, tmp_path, caplog):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"synth": {"seed": {"a": 1}}}))
+        rc = main(["synth", "--output-dir", str(tmp_path / "x"), "--config", str(path)])
+        assert rc == 2
+        assert "synth.seed" in caplog.text
+
+    def test_object_for_value_key_in_override_exits_two(self, tmp_path, caplog):
+        rc = main(["synth", "--output-dir", str(tmp_path / "x"), "--set", "synth.seed.a=1"])
+        assert rc == 2
+        assert "synth.seed" in caplog.text
+
 
 class TestExitCodes:
     def test_unknown_command_exits_two(self):
@@ -84,6 +97,16 @@ class TestExitCodes:
         manifest = make_bundle(tmp_path)
         rc = main([
             "refine", "--manifest", manifest,
+            "--output-dir", str(tmp_path / "out"),
+            "--set", "refine.mu=1.2",
+        ])
+        assert rc == 2
+
+    def test_eval_validates_stage_sections(self, tmp_path):
+        manifest = make_bundle(tmp_path)
+        rc = main([
+            "eval", "--manifest", manifest,
+            "--predictions", str(tmp_path / "data" / "synthetic_ground_truth.mtx"),
             "--output-dir", str(tmp_path / "out"),
             "--set", "refine.mu=1.2",
         ])
@@ -180,6 +203,21 @@ class TestEval:
             fields = dict(line.split(": ") for line in text.strip().splitlines())
             assert float(fields["ap"]) == 1.0
 
+    def test_dense_score_predictions(self, tmp_path):
+        manifest = make_bundle(tmp_path)
+        predictions = tmp_path / "refined_scores.mtx"
+        write_dense_matrix(predictions, load_dataset(manifest).ground_truth.toarray())
+        out = tmp_path / "eval"
+        rc = main([
+            "eval", "--manifest", manifest, "--predictions", str(predictions),
+            "--output-dir", str(out), "--set", "eval_n=[2,3]",
+        ])
+        assert rc == 0
+        for n in (2, 3):
+            text = (out / f"eval_at_{n}.txt").read_text()
+            fields = dict(line.split(": ") for line in text.strip().splitlines())
+            assert float(fields["ap"]) == 1.0
+
     def test_eval_requires_ground_truth(self, tmp_path):
         manifest = make_bundle(tmp_path)
         # Build a manifest without the ground-truth line.
@@ -214,9 +252,8 @@ class TestRefineCommand:
             "--apply",
         ])
         assert rc == 0
-        a = (apply_out / "refined_scores.mtx").read_bytes()
-        b = (out / "refined_scores.mtx").read_bytes()
-        assert a == b
+        for name in ("refined_scores.mtx", "refined.mtx"):
+            assert (apply_out / name).read_bytes() == (out / name).read_bytes(), name
 
     def test_apply_without_factors_rejected(self, tmp_path):
         manifest = make_bundle(tmp_path)
@@ -261,8 +298,6 @@ class TestSynthKinds:
             "--set", "synth.tag_dim=5", "--set", "synth.images_per_cluster=4",
         ])
         assert rc == 0
-        from tagrefinery.tagmat import load_dataset
-
         bundle = load_dataset(out / "synthetic.manifest")
         assert bundle.tags.n_tags == 15
         assert bundle.ground_truth is not None
@@ -282,8 +317,6 @@ class TestSynthKinds:
             "--set", "synth.n_clusters=3", "--set", "synth.images_per_cluster=5",
         ])
         assert rc == 0
-        from tagrefinery.tagmat import load_dataset
-
         bundle = load_dataset(out / "synthetic.manifest")
         assert bundle.tags.n_tags == 3
         assert (out / "synthetic_true_clusters.txt").exists()
