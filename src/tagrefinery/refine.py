@@ -1,9 +1,9 @@
 """Feature-based low-rank tag refinement.
 
 Fits factors P (image-feature side) and Q (tag-feature side) so that the
-reconstruction V P Q^T T^T tracks the observed confidences, minimizing
+reconstruction Ohat = V P Q^T T^T tracks the confidences O, minimizing
 
-    sum_ij w_ij (O - V P Q^T T^T)_ij^2
+    sum_ij w_ij (O - Ohat)_ij^2
     + lambda1/2 (||P||_F^2 + ||Q||_F^2)
     + lambda2 [ tr(Ohat^T L_v Ohat) + tr(Ohat L_s Ohat^T) ]
 
@@ -13,13 +13,18 @@ negative), L_v is the image-similarity Laplacian and L_s the
 tag-similarity Laplacian. The weighted loss equals the subtracted form
 ||O - Ohat||_F^2 - mu ||U_omega(O - Ohat)||_F^2 identically.
 
-Solved by alternating minimization; each factor subproblem is a convex
-quadratic handled by matrix-free conjugate gradient, so the only dense
-n_images x n_tags intermediates are residual-shaped buffers.
+One residual map M(S) = W o S + lambda2 (L_v S + S L_s) gives the
+objective, its gradient 2 (M(Ohat) - O) in Ohat, each factor subproblem's
+normal operator X -> 2 V^T M(V X B^T) B + lambda1 X and its right-hand side
+2 V^T O B (B = T Q; W o O = O since O is zero wherever w_ij != 1). A fit
+validates and densifies its instance once; its Q subproblem is the P
+subproblem of the transposed instance, so one matrix-free conjugate-gradient
+half-step serves both factors.
 """
 
 from __future__ import annotations
 
+import logging
 import os
 from dataclasses import dataclass
 
@@ -97,10 +102,6 @@ class FactorPair:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
 
-    @property
-    def rank(self) -> int:
-        return self.p.shape[1]
-
 
 @dataclass(frozen=True)
 class WeightMask:
@@ -120,30 +121,74 @@ class WeightMask:
     def from_tags(cls, tags: TagMatrix, mu: float) -> "WeightMask":
         return cls(annotated=tags.support(), mu=mu)
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """Elementwise product of x with the weight matrix."""
-        return (1.0 - self.mu) * x + self.mu * np.where(self.annotated, x, 0.0)
-
     def weights(self) -> np.ndarray:
         return np.where(self.annotated, 1.0, 1.0 - self.mu)
 
 
-def _check_dims(tags, v, t, l_v, l_s) -> None:
-    problems = []
-    if v.n_rows != tags.n_images:
-        problems.append(f"image features have {v.n_rows} rows, tags have {tags.n_images} images")
-    if t.n_rows != tags.n_tags:
-        problems.append(f"tag features have {t.n_rows} rows, tags have {tags.n_tags} tags")
-    if l_v.size != tags.n_images:
-        problems.append(f"image Laplacian is {l_v.size}x{l_v.size}, expected {tags.n_images}")
-    if l_s.size != tags.n_tags:
-        problems.append(f"tag Laplacian is {l_s.size}x{l_s.size}, expected {tags.n_tags}")
-    if problems:
-        raise RefineError("; ".join(problems))
-
-
 def _reconstruction(v, t, factors) -> np.ndarray:
     return (v.data @ factors.p) @ (t.data @ factors.q).T
+
+
+@dataclass(frozen=True)
+class _Instance:
+    """One fit in dense form; the free factor is P, or Q on the transpose."""
+
+    o: np.ndarray
+    w: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    l_rows: np.ndarray
+    l_cols: np.ndarray
+    config: RefineConfig
+
+    @classmethod
+    def build(cls, tags, v, t, l_v, l_s, config) -> "_Instance":
+        config.validate(v.dim, t.dim)
+        problems = []
+        if v.n_rows != tags.n_images:
+            problems.append(f"image features have {v.n_rows} rows, tags have {tags.n_images} images")
+        if t.n_rows != tags.n_tags:
+            problems.append(f"tag features have {t.n_rows} rows, tags have {tags.n_tags} tags")
+        if l_v.size != tags.n_images:
+            problems.append(f"image Laplacian is {l_v.size}x{l_v.size}, expected {tags.n_images}")
+        if l_s.size != tags.n_tags:
+            problems.append(f"tag Laplacian is {l_s.size}x{l_s.size}, expected {tags.n_tags}")
+        if problems:
+            raise RefineError("; ".join(problems))
+        o = tags.toarray()
+        w = WeightMask(o != 0, config.mu).weights()
+        return cls(o, w, v.data, t.data, l_v.matrix, l_s.matrix, config)
+
+    def transposed(self) -> "_Instance":
+        return _Instance(self.o.T, self.w.T, self.cols, self.rows, self.l_cols, self.l_rows, self.config)
+
+    def residual_map(self, s: np.ndarray) -> np.ndarray:
+        """M(s) = W o s + lambda2 (L_rows s + s L_cols)."""
+        m = self.w * s
+        if self.config.lambda2:
+            m = m + self.config.lambda2 * (self.l_rows @ s + s @ self.l_cols)
+        return m
+
+    def residuals(self, x, y):
+        """Ohat - O and M(Ohat) - O at row factor x and column factor y."""
+        ohat = (self.rows @ x) @ (self.cols @ y).T
+        return ohat - self.o, self.residual_map(ohat) - self.o
+
+    def objective(self, x, y) -> float:
+        r, g = self.residuals(x, y)
+        # <r, W o r> + lambda2 <Ohat, L_rows Ohat + Ohat L_cols> = <r, g> + <O, g - r>
+        # as W o O = O; with lambda2 = 0, g - r is exactly 0 on the support.
+        loss = float(np.sum(r * g)) + float(np.sum(self.o * (g - r)))
+        return loss + 0.5 * self.config.lambda1 * (float(np.sum(x ** 2)) + float(np.sum(y ** 2)))
+
+    def half_step(self, x, y) -> np.ndarray:
+        """Minimize over the row factor with y fixed, by CG warm-started at x."""
+        b, cfg = self.cols @ y, self.config
+
+        def normal(z):
+            return 2.0 * self.rows.T @ (self.residual_map((self.rows @ z) @ b.T) @ b) + cfg.lambda1 * z
+
+        return _cg(normal, 2.0 * self.rows.T @ (self.o @ b), x, cfg.cg_tol, cfg.cg_iters)
 
 
 def objective(
@@ -156,19 +201,7 @@ def objective(
     config: RefineConfig,
 ) -> float:
     """Evaluate the refinement objective at the given factors."""
-    config.validate(v.dim, t.dim)
-    _check_dims(tags, v, t, l_v, l_s)
-    mask = WeightMask.from_tags(tags, config.mu)
-    ohat = _reconstruction(v, t, factors)
-    resid = ohat - tags.toarray()
-    loss = float(np.sum(resid * mask.apply(resid)))
-    reg1 = 0.5 * config.lambda1 * (float(np.sum(factors.p ** 2)) + float(np.sum(factors.q ** 2)))
-    reg2 = 0.0
-    if config.lambda2:
-        reg2 = config.lambda2 * (
-            float(np.sum(ohat * (l_v.matrix @ ohat))) + float(np.sum(ohat * (ohat @ l_s.matrix)))
-        )
-    return loss + reg1 + reg2
+    return _Instance.build(tags, v, t, l_v, l_s, config).objective(factors.p, factors.q)
 
 
 def gradient(
@@ -184,16 +217,12 @@ def gradient(
     """Analytic gradient of the objective with respect to the free factor."""
     if free not in ("p", "q"):
         raise RefineError(f"free factor must be 'p' or 'q', got {free!r}")
-    config.validate(v.dim, t.dim)
-    _check_dims(tags, v, t, l_v, l_s)
-    mask = WeightMask.from_tags(tags, config.mu)
-    ohat = _reconstruction(v, t, factors)
-    inner = mask.apply(ohat - tags.toarray())
-    if config.lambda2:
-        inner = inner + config.lambda2 * (l_v.matrix @ ohat) + config.lambda2 * (ohat @ l_s.matrix)
-    if free == "p":
-        return 2.0 * v.data.T @ (inner @ (t.data @ factors.q)) + config.lambda1 * factors.p
-    return 2.0 * t.data.T @ (inner.T @ (v.data @ factors.p)) + config.lambda1 * factors.q
+    inst = _Instance.build(tags, v, t, l_v, l_s, config)
+    x, y = factors.p, factors.q
+    if free == "q":
+        inst, x, y = inst.transposed(), y, x
+    g = inst.residuals(x, y)[1]
+    return 2.0 * inst.rows.T @ (g @ (inst.cols @ y)) + config.lambda1 * x
 
 
 def _cg(apply_a, b, x0, tol, max_iters):
@@ -248,74 +277,43 @@ def solve_alternating(
     recorded objective trace (initial value, then one entry per half-step)
     never increases beyond roundoff. Deterministic for a fixed seed.
     Passing init resumes from previously saved factors instead of the
-    seeded Gaussian start.
+    seeded Gaussian start. A fit that stops at outer_iters without meeting
+    obj_tol logs a warning and returns converged=False.
     """
-    config.validate(v.dim, t.dim)
-    _check_dims(tags, v, t, l_v, l_s)
-    mask = WeightMask.from_tags(tags, config.mu)
-    o = tags.toarray()
-    wo = mask.apply(o)
+    inst = _Instance.build(tags, v, t, l_v, l_s, config)
+    inst_t = inst.transposed()
     if init is not None:
         if init.p.shape != (v.dim, config.rank) or init.q.shape != (t.dim, config.rank):
             raise RefineError(
                 f"initial factors {init.p.shape}/{init.q.shape} do not match "
                 f"features and rank ({v.dim}x{config.rank}, {t.dim}x{config.rank})"
             )
-        p = init.p.copy()
-        q = init.q.copy()
+        p, q = init.p, init.q  # _cg copies its start, so the read-only arrays are safe
     else:
         rng = np.random.default_rng(config.seed)
         scale = 1.0 / np.sqrt(config.rank)
         p = rng.standard_normal((v.dim, config.rank)) * scale
         q = rng.standard_normal((t.dim, config.rank)) * scale
 
-    lam1, lam2 = config.lambda1, config.lambda2
-    lv, ls = l_v.matrix, l_s.matrix
-
-    def regularized(s):
-        m = mask.apply(s)
-        if lam2:
-            m = m + lam2 * (lv @ s) + lam2 * (s @ ls)
-        return m
-
-    def trace_objective(pp, qq):
-        return objective(tags, v, t, FactorPair(pp, qq), l_v, l_s, config)
-
-    trace = [trace_objective(p, q)]
-    converged = False
-    outer_done = 0
+    trace = [inst.objective(p, q)]
     for outer in range(config.outer_iters):
-        b_mat = t.data @ q
-
-        def apply_p(x):
-            s = (v.data @ x) @ b_mat.T
-            return 2.0 * v.data.T @ (regularized(s) @ b_mat) + lam1 * x
-
-        rhs_p = 2.0 * v.data.T @ (wo @ b_mat)
-        p = _cg(apply_p, rhs_p, p, config.cg_tol, config.cg_iters)
-        trace.append(trace_objective(p, q))
-
-        a_mat = v.data @ p
-
-        def apply_q(x):
-            s = a_mat @ (t.data @ x).T
-            return 2.0 * t.data.T @ (regularized(s).T @ a_mat) + lam1 * x
-
-        rhs_q = 2.0 * t.data.T @ (wo.T @ a_mat)
-        q = _cg(apply_q, rhs_q, q, config.cg_tol, config.cg_iters)
-        trace.append(trace_objective(p, q))
-
-        outer_done = outer + 1
-        prev, curr = trace[-3], trace[-1]
-        if abs(prev - curr) <= config.obj_tol * max(abs(prev), 1e-12):
-            converged = True
+        p = inst.half_step(p, q)
+        trace.append(inst.objective(p, q))
+        q = inst_t.half_step(q, p)
+        trace.append(inst.objective(p, q))
+        change = abs(trace[-3] - trace[-1]) / max(abs(trace[-3]), 1e-12)
+        if change <= config.obj_tol:
             break
-
+    else:
+        logging.getLogger(__name__).warning(
+            "refine stopped at refine.outer_iters=%d with relative objective change %.3e",
+            config.outer_iters, change,
+        )
     return SolveResult(
         factors=FactorPair(p, q),
         objective_trace=np.asarray(trace),
-        converged=converged,
-        n_outer=outer_done,
+        converged=change <= config.obj_tol,
+        n_outer=outer + 1,
     )
 
 
@@ -363,7 +361,7 @@ def apply_factors(v: FeatureMatrix, t: FeatureMatrix, factors: FactorPair) -> np
             f"features ({v.dim}, {t.dim}) do not match factors "
             f"({factors.p.shape[0]}, {factors.q.shape[0]})"
         )
-    return (v.data @ factors.p) @ (t.data @ factors.q).T
+    return _reconstruction(v, t, factors)
 
 
 def save_factors(factors: FactorPair, out_dir, prefix: str = "factors") -> tuple[str, str]:

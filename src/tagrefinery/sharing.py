@@ -31,6 +31,10 @@ class SharingConfig:
     neighbor_source is read by the pipeline to decide which similarity
     graph to slice per cluster: "affinity" reuses the self-representation
     affinity, "cosine" recomputes cosine similarity over image features.
+
+    Vote scores are convex combinations of [0, 1] components, so any
+    min_confidence above 1 admits nothing. The range accepts up to 1.1,
+    clear of roundoff at 1, so that "share no tags" can be configured.
     """
 
     n_neighbors: int = 5

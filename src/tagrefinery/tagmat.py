@@ -265,14 +265,7 @@ def top_n_tags(tags, n: int) -> list[np.ndarray]:
     scores = tags.toarray() if isinstance(tags, TagMatrix) else np.asarray(tags, dtype=np.float64)
     if scores.ndim != 2:
         raise ValueError("expected a 2-D score matrix")
-    n_tags = scores.shape[1]
-    take = min(n, n_tags)
-    idx = np.arange(n_tags)
-    out = []
-    for row in scores:
-        order = np.lexsort((idx, -row))
-        out.append(order[:take].copy())
-    return out
+    return list(np.argsort(-scores, axis=1, kind="stable")[:, :n])
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,30 @@ class TestExitCodes:
         assert (out / "z.mtx").exists()
         assert (out / "labels.txt").exists()
 
+    def test_refine_stopping_at_outer_cap_warns_and_exits_zero(self, tmp_path, caplog):
+        manifest = make_bundle(tmp_path)
+        rc = main([
+            "refine", "--manifest", manifest, "--output-dir", str(tmp_path / "out"),
+            "--set", "refine.outer_iters=1",
+        ])
+        assert rc == 0
+        assert "refine.outer_iters=1" in caplog.text
+        assert "relative objective change" in caplog.text
+
+
+class TestClusterCommand:
+    def test_auto_k_picks_planted_cluster_count(self, tmp_path):
+        data_dir = tmp_path / "data"
+        assert main(["synth", "--output-dir", str(data_dir)]) == 0
+        out = tmp_path / "out"
+        rc = main([
+            "cluster", "--manifest", str(data_dir / "synthetic.manifest"),
+            "--output-dir", str(out), "--k", "2", "--set", "auto_k=true",
+        ])
+        assert rc == 0
+        with open(out / "ssc_diagnostics.json", encoding="utf-8") as fh:
+            assert json.load(fh)["k"] == 5
+
 
 class TestPipeline:
     def test_full_pipeline_artifacts(self, tmp_path):

@@ -78,13 +78,6 @@ class TestWeightMask:
         np.testing.assert_allclose(w, [[1.0, 0.7], [0.7, 1.0]])
         assert w.min() > 0.0
 
-    def test_apply_matches_weights(self):
-        rng = np.random.default_rng(1)
-        tags = TagMatrix.from_dense((rng.random((4, 5)) < 0.5) * rng.random((4, 5)))
-        mask = WeightMask.from_tags(tags, mu=0.6)
-        x = rng.standard_normal((4, 5))
-        np.testing.assert_allclose(mask.apply(x), mask.weights() * x, atol=1e-15)
-
 
 class TestObjective:
     def test_zero_at_exact_fit(self):
@@ -260,6 +253,28 @@ class TestSolveAlternating:
         _, _, oracle_obj = dense_unweighted_als(o, v.data, t.data, 2, 0.2, 6, seed=11)
         got = result.objective_trace[-1]
         assert abs(got - oracle_obj) <= 1e-8 * max(1.0, abs(oracle_obj))
+
+    def test_densifies_tags_once_per_fit(self, monkeypatch):
+        tags, v, t, l_v, l_s = make_instance(seed=9)
+        calls = []
+        for name in ("toarray", "support"):
+            original = getattr(TagMatrix, name)
+
+            def counted(self, _original=original):
+                calls.append(1)
+                return _original(self)
+
+            monkeypatch.setattr(TagMatrix, name, counted)
+        cfg = RefineConfig(rank=2, outer_iters=5, obj_tol=0.0)
+        solve_alternating(tags, v, t, l_v, l_s, cfg)
+        assert len(calls) <= 2
+
+    def test_trace_ends_at_public_objective(self):
+        tags, v, t, l_v, l_s = make_instance(n_i=8, n_t=6, seed=10)
+        cfg = RefineConfig(rank=2, lambda1=0.1, lambda2=0.05, mu=0.4, outer_iters=5)
+        result = solve_alternating(tags, v, t, l_v, l_s, cfg)
+        final = objective(tags, v, t, result.factors, l_v, l_s, cfg)
+        assert result.objective_trace[-1] == pytest.approx(final, rel=1e-12)
 
     def test_factor_rank_bounded(self):
         tags, v, t, l_v, l_s = make_instance(seed=8)
