@@ -156,7 +156,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
 
 
 def _build_configs(cfg: dict) -> tuple:
-    """Turn the resolved dict into validated (ssc, sharing, refine) config objects."""
+    """Turn the resolved dict into validated (ssc, sharing, refine) configs; check the rest."""
     problems = []
     configs = []
     for section, cls in _STAGE_SECTIONS:
@@ -173,6 +173,24 @@ def _build_configs(cfg: dict) -> tuple:
         isinstance(n, int) and n >= 1 for n in cfg["eval_n"]
     ):
         problems.append(f"eval_n: must be a list of positive integers, got {cfg['eval_n']!r}")
+    tune, refine_base = cfg["tune"], configs[2] or RefineConfig()
+    for key in ("lambda1_grid", "lambda2_grid", "mu_grid", "rank_grid"):
+        if not isinstance(tune[key], list) or not tune[key]:
+            problems.append(f"tune.{key}: must be a non-empty list, got {tune[key]!r}")
+            continue
+        for value in tune[key]:  # each value must make a valid refine config
+            try:
+                dataclasses.replace(refine_base, **{key.removesuffix("_grid"): value}).validate()
+            except TypeError:
+                problems.append(f"tune.{key}: {value!r} is not a number")
+            except ValueError as exc:
+                problems.append(f"tune.{key}: {exc}")
+    if not isinstance(tune["n"], int) or tune["n"] < 1:
+        problems.append(f"tune.n: must be a positive integer, got {tune['n']!r}")
+    if not isinstance(tune["val_fraction"], (int, float)) or not 0 < tune["val_fraction"] <= 1:
+        problems.append(f"tune.val_fraction: must be in (0, 1], got {tune['val_fraction']!r}")
+    if not isinstance(tune["split_seed"], int):
+        problems.append(f"tune.split_seed: must be an integer, got {tune['split_seed']!r}")
     if problems:
         raise ConfigError("; ".join(problems))
     return tuple(configs)

@@ -70,30 +70,21 @@ def ap_ar_at_n(predicted, truth: TagMatrix, n: int, include_empty: bool = False)
         )
     _require_binary(truth, "ground truth")
 
-    tops = top_n_tags(scores, n)
-    truth_csr = truth.matrix
-    precisions, recalls, included = [], [], []
-    for i in range(truth.n_images):
-        true_tags = truth_csr.indices[truth_csr.indptr[i]:truth_csr.indptr[i + 1]]
-        if true_tags.size == 0:
-            if include_empty:
-                precisions.append(0.0)
-                recalls.append(0.0)
-                included.append(i)
-            continue
-        hits = np.intersect1d(tops[i], true_tags, assume_unique=True).size
-        precisions.append(hits / n)
-        recalls.append(hits / true_tags.size)
-        included.append(i)
-    if not included:
+    counts = np.diff(truth.matrix.indptr)
+    included = np.flatnonzero((counts > 0) | include_empty)
+    if not included.size:
         raise MetricsError("all ground-truth rows are empty; nothing to evaluate")
+    hits = truth.matrix[included[:, None], top_n_tags(scores[included], n)].sum(axis=1)
+    counts = counts[included]
+    precisions = hits / n
+    recalls = np.divide(hits, counts, out=np.zeros_like(hits), where=counts > 0)
     return EvalReport(
         n=n,
         ap=float(np.mean(precisions)),
         ar=float(np.mean(recalls)),
-        per_image_precision=tuple(precisions),
-        per_image_recall=tuple(recalls),
-        included_images=tuple(included),
+        per_image_precision=tuple(precisions.tolist()),
+        per_image_recall=tuple(recalls.tolist()),
+        included_images=tuple(included.tolist()),
     )
 
 

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .subspace import ClusterAssignment
-from .tagmat import SimilarityGraph, TagMatrix
+from .tagmat import SimilarityGraph, TagMatrix, top_n_tags
 
 
 class SharingError(ValueError):
@@ -76,7 +76,8 @@ def score_tags_in_cluster(
     """Score every (image, tag) pair of one cluster; returns a dense block in [0, 1].
 
     tags and image_sims must already be restricted to the cluster's images.
-    Component (a) uses the image's top n_neighbors by similarity; (b) is
+    Component (a) uses the image's top n_neighbors other images by
+    similarity, ties to the lower image index (tagmat.top_n_tags); (b) is
     max over the image's existing tags t' of the add-one-smoothed
     in-cluster conditional P(tag | t'); (c) is the in-cluster tag
     frequency. Each component is min-max normalized over the block before
@@ -93,15 +94,13 @@ def score_tags_in_cluster(
 
     local = np.zeros((m, tags.n_tags))
     if m > 1:
-        n_nb = min(config.n_neighbors, m - 1)
-        order = np.arange(m)
-        for i in range(m):
-            row = sims[i].copy()
-            row[i] = -np.inf
-            nb = np.lexsort((order, -row))[:n_nb]
-            weight = sims[i, nb].sum()
-            if weight > 0:
-                local[i] = sims[i, nb] @ presence[nb] / weight
+        others = sims.copy()
+        np.fill_diagonal(others, -np.inf)
+        nb = top_n_tags(others, min(config.n_neighbors, m - 1))
+        w = np.take_along_axis(sims, nb, axis=1)
+        weight = w.sum(axis=1)[:, None]
+        vote = np.matmul(w[:, None, :], presence[nb])[:, 0, :]
+        np.divide(vote, weight, out=local, where=weight > 0)
 
     counts = presence.sum(axis=0)
     pair = presence.T @ presence
@@ -134,7 +133,8 @@ def share_tags(
 
     Existing entries are preserved unchanged (annotations at 1.0 stay at
     1.0); per image at most max_added_per_image previously-absent tags
-    with score >= min_confidence are added at their scores.
+    with score >= min_confidence are added at their scores. Candidates
+    rank by score, ties to the lower tag index (tagmat.top_n_tags).
     """
     config.validate()
     if clusters.labels.shape[0] != tags.n_images:
@@ -149,31 +149,17 @@ def share_tags(
         )
 
     dense = tags.toarray()
-    add_rows: list[int] = []
-    add_cols: list[int] = []
-    add_vals: list[float] = []
-    tag_order = np.arange(tags.n_tags)
-
     cluster_ids = np.unique(clusters.labels) if config.max_added_per_image > 0 else []
     for c in cluster_ids:
         idx = np.flatnonzero(clusters.labels == c)
         block = TagMatrix(sp.csr_array(tags.matrix[idx]))
         sims = SimilarityGraph(image_sims.weights[np.ix_(idx, idx)])
         scores = score_tags_in_cluster(block, sims, config)
-        for row_in_block, image in enumerate(idx):
-            absent = dense[image] == 0
-            eligible = absent & (scores[row_in_block] >= config.min_confidence)
-            cand = np.flatnonzero(eligible)
-            if cand.size == 0:
-                continue
-            ranked = cand[np.lexsort((tag_order[cand], -scores[row_in_block, cand]))]
-            chosen = ranked[: config.max_added_per_image]
-            add_rows.extend([image] * len(chosen))
-            add_cols.extend(chosen.tolist())
-            add_vals.extend(scores[row_in_block, chosen].tolist())
-
-    base = sp.coo_array(tags.matrix)
-    rows = np.concatenate([base.row, np.asarray(add_rows, dtype=np.int64)])
-    cols = np.concatenate([base.col, np.asarray(add_cols, dtype=np.int64)])
-    vals = np.concatenate([base.data, np.asarray(add_vals, dtype=np.float64)])
-    return TagMatrix.from_entries(tags.n_images, tags.n_tags, rows, cols, vals)
+        eligible = (dense[idx] == 0) & (scores >= config.min_confidence)
+        ranked = np.where(eligible, scores, -np.inf)
+        top = top_n_tags(ranked, config.max_added_per_image)
+        chosen = np.take_along_axis(ranked, top, axis=1)
+        keep = chosen > -np.inf
+        rows = np.broadcast_to(idx[:, None], top.shape)
+        dense[rows[keep], top[keep]] = chosen[keep]
+    return TagMatrix.from_dense(dense)

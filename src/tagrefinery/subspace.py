@@ -83,10 +83,6 @@ class SelfRepresentation:
     n_iters: int
     objective: float
 
-    @property
-    def n_points(self) -> int:
-        return self.z.shape[0]
-
 
 @dataclass(frozen=True)
 class ClusterAssignment:
@@ -270,6 +266,8 @@ def _lloyd(points: np.ndarray, centers: np.ndarray, max_iter: int = 300):
                 centers[c] = points[mask].mean(axis=0)
         if done:
             break
+    else:
+        notes.append(f"k-means stopped at {max_iter} iterations")
     d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
     labels = np.argmin(d2, axis=1)
     inertia = float(d2[np.arange(points.shape[0]), labels].sum())

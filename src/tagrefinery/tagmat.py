@@ -253,19 +253,21 @@ def graph_laplacian(graph) -> GraphLaplacian:
 # ---------------------------------------------------------------------------
 
 
-def top_n_tags(tags, n: int) -> list[np.ndarray]:
-    """Indices of the n highest-confidence tags per image.
+def top_n_tags(tags, n: int) -> np.ndarray:
+    """Column indices of the n highest scores per row, best first.
 
-    Accepts a TagMatrix or any 2-D score array (raw, possibly negative,
-    scores are fine). Ties break by ascending tag index; n beyond the tag
-    count returns all tags in ranked order.
+    The package's one ranking rule: higher score first, ties to the lower
+    column index. Accepts a TagMatrix or any 2-D score array (raw,
+    possibly negative or -inf, scores are fine). Returns an integer array
+    of shape (n_rows, min(n, n_cols)); n beyond the column count returns
+    every column in ranked order.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     scores = tags.toarray() if isinstance(tags, TagMatrix) else np.asarray(tags, dtype=np.float64)
     if scores.ndim != 2:
         raise ValueError("expected a 2-D score matrix")
-    return list(np.argsort(-scores, axis=1, kind="stable")[:, :n])
+    return np.argsort(-scores, axis=1, kind="stable")[:, :n]
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import scipy.optimize
 
 from .metrics import NoiseSpec, inject_noise
 from .subspace import ClusterAssignment, SelfRepresentation
-from .tagmat import DatasetBundle, FeatureMatrix, TagMatrix
+from .tagmat import DatasetBundle, FeatureMatrix, TagMatrix, top_n_tags
 
 logger = logging.getLogger(__name__)
 
@@ -184,11 +184,8 @@ def gen_planted_annotation(
         o_star = TagMatrix.from_dense(scores)
     else:
         count = max(1, int(np.ceil(density * n_tags)))
-        idx = np.arange(n_tags)
         dense = np.zeros_like(scores)
-        for i in range(n_images):
-            order = np.lexsort((idx, -scores[i]))
-            dense[i, order[:count]] = 1.0
+        np.put_along_axis(dense, top_n_tags(scores, count), 1.0, axis=1)
         o_star = TagMatrix.from_dense(dense)
 
     scores.setflags(write=False)

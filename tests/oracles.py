@@ -76,6 +76,29 @@ def sharing_scores(presence, sims, n_neighbors, w_local, w_cooc, w_freq):
     )
 
 
+def shared_tags(tags_dense, labels, sims, n_neighbors, w_local, w_cooc, w_freq,
+                max_added, min_confidence):
+    """Loop evaluation of the documented admission rule of tag sharing.
+
+    Per cluster, scores come from sharing_scores on the cluster's block; per
+    image, absent tags scoring >= min_confidence are ranked by (-score, tag
+    index) and the first max_added are added at their scores.
+    """
+    n_images, n_tags = len(tags_dense), len(tags_dense[0])
+    out = [[float(v) for v in row] for row in tags_dense]
+    for c in sorted(set(labels)):
+        idx = [i for i in range(n_images) if labels[i] == c]
+        presence = np.array([[tags_dense[i][t] != 0 for t in range(n_tags)] for i in idx])
+        block = np.array([[sims[i][j] for j in idx] for i in idx])
+        scores = sharing_scores(presence, block, n_neighbors, w_local, w_cooc, w_freq)
+        for r, i in enumerate(idx):
+            cand = [t for t in range(n_tags)
+                    if tags_dense[i][t] == 0 and scores[r][t] >= min_confidence]
+            for t in sorted(cand, key=lambda t: (-scores[r][t], t))[:max_added]:
+                out[i][t] = scores[r][t]
+    return np.array(out)
+
+
 def refine_objective(o, annotated, v, t, p, q, l_v, l_s, lam1, lam2, mu):
     """Subtracted-form loss plus regularizers, evaluated entry by entry."""
     ohat = v @ p @ q.T @ t.T

@@ -370,3 +370,22 @@ class TestTune:
         assert best["mu"] in (0.0, 0.5)
         lines = (out / "tune_results.csv").read_text().strip().splitlines()
         assert len(lines) == 3  # header + 2 grid points
+
+    @pytest.mark.parametrize("assignment, key", [
+        ("tune.mu_grid=[]", "tune.mu_grid"),
+        ("tune.mu_grid=0.4", "tune.mu_grid"),
+        ("tune.mu_grid=[0.4,1.5]", "tune.mu_grid"),
+        ('tune.rank_grid=["x"]', "tune.rank_grid"),
+        ("tune.split_seed=abc", "tune.split_seed"),
+        ("tune.n=0", "tune.n"),
+        ("tune.val_fraction=abc", "tune.val_fraction"),
+    ])
+    def test_invalid_tune_section_exits_two_before_any_fit(
+        self, tmp_path, caplog, assignment, key
+    ):
+        manifest = make_bundle(tmp_path)
+        out = tmp_path / "tune"
+        rc = main(["tune", "--manifest", manifest, "--output-dir", str(out), "--set", assignment])
+        assert rc == 2
+        assert f"{key}:" in caplog.text
+        assert not out.exists()

@@ -7,7 +7,7 @@ from tagrefinery.sharing import SharingConfig, SharingError, score_tags_in_clust
 from tagrefinery.subspace import ClusterAssignment
 from tagrefinery.tagmat import SimilarityGraph, TagMatrix
 
-from oracles import sharing_scores
+from oracles import shared_tags, sharing_scores
 
 
 def graph(w):
@@ -17,6 +17,17 @@ def graph(w):
 
 def pair_graph(sim):
     return graph([[0.0, sim], [sim, 0.0]])
+
+
+def random_weights(rng, m, tied=False):
+    """Symmetric zero-diagonal weights; tied ones are drawn from {0, 0.5, 1}."""
+    if tied:
+        w = np.triu(rng.choice([0.0, 0.5, 1.0], size=(m, m)), 1)
+        return w + w.T
+    w = np.abs(rng.standard_normal((m, m)))
+    w = (w + w.T) / 2
+    np.fill_diagonal(w, 0.0)
+    return w
 
 
 class TestConfig:
@@ -83,22 +94,22 @@ class TestScoreTagsInCluster:
         assert scores.min() >= 0.0 and scores.max() <= 1.0
 
     def test_oracle_agreement_randomized(self):
-        rng = np.random.default_rng(10)
-        for trial in range(10):
-            m = int(rng.integers(1, 7))
-            n_tags = int(rng.integers(2, 9))
-            presence = rng.random((m, n_tags)) < 0.4
-            w = np.abs(rng.standard_normal((m, m)))
-            w = (w + w.T) / 2
-            np.fill_diagonal(w, 0.0)
-            cfg = SharingConfig(n_neighbors=int(rng.integers(1, 5)))
-            scores = score_tags_in_cluster(
-                TagMatrix.from_dense(presence.astype(float)), graph(w), cfg
-            )
-            expected = sharing_scores(
-                presence, w, cfg.n_neighbors, cfg.w_local, cfg.w_cooc, cfg.w_freq
-            )
-            np.testing.assert_allclose(scores, expected, atol=1e-12)
+        # Tied weights make the neighbour choice depend on the tie rule.
+        for tied in (False, True):
+            rng = np.random.default_rng(10)
+            for trial in range(10):
+                m = int(rng.integers(1, 7))
+                n_tags = int(rng.integers(2, 9))
+                presence = rng.random((m, n_tags)) < 0.4
+                w = random_weights(rng, m, tied)
+                cfg = SharingConfig(n_neighbors=int(rng.integers(1, 5)))
+                scores = score_tags_in_cluster(
+                    TagMatrix.from_dense(presence.astype(float)), graph(w), cfg
+                )
+                expected = sharing_scores(
+                    presence, w, cfg.n_neighbors, cfg.w_local, cfg.w_cooc, cfg.w_freq
+                )
+                np.testing.assert_allclose(scores, expected, atol=1e-12)
 
     def test_block_size_mismatch(self):
         tags = TagMatrix.from_dense([[1.0, 0.0]])
@@ -181,6 +192,33 @@ class TestShareTags:
         a = share_tags(tags, clusters, sims, cfg)
         b = share_tags(tags, clusters, sims, cfg)
         np.testing.assert_array_equal(a.toarray(), b.toarray())
+
+    def test_admission_matches_oracle_with_ties(self):
+        # w_freq-only scores are equal across a cluster's images and tie
+        # between tags of equal count; caps of 1 and 2 make the ties decide.
+        configs = [
+            SharingConfig(w_local=0.0, w_cooc=0.0, w_freq=1.0,
+                          max_added_per_image=1, min_confidence=0.0),
+            SharingConfig(w_local=0.0, w_cooc=0.0, w_freq=1.0,
+                          max_added_per_image=2, min_confidence=0.3),
+            SharingConfig(n_neighbors=2, max_added_per_image=2, min_confidence=0.0),
+        ]
+        rng = np.random.default_rng(11)
+        for trial in range(30):
+            n = int(rng.integers(2, 10))
+            dense = (rng.random((n, int(rng.integers(3, 9)))) < 0.4).astype(float)
+            w = random_weights(rng, n, tied=True)
+            labels = rng.integers(0, 2, size=n)
+            cfg = configs[trial % len(configs)]
+            out = share_tags(
+                TagMatrix.from_dense(dense), ClusterAssignment(labels=labels, k=2), graph(w), cfg
+            ).toarray()
+            expected = shared_tags(
+                dense, labels, w, cfg.n_neighbors, cfg.w_local, cfg.w_cooc, cfg.w_freq,
+                cfg.max_added_per_image, cfg.min_confidence,
+            )
+            np.testing.assert_array_equal(out != 0, expected != 0)
+            np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_dimension_mismatches(self):
         tags, clusters, sims = self.two_image_setup()

@@ -9,6 +9,7 @@ from tagrefinery.subspace import (
     SscConfig,
     SscError,
     SscResiduals,
+    _lloyd,
     affinity,
     eigengap_k,
     spectral_cluster,
@@ -186,6 +187,16 @@ class TestSpectralCluster:
 
     def test_eigengap_on_blocks(self):
         assert eigengap_k(self.block_affinity(), 5) == 2
+
+    def test_kmeans_iteration_cap_is_noted(self):
+        # Starting from centers 0 and 1, the first pass puts 1..12 together;
+        # Lloyd needs further passes to split {0, 1, 2} from {10, 11, 12}.
+        points = np.array([[0.0], [1.0], [2.0], [10.0], [11.0], [12.0]])
+        _, _, capped = _lloyd(points, points[:2].copy(), max_iter=1)
+        assert capped == ["k-means stopped at 1 iterations"]
+        labels, _, notes = _lloyd(points, points[:2].copy())
+        assert notes == []
+        np.testing.assert_array_equal(labels, [0, 0, 0, 1, 1, 1])
 
 
 class TestClusterAssignment:

@@ -187,6 +187,7 @@ class TestTopNTags:
 
     def test_n_beyond_tags_returns_all_ranked(self):
         rows = top_n_tags(np.array([[0.1, 0.9, 0.5]]), 10)
+        assert rows.shape == (1, 3) and np.issubdtype(rows.dtype, np.integer)
         np.testing.assert_array_equal(rows[0], [1, 2, 0])
 
     def test_accepts_tag_matrix(self):
