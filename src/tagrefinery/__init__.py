@@ -33,7 +33,6 @@ from .refine import (
     FactorPair,
     RefineConfig,
     RefineResult,
-    WeightMask,
     apply_factors,
     gradient,
     objective,
@@ -72,7 +71,6 @@ __all__ = [
     "SscConfig",
     "SubspaceInstance",
     "TagMatrix",
-    "WeightMask",
     "affinity",
     "ap_ar_at_n",
     "apply_factors",

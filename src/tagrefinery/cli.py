@@ -2,8 +2,9 @@
 
 All inputs and outputs go through the manifest + Matrix Market formats.
 Configuration comes from one JSON file plus repeatable --set overrides
-(flags win); every run writes the fully resolved configuration next to
-its outputs so it can be replayed bit-for-bit. Logs go to stderr, machine
+(flags win); every value must have the kind of its DEFAULT_CONFIG default.
+Every run writes the fully resolved configuration next to its outputs so
+it can be replayed bit-for-bit. Logs go to stderr, machine
 artifacts to files only.
 
 Exit codes: 0 success, 1 SSC non-convergence or a conjugate-gradient
@@ -108,10 +109,8 @@ def _merge_section(base: dict, override: dict, prefix: str) -> None:
             if not isinstance(value, dict):
                 raise ConfigError(f"config key {path!r} must be a section/object")
             _merge_section(base[key], value, f"{path}.")
-        elif isinstance(value, dict):
-            raise ConfigError(f"config key {path!r} is a value, not a section/object")
         else:
-            base[key] = value
+            base[key] = value  # the type rule checks it once everything is merged
 
 
 def _apply_override(cfg: dict, assignment: str) -> None:
@@ -128,8 +127,43 @@ def _apply_override(cfg: dict, assignment: str) -> None:
     _merge_section(cfg, value, "")
 
 
+# The type rule, by the type of a key's default: the types a value may have,
+# then the names of one and of many for error messages. bool is a subclass of
+# int, so _matches accepts it only where the default is a bool.
+_KINDS = {
+    bool: ((bool,), "true or false", "booleans"),
+    int: ((int,), "an integer", "integers"),
+    float: ((int, float), "a number", "numbers"),
+    str: ((str,), "a string", "strings"),
+    type(None): ((str, type(None)), "a string", "strings"),  # manifest: unset or a path
+}
+
+
+def _matches(value, default) -> bool:
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_matches(v, default[0]) for v in value)
+    accepted = _KINDS[type(default)][0]
+    return isinstance(value, accepted) and (isinstance(default, bool) or not isinstance(value, bool))
+
+
+def _type_problems(cfg: dict, defaults: dict, prefix: str) -> list[str]:
+    """Check every leaf of cfg against the type rule; one message per mistyped key."""
+    problems = []
+    for key, default in defaults.items():
+        path, value = f"{prefix}{key}", cfg[key]
+        if isinstance(default, dict):
+            problems += _type_problems(value, default, f"{path}.")
+        elif not _matches(value, default):
+            if isinstance(default, list):
+                kind = f"a list of {_KINDS[type(default[0])][2]}"
+            else:
+                kind = _KINDS[type(default)][1]
+            problems.append(f"{path}: expected {kind}, got {json.dumps(value)}")
+    return problems
+
+
 def resolve_config(args: argparse.Namespace) -> dict:
-    """Defaults <- config file <- --set overrides <- dedicated flags."""
+    """Defaults <- config file <- --set overrides <- dedicated flags, then type-checked."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if getattr(args, "config", None):
         if not os.path.exists(args.config):
@@ -152,45 +186,41 @@ def resolve_config(args: argparse.Namespace) -> dict:
         cfg["threads"] = args.threads
     if getattr(args, "k", None):
         cfg["k"] = args.k
+    problems = _type_problems(cfg, DEFAULT_CONFIG, "")
+    if problems:
+        raise ConfigError("; ".join(problems))
     return cfg
 
 
 def _build_configs(cfg: dict) -> tuple:
-    """Turn the resolved dict into validated (ssc, sharing, refine) configs; check the rest."""
+    """Turn the type-checked config into validated (ssc, sharing, refine) configs; check the rest."""
     problems = []
     configs = []
     for section, cls in _STAGE_SECTIONS:
+        stage_cfg = cls(**cfg[section])
         try:
-            stage_cfg = cls(**cfg[section])
             stage_cfg.validate()
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             problems.append(f"{section}: {exc}")
             stage_cfg = None
         configs.append(stage_cfg)
-    if not isinstance(cfg["k"], int) or cfg["k"] < 1:
+    if cfg["k"] < 1:
         problems.append(f"k: must be a positive integer, got {cfg['k']!r}")
-    if not isinstance(cfg["eval_n"], list) or not all(
-        isinstance(n, int) and n >= 1 for n in cfg["eval_n"]
-    ):
+    if not all(n >= 1 for n in cfg["eval_n"]):
         problems.append(f"eval_n: must be a list of positive integers, got {cfg['eval_n']!r}")
     tune, refine_base = cfg["tune"], configs[2] or RefineConfig()
     for key in ("lambda1_grid", "lambda2_grid", "mu_grid", "rank_grid"):
-        if not isinstance(tune[key], list) or not tune[key]:
-            problems.append(f"tune.{key}: must be a non-empty list, got {tune[key]!r}")
-            continue
+        if not tune[key]:
+            problems.append(f"tune.{key}: must be a non-empty list")
         for value in tune[key]:  # each value must make a valid refine config
             try:
                 dataclasses.replace(refine_base, **{key.removesuffix("_grid"): value}).validate()
-            except TypeError:
-                problems.append(f"tune.{key}: {value!r} is not a number")
             except ValueError as exc:
                 problems.append(f"tune.{key}: {exc}")
-    if not isinstance(tune["n"], int) or tune["n"] < 1:
+    if tune["n"] < 1:
         problems.append(f"tune.n: must be a positive integer, got {tune['n']!r}")
-    if not isinstance(tune["val_fraction"], (int, float)) or not 0 < tune["val_fraction"] <= 1:
+    if not 0 < tune["val_fraction"] <= 1:
         problems.append(f"tune.val_fraction: must be in (0, 1], got {tune['val_fraction']!r}")
-    if not isinstance(tune["split_seed"], int):
-        problems.append(f"tune.split_seed: must be an integer, got {tune['split_seed']!r}")
     if problems:
         raise ConfigError("; ".join(problems))
     return tuple(configs)

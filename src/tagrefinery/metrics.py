@@ -19,8 +19,7 @@ class EvalReport:
     """AP@N / AR@N means plus the per-image values behind them.
 
     per_image_* and included_images cover only the images that entered the
-    means (images with empty ground-truth rows are skipped unless the
-    caller opted to count them as zero).
+    means: images with an empty ground-truth row are skipped.
     """
 
     n: int
@@ -51,14 +50,14 @@ def _require_binary(truth: TagMatrix, what: str) -> None:
         raise MetricsError(f"{what} must be binary (confidences exactly 0 or 1)")
 
 
-def ap_ar_at_n(predicted, truth: TagMatrix, n: int, include_empty: bool = False) -> EvalReport:
+def ap_ar_at_n(predicted, truth: TagMatrix, n: int) -> EvalReport:
     """Precision@n and recall@n per image against binary ground truth.
 
     predicted may be a TagMatrix or a raw score matrix; ranking uses the
     shared deterministic top-n rule (score descending, tag index ascending).
     Precision always divides by n; recall divides by the image's
     ground-truth tag count. Images with no ground-truth tags are excluded
-    from both means unless include_empty, which counts them as zero.
+    from both means, as their recall is undefined.
     """
     if n < 1:
         raise MetricsError(f"n must be >= 1, got {n}")
@@ -71,13 +70,12 @@ def ap_ar_at_n(predicted, truth: TagMatrix, n: int, include_empty: bool = False)
     _require_binary(truth, "ground truth")
 
     counts = np.diff(truth.matrix.indptr)
-    included = np.flatnonzero((counts > 0) | include_empty)
+    included = np.flatnonzero(counts > 0)
     if not included.size:
         raise MetricsError("all ground-truth rows are empty; nothing to evaluate")
     hits = truth.matrix[included[:, None], top_n_tags(scores[included], n)].sum(axis=1)
-    counts = counts[included]
     precisions = hits / n
-    recalls = np.divide(hits, counts, out=np.zeros_like(hits), where=counts > 0)
+    recalls = hits / counts[included]
     return EvalReport(
         n=n,
         ap=float(np.mean(precisions)),

@@ -103,28 +103,6 @@ class FactorPair:
         object.__setattr__(self, "q", q)
 
 
-@dataclass(frozen=True)
-class WeightMask:
-    """Per-entry loss weights: 1 on annotated positions, 1 - mu elsewhere."""
-
-    annotated: np.ndarray
-    mu: float
-
-    def __post_init__(self):
-        a = np.array(self.annotated, dtype=bool)
-        a.setflags(write=False)
-        object.__setattr__(self, "annotated", a)
-        if not 0.0 <= self.mu < 1.0:
-            raise RefineError(f"mu must satisfy 0 <= mu < 1, got {self.mu}")
-
-    @classmethod
-    def from_tags(cls, tags: TagMatrix, mu: float) -> "WeightMask":
-        return cls(annotated=tags.support(), mu=mu)
-
-    def weights(self) -> np.ndarray:
-        return np.where(self.annotated, 1.0, 1.0 - self.mu)
-
-
 def _reconstruction(v, t, factors) -> np.ndarray:
     return (v.data @ factors.p) @ (t.data @ factors.q).T
 
@@ -156,7 +134,7 @@ class _Instance:
         if problems:
             raise RefineError("; ".join(problems))
         o = tags.toarray()
-        w = WeightMask(o != 0, config.mu).weights()
+        w = np.where(o != 0, 1.0, 1.0 - config.mu)
         return cls(o, w, v.data, t.data, l_v.matrix, l_s.matrix, config)
 
     def transposed(self) -> "_Instance":

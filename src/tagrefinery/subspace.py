@@ -25,22 +25,23 @@ class SscError(ValueError):
     """Raised for invalid solver configuration or degenerate inputs."""
 
 
+# Penalty schedule of the augmented-Lagrangian loop: a solver detail, not a model parameter.
+_PENALTY_INIT = 1.0
+_PENALTY_GROWTH = 1.1
+_PENALTY_MAX = 1e8
+
+
 @dataclass(frozen=True)
 class SscConfig:
     """Knobs for the self-representation solver.
 
-    mu is the quadratic error penalty of the objective; the remaining
-    fields drive the augmented-Lagrangian loop (stopping tolerance on the
-    constraint residuals and the penalty growth schedule).
+    mu is the quadratic error penalty of the objective; max_iters and tol
+    (on the constraint residuals) stop the augmented-Lagrangian loop.
     """
 
     mu: float = 10.0
     max_iters: int = 4000
     tol: float = 1e-5
-    penalty_init: float = 1.0
-    penalty_growth: float = 1.1
-    penalty_max: float = 1e8
-    normalize_rows: bool = True
 
     def validate(self) -> None:
         problems = []
@@ -50,12 +51,6 @@ class SscConfig:
             problems.append(f"tol must be > 0, got {self.tol}")
         if self.max_iters < 1:
             problems.append(f"max_iters must be >= 1, got {self.max_iters}")
-        if not self.penalty_init > 0:
-            problems.append(f"penalty_init must be > 0, got {self.penalty_init}")
-        if not self.penalty_growth > 1:
-            problems.append(f"penalty_growth must be > 1, got {self.penalty_growth}")
-        if self.penalty_max < self.penalty_init:
-            problems.append("penalty_max must be >= penalty_init")
         if problems:
             raise SscError("; ".join(problems))
 
@@ -110,11 +105,12 @@ def _soft_threshold(a: np.ndarray, tau: float) -> np.ndarray:
 def ssc_solve(images: FeatureMatrix, config: SscConfig = SscConfig()) -> SelfRepresentation:
     """Solve the sparse self-representation problem for the given images.
 
+    Rows are normalized to unit length first (zero-norm rows are rejected).
     Splitting: Z carries the reconstruction and row-sum constraints, a copy
     J carries the L1 norm (soft-threshold update, diagonal projected to
     zero every iteration), E absorbs the reconstruction error in closed
     form. Dual ascent on all three couplings; penalty rho grows by
-    penalty_growth up to penalty_max. The returned z is the thresholded
+    _PENALTY_GROWTH up to _PENALTY_MAX. The returned z is the thresholded
     copy, so its diagonal is exactly zero.
 
     Non-convergence within max_iters is not an error: the best iterate is
@@ -125,11 +121,10 @@ def ssc_solve(images: FeatureMatrix, config: SscConfig = SscConfig()) -> SelfRep
     n = x.shape[0]
     if n < 2:
         raise SscError("self-representation needs at least 2 images")
-    if config.normalize_rows:
-        norms = np.linalg.norm(x, axis=1)
-        if np.any(norms == 0.0):
-            raise SscError("zero-norm feature row; cannot normalize")
-        x = x / norms[:, None]
+    norms = np.linalg.norm(x, axis=1)
+    if np.any(norms == 0.0):
+        raise SscError("zero-norm feature row; cannot normalize")
+    x = x / norms[:, None]
 
     x_norm = np.linalg.norm(x)
     ones = np.ones(n)
@@ -143,7 +138,7 @@ def ssc_solve(images: FeatureMatrix, config: SscConfig = SscConfig()) -> SelfRep
     y1 = np.zeros_like(x)      # dual of X = Z X + E
     y2 = np.zeros((n, n))      # dual of Z = J
     y3 = np.zeros(n)           # dual of Z 1 = 1
-    rho = config.penalty_init
+    rho = _PENALTY_INIT
 
     residuals = SscResiduals(np.inf, np.inf, np.inf)
     converged = False
@@ -169,7 +164,7 @@ def ssc_solve(images: FeatureMatrix, config: SscConfig = SscConfig()) -> SelfRep
         y1 += rho * r_recon
         y2 += rho * r_gap
         y3 += rho * r_rowsum
-        rho = min(rho * config.penalty_growth, config.penalty_max)
+        rho = min(rho * _PENALTY_GROWTH, _PENALTY_MAX)
 
         # Feasibility is reported for the returned iterate J.
         residuals = SscResiduals(

@@ -203,19 +203,11 @@ class DatasetBundle:
 # ---------------------------------------------------------------------------
 
 
-def cosine_similarity_graph(features: FeatureMatrix, rectify: str = "clamp") -> SimilarityGraph:
-    """Pairwise cosine similarity between feature rows, rectified to [0, 1].
+def cosine_similarity_graph(features: FeatureMatrix) -> SimilarityGraph:
+    """Pairwise cosine similarity between feature rows, negatives clamped to 0.
 
-    Parameters
-    ----------
-    features : FeatureMatrix
-        Row-wise feature vectors; rows with zero norm are rejected.
-    rectify : {"clamp", "shift"}
-        How to map raw cosines (possibly negative) onto nonnegative weights:
-        "clamp" zeroes negatives, "shift" maps cos -> (1 + cos) / 2.
+    Rows with zero norm are rejected. The diagonal is zero.
     """
-    if rectify not in ("clamp", "shift"):
-        raise ValueError(f"unknown rectification {rectify!r}")
     x = features.data
     norms = np.linalg.norm(x, axis=1)
     zero = np.flatnonzero(norms == 0.0)
@@ -223,25 +215,18 @@ def cosine_similarity_graph(features: FeatureMatrix, rectify: str = "clamp") -> 
         raise DatasetError(f"zero-norm feature row(s) at indices {zero[:5].tolist()}")
     unit = x / norms[:, None]
     cos = unit @ unit.T
-    cos = np.clip((cos + cos.T) / 2.0, -1.0, 1.0)
-    if rectify == "clamp":
-        w = np.maximum(cos, 0.0)
-    else:
-        w = (1.0 + cos) / 2.0
+    w = np.maximum(np.clip((cos + cos.T) / 2.0, -1.0, 1.0), 0.0)
     np.fill_diagonal(w, 0.0)
     return SimilarityGraph(w)
 
 
-def graph_laplacian(graph) -> GraphLaplacian:
-    """Unnormalized Laplacian diag(W @ 1) - W of a similarity graph."""
-    if isinstance(graph, SimilarityGraph):
-        w = graph.weights
-    else:
-        w = np.asarray(graph, dtype=np.float64)
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise DatasetError(f"graph must be square, got shape {w.shape}")
-        if np.abs(w - w.T).max(initial=0.0) > SYMMETRY_TOL:
-            raise DatasetError("asymmetric graph passed to graph_laplacian")
+def graph_laplacian(graph: SimilarityGraph) -> GraphLaplacian:
+    """Unnormalized Laplacian diag(W @ 1) - W of a similarity graph.
+
+    Takes only a SimilarityGraph, which already guarantees W is square,
+    symmetric, nonnegative and zero on the diagonal.
+    """
+    w = graph.weights
     lap = np.diag(w.sum(axis=1)) - w
     # Force exact zero row sums so L @ 1 = 0 holds to machine precision.
     np.fill_diagonal(lap, np.diagonal(lap) - lap.sum(axis=1))
@@ -253,18 +238,18 @@ def graph_laplacian(graph) -> GraphLaplacian:
 # ---------------------------------------------------------------------------
 
 
-def top_n_tags(tags, n: int) -> np.ndarray:
+def top_n_tags(scores, n: int) -> np.ndarray:
     """Column indices of the n highest scores per row, best first.
 
     The package's one ranking rule: higher score first, ties to the lower
-    column index. Accepts a TagMatrix or any 2-D score array (raw,
-    possibly negative or -inf, scores are fine). Returns an integer array
-    of shape (n_rows, min(n, n_cols)); n beyond the column count returns
-    every column in ranked order.
+    column index. Takes a 2-D score array (raw, possibly negative or -inf,
+    scores are fine); densify a TagMatrix with toarray() first. Returns an
+    integer array of shape (n_rows, min(n, n_cols)); n beyond the column
+    count returns every column in ranked order.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    scores = tags.toarray() if isinstance(tags, TagMatrix) else np.asarray(tags, dtype=np.float64)
+    scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2:
         raise ValueError("expected a 2-D score matrix")
     return np.argsort(-scores, axis=1, kind="stable")[:, :n]

@@ -13,7 +13,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .metrics import NoiseSpec, inject_noise
 from .subspace import ClusterAssignment, SelfRepresentation
@@ -123,6 +122,11 @@ def clustering_accuracy(pred, truth) -> float:
         raise TestkitError(
             f"length mismatch: {pred_labels.shape[0]} predictions, {truth.shape[0]} truths"
         )
+    # Imported here, not at module level: the package __init__ imports this
+    # module, so a top-level import would slow every CLI start, and no
+    # subcommand calls this function.
+    import scipy.optimize
+
     n = truth.shape[0]
     k = int(max(pred_labels.max(initial=0), truth.max(initial=0))) + 1
     confusion = np.zeros((k, k), dtype=np.int64)

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -18,6 +20,28 @@ TINY = [
     "--set", "synth.missing_rate=0.2",
     "--set", "synth.inaccurate_rate=0.1",
 ]
+
+
+def config_leaves(section, prefix=""):
+    """(dotted key, default) for every value of a config section, recursively."""
+    for key, value in section.items():
+        if isinstance(value, dict):
+            yield from config_leaves(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}", value
+
+
+def wrong_kind(default) -> str:
+    """A --set value whose kind the type rule rejects for a key with this default."""
+    if isinstance(default, list):
+        return "[true]"  # a bool is no item of any list key
+    if isinstance(default, bool):
+        return "1"
+    if isinstance(default, int):
+        return "2.5"
+    if isinstance(default, float):
+        return "true"
+    return "7"  # str keys, and manifest
 
 
 def make_bundle(tmp_path, extra=()):
@@ -85,6 +109,43 @@ class TestConfigResolution:
         rc = main(["synth", "--output-dir", str(tmp_path / "x"), "--set", "synth.seed.a=1"])
         assert rc == 2
         assert "synth.seed" in caplog.text
+
+
+class TestTypeRule:
+    LEAVES = list(config_leaves(DEFAULT_CONFIG))
+
+    @pytest.mark.parametrize("key, default", LEAVES, ids=[key for key, _ in LEAVES])
+    def test_wrong_kind_exits_two_naming_the_key(
+        self, tmp_path, monkeypatch, caplog, key, default
+    ):
+        monkeypatch.chdir(tmp_path)  # output_dir is one of the keys, so use the default
+        rc = main(["synth", "--set", f"{key}={wrong_kind(default)}"])
+        assert rc == 2
+        assert caplog.records[-1].getMessage().startswith(f"{key}: expected ")
+        assert not any(tmp_path.iterdir())
+
+    def test_wrong_kind_in_config_file_exits_two(self, tmp_path, caplog):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"refine": {"rank": 3.5}}))
+        out = tmp_path / "out"
+        rc = main(["synth", "--output-dir", str(out), "--config", str(path)])
+        assert rc == 2
+        assert "refine.rank: expected an integer, got 3.5" in caplog.text
+        assert not out.exists()
+
+    def test_int_for_float_key_kept_as_given(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["synth", "--output-dir", str(out), *TINY, "--set", "refine.mu=0"]) == 0
+        mu = json.loads((out / "config.resolved.json").read_text())["refine"]["mu"]
+        assert mu == 0 and type(mu) is int
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    code = "import sys, tagrefinery.cli; print('scipy.optimize' in sys.modules)"
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                           check=True, timeout=60)
+    assert child.stdout.strip() == "False"
 
 
 class TestExitCodes:

@@ -60,13 +60,6 @@ class TestApArAtN:
         assert report.included_images == (0,)
         assert report.ap == 1.0
 
-    def test_empty_rows_counted_as_zero_when_asked(self):
-        truth = TagMatrix.from_dense([[1.0, 0.0], [0.0, 0.0]])
-        scores = np.array([[0.9, 0.1], [0.5, 0.4]])
-        report = ap_ar_at_n(scores, truth, 1, include_empty=True)
-        assert report.included_images == (0, 1)
-        assert report.ap == 0.5
-
     def test_all_empty_truth_rejected(self):
         truth = TagMatrix.from_dense(np.zeros((2, 3)))
         with pytest.raises(MetricsError, match="empty"):

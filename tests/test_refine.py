@@ -8,7 +8,6 @@ from tagrefinery.refine import (
     FactorPair,
     RefineConfig,
     RefineError,
-    WeightMask,
     _cg,
     apply_factors,
     gradient,
@@ -21,6 +20,7 @@ from tagrefinery.refine import (
 from tagrefinery.tagmat import (
     FeatureMatrix,
     GraphLaplacian,
+    SimilarityGraph,
     TagMatrix,
     cosine_similarity_graph,
     graph_laplacian,
@@ -68,15 +68,6 @@ class TestConfig:
     def test_negative_lambdas(self):
         with pytest.raises(RefineError, match="lambda"):
             RefineConfig(lambda1=-0.1).validate()
-
-
-class TestWeightMask:
-    def test_partition_of_weights(self):
-        tags = TagMatrix.from_dense([[1.0, 0.0], [0.0, 0.4]])
-        mask = WeightMask.from_tags(tags, mu=0.3)
-        w = mask.weights()
-        np.testing.assert_allclose(w, [[1.0, 0.7], [0.7, 1.0]])
-        assert w.min() > 0.0
 
 
 class TestObjective:
@@ -232,7 +223,7 @@ class TestSolveAlternating:
         w = np.abs(rng.standard_normal((5, 5)))
         w = (w + w.T) / 2
         np.fill_diagonal(w, 0.0)
-        other_l_v = graph_laplacian(w)
+        other_l_v = graph_laplacian(SimilarityGraph(w))
         cfg = RefineConfig(rank=2, lambda2=0.0, outer_iters=5, seed=3)
         r1 = solve_alternating(tags, v, t, l_v, l_s, cfg)
         r2 = solve_alternating(tags, v, t, other_l_v, l_s, cfg)
