@@ -1,16 +1,18 @@
-"""Pipeline runner: every stage and the full sequence as subcommands.
+"""Command line: every subcommand is the list of stages it runs (build_parser).
 
+A stage uses what an earlier stage of the same command made; run alone, it
+reads the file its flag names, or the artifact the earlier stage writes.
 All inputs and outputs go through the manifest + Matrix Market formats.
 Configuration comes from one JSON file plus repeatable --set overrides
 (flags win); every value must have the kind of its DEFAULT_CONFIG default.
 Every run writes the fully resolved configuration next to its outputs so
-it can be replayed bit-for-bit. Logs go to stderr, machine
-artifacts to files only.
+it can be replayed bit-for-bit. Logs go to stderr, machine artifacts to
+files only; the output directory is made on the first write.
 
-Exit codes: 0 success, 1 SSC non-convergence or a conjugate-gradient
-breakdown in refine (artifacts preserved), 2 unknown command or invalid
-configuration/input. Refine stopping at refine.outer_iters before meeting
-refine.obj_tol logs a warning and still exits 0.
+Exit codes: 0 success, 1 SSC non-convergence (in every command that clusters)
+or a conjugate-gradient breakdown in refine (artifacts preserved), 2 unknown
+command or invalid configuration/input. Refine stopping at refine.outer_iters
+before meeting refine.obj_tol logs a warning and still exits 0.
 """
 
 from __future__ import annotations
@@ -178,14 +180,9 @@ def resolve_config(args: argparse.Namespace) -> dict:
         _merge_section(cfg, loaded, "")
     for assignment in getattr(args, "set", None) or []:
         _apply_override(cfg, assignment)
-    if getattr(args, "manifest", None):
-        cfg["manifest"] = args.manifest
-    if getattr(args, "output_dir", None):
-        cfg["output_dir"] = args.output_dir
-    if getattr(args, "threads", None):
-        cfg["threads"] = args.threads
-    if getattr(args, "k", None):
-        cfg["k"] = args.k
+    for key in ("manifest", "output_dir", "threads", "k"):
+        if getattr(args, key, None) is not None:
+            cfg[key] = getattr(args, key)
     problems = _type_problems(cfg, DEFAULT_CONFIG, "")
     if problems:
         raise ConfigError("; ".join(problems))
@@ -204,8 +201,11 @@ def _build_configs(cfg: dict) -> tuple:
             problems.append(f"{section}: {exc}")
             stage_cfg = None
         configs.append(stage_cfg)
-    if cfg["k"] < 1:
-        problems.append(f"k: must be a positive integer, got {cfg['k']!r}")
+    for key in ("k", "threads"):
+        if cfg[key] < 1:
+            problems.append(f"{key}: must be a positive integer, got {cfg[key]!r}")
+    if not cfg["output_dir"]:
+        problems.append("output_dir: must name a directory, got ''")
     if not all(n >= 1 for n in cfg["eval_n"]):
         problems.append(f"eval_n: must be a list of positive integers, got {cfg['eval_n']!r}")
     tune, refine_base = cfg["tune"], configs[2] or RefineConfig()
@@ -221,6 +221,15 @@ def _build_configs(cfg: dict) -> tuple:
         problems.append(f"tune.n: must be a positive integer, got {tune['n']!r}")
     if not 0 < tune["val_fraction"] <= 1:
         problems.append(f"tune.val_fraction: must be in (0, 1], got {tune['val_fraction']!r}")
+    synth = cfg["synth"]
+    if synth["kind"] not in ("bundle", "planted", "subspaces"):
+        problems.append(f"synth.kind: expected 'bundle', 'planted' or 'subspaces', got {synth['kind']!r}")
+    if synth["kind"] == "planted" and not synth["density"] < 1.0:
+        problems.append("synth.density: planted bundles need density < 1 so the tag matrix is "
+                        "binary and noise can be injected")
+    for key in ("n_clusters", "images_per_cluster", "tags_per_cluster"):
+        if synth[key] < 1:
+            problems.append(f"synth.{key}: must be a positive integer, got {synth[key]!r}")
     if problems:
         raise ConfigError("; ".join(problems))
     return tuple(configs)
@@ -246,106 +255,55 @@ def _read_labels(path: str):
 
 
 # ---------------------------------------------------------------------------
-# Stage runners (shared between individual subcommands and `pipeline`)
+# Stages: each takes the run and adds its products to it.
 # ---------------------------------------------------------------------------
 
 
-def _stage_cluster(bundle, cfg, ssc_cfg, out_dir):
-    rep = subspace.ssc_solve(bundle.image_features, ssc_cfg)
-    log.info(
-        "ssc: %d iterations, converged=%s, residuals: recon=%.3e rowsum=%.3e gap=%.3e",
-        rep.n_iters, rep.converged, rep.residuals.recon_rel,
-        rep.residuals.rowsum_max, rep.residuals.gap_max,
-    )
-    aff = subspace.affinity(rep)
-    k = cfg["k"]
-    if cfg["auto_k"]:
-        k = subspace.eigengap_k(aff, cfg["auto_k_max"])
-        log.info("eigengap heuristic selected k=%d", k)
-    assignment = subspace.spectral_cluster(aff, k, seed=0)
-    for note in assignment.notes:
-        log.warning("spectral clustering: %s", note)
+@dataclasses.dataclass
+class _Run:
+    """One command: flags, resolved config, stage configs, bundle, then each stage's products."""
 
-    write_dense_matrix(os.path.join(out_dir, "z.mtx"), rep.z)
-    write_dense_matrix(os.path.join(out_dir, "affinity.mtx"), aff.weights)
-    _write_labels(os.path.join(out_dir, "labels.txt"), assignment.labels)
-    _write_json(
-        os.path.join(out_dir, "ssc_diagnostics.json"),
-        {
-            "converged": rep.converged,
-            "iterations": rep.n_iters,
-            "objective": rep.objective,
-            "recon_rel": rep.residuals.recon_rel,
-            "rowsum_max": rep.residuals.rowsum_max,
-            "gap_max": rep.residuals.gap_max,
-            "k": int(k),
-            "cluster_sizes": [int(s) for s in assignment.cluster_sizes()],
-        },
-    )
-    return rep, aff, assignment
+    args: argparse.Namespace
+    cfg: dict
+    ssc: SscConfig
+    sharing: SharingConfig
+    refine: RefineConfig
+    bundle: DatasetBundle | None = None
+    affinity: SimilarityGraph | None = None  # cluster
+    assignment: ClusterAssignment | None = None  # cluster
+    completed: TagMatrix | None = None  # share
+    laplacians: tuple | None = None  # the first refine fit
+    scores: np.ndarray | None = None  # refine
+    exit_code: int = 0
+
+    def out(self, name: str) -> str:
+        """Path of an artifact to write; the output directory is made on the first write."""
+        os.makedirs(self.cfg["output_dir"], exist_ok=True)
+        return os.path.join(self.cfg["output_dir"], name)
 
 
-def _stage_share(bundle, sharing_cfg, assignment, aff, out_dir):
-    """Share tags over the affinity graph, or over cosine similarity when asked or aff is None."""
-    sims = aff
-    if sharing_cfg.neighbor_source == "cosine" or aff is None:
-        sims = cosine_similarity_graph(bundle.image_features)
-    completed = share_tags(bundle.tags, assignment, sims, sharing_cfg)
-    log.info("sharing: %d -> %d entries", bundle.tags.nnz, completed.nnz)
-    write_sparse_matrix(os.path.join(out_dir, "completed.mtx"), completed)
-    return completed
-
-
-def _laplacians(bundle):
-    """Image- and tag-similarity graph Laplacians used by refine."""
-    return (
-        graph_laplacian(cosine_similarity_graph(bundle.image_features)),
-        graph_laplacian(cosine_similarity_graph(bundle.tag_features)),
-    )
-
-
-def _write_scores(out_dir, scores) -> None:
-    """Raw scores as refined_scores.mtx and their [0, 1] clamp as refined.mtx."""
-    write_sparse_matrix(
-        os.path.join(out_dir, "refined.mtx"), TagMatrix.from_dense(np.clip(scores, 0.0, 1.0))
-    )
-    write_dense_matrix(os.path.join(out_dir, "refined_scores.mtx"), scores)
-
-
-def _stage_refine(bundle, tags, refine_cfg, out_dir, init=None):
-    l_v, l_s = _laplacians(bundle)
-    result = run_refine(tags, bundle.image_features, bundle.tag_features,
-                        l_v, l_s, refine_cfg, init=init)
-    log.info(
-        "refine: %d objective evaluations, final objective %.6e",
-        len(result.objective_trace), result.objective_trace[-1],
-    )
-    _write_scores(out_dir, result.scores)
-    save_factors(result.factors, out_dir)
-    return result
-
-
-def _stage_eval(scores, truth, n_list, out_dir):
-    for n in n_list:
-        report = ap_ar_at_n(scores, truth, n)
-        save_report(
-            report,
-            os.path.join(out_dir, f"eval_at_{n}.txt"),
-            per_image_csv=os.path.join(out_dir, f"eval_at_{n}_per_image.csv"),
+def _read_tags(run: _Run, flag: str, path: str) -> TagMatrix:
+    """The tag matrix a flag names, which must have the bundle's shape."""
+    tags, bundle_tags = read_sparse_matrix(path), run.bundle.tags
+    if (tags.n_images, tags.n_tags) != (bundle_tags.n_images, bundle_tags.n_tags):
+        raise ConfigError(
+            f"{flag}: matrix {tags.n_images}x{tags.n_tags} does not match the bundle "
+            f"{bundle_tags.n_images}x{bundle_tags.n_tags}"
         )
-        log.info("eval: AP@%d=%.4f AR@%d=%.4f", n, report.ap, n, report.ar)
+    return tags
 
 
-# ---------------------------------------------------------------------------
-# Subcommands: each gets the parsed flags, the resolved config, the loaded
-# bundle (None for synth), the (ssc, sharing, refine) configs, and returns
-# its exit code. main() does the shared set-up and writes the snapshot.
-# ---------------------------------------------------------------------------
+def _fit(run: _Run, tags: TagMatrix, refine_cfg: RefineConfig, init=None):
+    """One refine fit; the image- and tag-similarity Laplacians are built once per run."""
+    features = (run.bundle.image_features, run.bundle.tag_features)
+    if run.laplacians is None:
+        run.laplacians = tuple(graph_laplacian(cosine_similarity_graph(f)) for f in features)
+    return run_refine(tags, *features, *run.laplacians, refine_cfg, init=init)
 
 
-def cmd_synth(args, cfg, bundle, configs) -> int:
-    out_dir = cfg["output_dir"]
-    s = cfg["synth"]
+def _synth(run: _Run) -> None:
+    """A synthetic bundle of kind synth.kind, written as a manifest plus its files."""
+    s = run.cfg["synth"]
     noise = NoiseSpec(
         missing_rate=s["missing_rate"],
         inaccurate_rate=s["inaccurate_rate"],
@@ -368,11 +326,6 @@ def cmd_synth(args, cfg, bundle, configs) -> int:
             seed=s["seed"],
         )
     elif s["kind"] == "planted":
-        if not s["density"] < 1.0:
-            raise ConfigError(
-                "synth.density: planted bundles need density < 1 so the tag "
-                "matrix is binary and noise can be injected"
-            )
         inst = gen_planted_annotation(
             n_images=s["n_clusters"] * s["images_per_cluster"],
             n_tags=s["n_tags"],
@@ -391,7 +344,7 @@ def cmd_synth(args, cfg, bundle, configs) -> int:
             tag_names=tuple(f"tag_{j:04d}" for j in range(s["n_tags"])),
             ground_truth=inst.o_star,
         )
-    elif s["kind"] == "subspaces":
+    else:  # subspaces
         inst = gen_union_of_subspaces(
             k=s["n_clusters"],
             dim_subspace=s["dim_subspace"],
@@ -413,124 +366,139 @@ def cmd_synth(args, cfg, bundle, configs) -> int:
             tag_names=tuple(f"cluster_{j}" for j in range(s["n_clusters"])),
             ground_truth=truth,
         )
-    else:
-        raise ConfigError(
-            f"synth.kind: expected 'bundle', 'planted' or 'subspaces', got {s['kind']!r}"
-        )
 
-    manifest = save_dataset(bundle, out_dir, name=s["name"])
+    manifest = save_dataset(bundle, run.cfg["output_dir"], name=s["name"])
     if labels is not None:
-        _write_labels(os.path.join(out_dir, f"{s['name']}_true_clusters.txt"), labels)
+        _write_labels(run.out(f"{s['name']}_true_clusters.txt"), labels)
     log.info("wrote synthetic bundle: %s", manifest)
     print(manifest)
-    return 0
 
 
-def cmd_cluster(args, cfg, bundle, configs) -> int:
-    ssc_cfg = configs[0]
-    rep, _, _ = _stage_cluster(bundle, cfg, ssc_cfg, cfg["output_dir"])
+def _cluster(run: _Run) -> None:
+    """SSC affinity, then spectral clustering; SSC non-convergence makes the run exit 1."""
+    rep = subspace.ssc_solve(run.bundle.image_features, run.ssc)
+    log.info(
+        "ssc: %d iterations, converged=%s, residuals: recon=%.3e rowsum=%.3e gap=%.3e",
+        rep.n_iters, rep.converged, rep.residuals.recon_rel,
+        rep.residuals.rowsum_max, rep.residuals.gap_max,
+    )
+    run.affinity = subspace.affinity(rep)
+    k = run.cfg["k"]
+    if run.cfg["auto_k"]:
+        k = subspace.eigengap_k(run.affinity, run.cfg["auto_k_max"])
+        log.info("eigengap heuristic selected k=%d", k)
+    run.assignment = subspace.spectral_cluster(run.affinity, k, seed=0)
+    for note in run.assignment.notes:
+        log.warning("spectral clustering: %s", note)
+
+    write_dense_matrix(run.out("z.mtx"), rep.z)
+    write_dense_matrix(run.out("affinity.mtx"), run.affinity.weights)
+    _write_labels(run.out("labels.txt"), run.assignment.labels)
+    _write_json(
+        run.out("ssc_diagnostics.json"),
+        {
+            "converged": rep.converged,
+            "iterations": rep.n_iters,
+            "objective": rep.objective,
+            "recon_rel": rep.residuals.recon_rel,
+            "rowsum_max": rep.residuals.rowsum_max,
+            "gap_max": rep.residuals.gap_max,
+            "k": int(k),
+            "cluster_sizes": [int(s) for s in run.assignment.cluster_sizes()],
+        },
+    )
     if not rep.converged:
-        log.error("ssc did not converge within %d iterations", ssc_cfg.max_iters)
-        return 1
-    return 0
+        log.error("ssc did not converge within %d iterations; artifacts preserved in %s",
+                  run.ssc.max_iters, run.cfg["output_dir"])
+        run.exit_code = 1
 
 
-def cmd_share(args, cfg, bundle, configs) -> int:
-    sharing_cfg = configs[1]
-    out_dir = cfg["output_dir"]
-    labels = _read_labels(args.labels or os.path.join(out_dir, "labels.txt"))
-    assignment = ClusterAssignment(labels=labels, k=int(labels.max()) + 1)
+def _share(run: _Run) -> None:
+    """Share tags within clusters over the SSC affinity, or over cosine similarity when asked."""
+    out_dir = run.cfg["output_dir"]
+    if run.assignment is None:
+        labels = _read_labels(run.args.labels or os.path.join(out_dir, "labels.txt"))
+        run.assignment = ClusterAssignment(labels=labels, k=int(labels.max()) + 1)
+    if run.sharing.neighbor_source == "cosine":
+        sims = cosine_similarity_graph(run.bundle.image_features)
+    else:
+        if run.affinity is None:
+            aff_path = run.args.affinity or os.path.join(out_dir, "affinity.mtx")
+            if not os.path.exists(aff_path):
+                raise ConfigError(
+                    f"affinity matrix not found at {aff_path}; run `cluster` first, pass "
+                    "--affinity, or set sharing.neighbor_source=cosine"
+                )
+            run.affinity = SimilarityGraph(read_dense_matrix(aff_path))
+        sims = run.affinity
+    run.completed = share_tags(run.bundle.tags, run.assignment, sims, run.sharing)
+    log.info("sharing: %d -> %d entries", run.bundle.tags.nnz, run.completed.nnz)
+    write_sparse_matrix(run.out("completed.mtx"), run.completed)
 
-    aff = None
-    if sharing_cfg.neighbor_source == "affinity":
-        aff_path = args.affinity or os.path.join(out_dir, "affinity.mtx")
-        if not os.path.exists(aff_path):
-            raise ConfigError(
-                f"affinity matrix not found at {aff_path}; run `cluster` first, pass "
-                "--affinity, or set sharing.neighbor_source=cosine"
-            )
-        aff = SimilarityGraph(read_dense_matrix(aff_path))
-    _stage_share(bundle, sharing_cfg, assignment, aff, out_dir)
-    return 0
 
+def _refine(run: _Run) -> None:
+    """Refine share's tags (run alone: --tags-in, else the bundle's); --apply only scores factors.
 
-def cmd_refine(args, cfg, bundle, configs) -> int:
-    refine_cfg = configs[2]
-    out_dir = cfg["output_dir"]
-    tags = bundle.tags
-    if args.tags_in:
-        tags = read_sparse_matrix(args.tags_in)
-        if (tags.n_images, tags.n_tags) != (bundle.tags.n_images, bundle.tags.n_tags):
-            raise ConfigError(
-                f"--tags-in matrix {tags.n_images}x{tags.n_tags} does not match the "
-                f"bundle {bundle.tags.n_images}x{bundle.tags.n_tags}"
-            )
-
-    init = None
-    if args.import_factors:
-        init = load_factors(*args.import_factors)
-    if args.apply:
+    Writes the raw scores as refined_scores.mtx and their [0, 1] clamp as refined.mtx.
+    """
+    args = run.args
+    factor_paths = getattr(args, "import_factors", None)
+    init = load_factors(*factor_paths) if factor_paths else None
+    if getattr(args, "apply", False):  # builds no Laplacians and reads no tags
         if init is None:
             raise ConfigError("--apply requires --import-factors P.mtx Q.mtx")
-        _write_scores(out_dir, apply_factors(bundle.image_features, bundle.tag_features, init))
-        return 0
-
-    _stage_refine(bundle, tags, refine_cfg, out_dir, init=init)
-    return 0
-
-
-def cmd_pipeline(args, cfg, bundle, configs) -> int:
-    ssc_cfg, sharing_cfg, refine_cfg = configs
-    out_dir = cfg["output_dir"]
-    rep, aff, assignment = _stage_cluster(bundle, cfg, ssc_cfg, out_dir)
-    completed = _stage_share(bundle, sharing_cfg, assignment, aff, out_dir)
-    result = _stage_refine(bundle, completed, refine_cfg, out_dir)
-    if bundle.ground_truth is not None and not args.skip_eval:
-        _stage_eval(result.scores, bundle.ground_truth, cfg["eval_n"], out_dir)
-    if not rep.converged:
-        log.error("ssc did not converge; artifacts preserved in %s", out_dir)
-        return 1
-    return 0
-
-
-def cmd_eval(args, cfg, bundle, configs) -> int:
-    if bundle.ground_truth is None:
-        raise ConfigError("manifest has no ground_truth entry; nothing to evaluate against")
-    scores = read_dense_matrix(args.predictions)
-    _stage_eval(scores, bundle.ground_truth, cfg["eval_n"], cfg["output_dir"])
-    return 0
-
-
-def cmd_tune(args, cfg, bundle, configs) -> int:
-    ssc_cfg, sharing_cfg, refine_base = configs
-    out_dir = cfg["output_dir"]
-    if bundle.ground_truth is None:
-        raise ConfigError("tune needs a manifest with ground_truth for validation scoring")
-
-    if args.completed:
-        completed = read_sparse_matrix(args.completed)
+        run.scores = apply_factors(run.bundle.image_features, run.bundle.tag_features, init)
     else:
-        _, aff, assignment = _stage_cluster(bundle, cfg, ssc_cfg, out_dir)
-        completed = _stage_share(bundle, sharing_cfg, assignment, aff, out_dir)
+        tags = run.completed
+        if tags is None:
+            tags = _read_tags(run, "--tags-in", args.tags_in) if args.tags_in else run.bundle.tags
+        result = _fit(run, tags, run.refine, init)
+        log.info(
+            "refine: %d objective evaluations, final objective %.6e",
+            len(result.objective_trace), result.objective_trace[-1],
+        )
+        run.scores = result.scores
+        save_factors(result.factors, run.cfg["output_dir"])
+    write_sparse_matrix(
+        run.out("refined.mtx"), TagMatrix.from_dense(np.clip(run.scores, 0.0, 1.0))
+    )
+    write_dense_matrix(run.out("refined_scores.mtx"), run.scores)
 
-    t = cfg["tune"]
+
+def _eval(run: _Run) -> None:
+    """AP@N / AR@N of refine's scores, or run alone of --predictions, against the ground truth."""
+    truth = run.bundle.ground_truth
+    if run.scores is None:
+        run.scores = read_dense_matrix(run.args.predictions)
+    elif truth is None or run.args.skip_eval:
+        return  # pipeline evaluates only a bundle with ground truth
+    for n in run.cfg["eval_n"]:
+        report = ap_ar_at_n(run.scores, truth, n)
+        save_report(
+            report,
+            run.out(f"eval_at_{n}.txt"),
+            per_image_csv=run.out(f"eval_at_{n}_per_image.csv"),
+        )
+        log.info("eval: AP@%d=%.4f AR@%d=%.4f", n, report.ap, n, report.ar)
+
+
+def _tune(run: _Run) -> None:
+    """Grid-search refine parameters on share's tags (run alone: --completed) by validation AP@N."""
+    if run.completed is None:
+        run.completed = _read_tags(run, "--completed", run.args.completed)
+    t = run.cfg["tune"]
     rng = np.random.default_rng(t["split_seed"])
-    n_images = bundle.tags.n_images
+    n_images = run.bundle.tags.n_images
     n_val = max(1, int(round(t["val_fraction"] * n_images)))
     val_idx = np.sort(rng.permutation(n_images)[:n_val])
-    truth_val = TagMatrix(sp.csr_array(bundle.ground_truth.matrix[val_idx]))
-    l_v, l_s = _laplacians(bundle)
+    truth_val = TagMatrix(sp.csr_array(run.bundle.ground_truth.matrix[val_idx]))
 
     rows = []
     best = None
-    grid = itertools.product(
-        t["lambda1_grid"], t["lambda2_grid"], t["mu_grid"], t["rank_grid"]
-    )
+    grid = itertools.product(t["lambda1_grid"], t["lambda2_grid"], t["mu_grid"], t["rank_grid"])
     for lam1, lam2, mu, rank in grid:
-        rc = dataclasses.replace(refine_base, lambda1=lam1, lambda2=lam2, mu=mu, rank=rank)
-        result = run_refine(
-            completed, bundle.image_features, bundle.tag_features, l_v, l_s, rc
-        )
+        rc = dataclasses.replace(run.refine, lambda1=lam1, lambda2=lam2, mu=mu, rank=rank)
+        result = _fit(run, run.completed, rc)
         report = ap_ar_at_n(result.scores[val_idx], truth_val, t["n"])
         rows.append((lam1, lam2, mu, rank, report.ap, report.ar))
         log.info(
@@ -543,14 +511,13 @@ def cmd_tune(args, cfg, bundle, configs) -> int:
                 "ap": report.ap, "ar": report.ar, "n": t["n"],
             }
 
-    with open(os.path.join(out_dir, "tune_results.csv"), "w", encoding="utf-8", newline="") as fh:
+    with open(run.out("tune_results.csv"), "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["lambda1", "lambda2", "mu", "rank", f"ap_at_{t['n']}", f"ar_at_{t['n']}"])
         for row in rows:
             writer.writerow(row)
-    _write_json(os.path.join(out_dir, "tune_best.json"), best)
+    _write_json(run.out("tune_best.json"), best)
     log.info("tune: best %s", best)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -580,13 +547,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cluster", help="self-representation + spectral clustering of images")
     _add_common(p)
     p.add_argument("--k", type=int, help="number of clusters (overrides config)")
-    p.set_defaults(func=cmd_cluster)
+    p.set_defaults(stages=(_cluster,))
 
     p = sub.add_parser("share", help="densify tags by in-cluster neighbor voting")
     _add_common(p)
     p.add_argument("--labels", help="cluster labels file (default: <output-dir>/labels.txt)")
     p.add_argument("--affinity", help="affinity matrix file (default: <output-dir>/affinity.mtx)")
-    p.set_defaults(func=cmd_share)
+    p.set_defaults(stages=(_share,))
 
     p = sub.add_parser("refine", help="low-rank refinement of a (completed) tag matrix")
     _add_common(p)
@@ -599,27 +566,27 @@ def build_parser() -> argparse.ArgumentParser:
         "--apply", action="store_true",
         help="only apply imported factors to the bundle's features (no solving)",
     )
-    p.set_defaults(func=cmd_refine)
+    p.set_defaults(stages=(_refine,))
 
     p = sub.add_parser("pipeline", help="cluster -> share -> refine -> eval")
     _add_common(p)
     p.add_argument("--k", type=int, help="number of clusters (overrides config)")
     p.add_argument("--skip-eval", action="store_true", help="skip evaluation even with ground truth")
-    p.set_defaults(func=cmd_pipeline)
+    p.set_defaults(stages=(_cluster, _share, _refine, _eval))
 
     p = sub.add_parser("eval", help="AP@N / AR@N of a prediction matrix against ground truth")
     _add_common(p)
     p.add_argument("--predictions", required=True, help="Matrix Market score or tag matrix")
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(stages=(_eval,))
 
     p = sub.add_parser("synth", help="generate a synthetic bundle (manifest + files)")
     _add_common(p)
-    p.set_defaults(func=cmd_synth)
+    p.set_defaults(stages=(_synth,))
 
     p = sub.add_parser("tune", help="grid-search refine parameters against validation AP@N")
     _add_common(p)
     p.add_argument("--completed", help="reuse an existing completed matrix instead of re-sharing")
-    p.set_defaults(func=cmd_tune)
+    p.set_defaults(stages=(_cluster, _share, _tune))
 
     return parser
 
@@ -631,23 +598,25 @@ def main(argv=None) -> int:
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(message)s",
     )
-    threads = args.threads if args.threads else 1
-    # Best effort: only effective if numpy has not been imported yet in this process.
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, str(threads))
-
     try:
         cfg = resolve_config(args)
-        configs = _build_configs(cfg)
-        bundle = None
+        run = _Run(args, cfg, *_build_configs(cfg))
+        # Best effort: only effective if numpy has not been imported yet in this process.
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            os.environ.setdefault(var, str(cfg["threads"]))
         if args.command != "synth":
             if not cfg["manifest"]:
                 raise ConfigError("manifest: no dataset manifest given (config key or --manifest)")
-            bundle = load_dataset(cfg["manifest"])
-        os.makedirs(cfg["output_dir"], exist_ok=True)
-        rc = args.func(args, cfg, bundle, configs)
-        _write_json(os.path.join(cfg["output_dir"], "config.resolved.json"), cfg, sort_keys=True)
-        return rc
+            run.bundle = load_dataset(cfg["manifest"])
+            if run.bundle.ground_truth is None and args.command in ("eval", "tune"):
+                raise ConfigError(f"{args.command} needs a manifest with a ground_truth entry")
+        stages = args.stages
+        if getattr(args, "completed", None):
+            stages = stages[2:]  # tune --completed stands in for cluster and share
+        for stage in stages:
+            stage(run)
+        _write_json(run.out("config.resolved.json"), cfg, sort_keys=True)
+        return run.exit_code
     except CgBreakdownError as exc:
         log.error("numerical breakdown: %s", exc)
         return 1

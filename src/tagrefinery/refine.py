@@ -299,17 +299,14 @@ def solve_alternating(
 class RefineResult:
     """Raw refined scores plus the factors that produced them.
 
-    scores keeps the unclamped reconstruction for ranking; tag_matrix()
-    clamps into [0, 1] for export as annotation confidences.
+    scores keeps the unclamped reconstruction for ranking; the command line
+    exports its [0, 1] clamp as the annotation confidences (refined.mtx).
     """
 
     scores: np.ndarray
     factors: FactorPair
     objective_trace: np.ndarray
     converged: bool
-
-    def tag_matrix(self) -> TagMatrix:
-        return TagMatrix.from_dense(np.clip(self.scores, 0.0, 1.0))
 
 
 def refine(

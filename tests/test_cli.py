@@ -5,10 +5,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from tagrefinery.cli import DEFAULT_CONFIG, ConfigError, main, resolve_config
-from tagrefinery.tagmat import load_dataset, write_dense_matrix
+from tagrefinery.tagmat import load_dataset, read_dense_matrix, read_sparse_matrix, write_dense_matrix
 
 
 TINY = [
@@ -177,16 +178,57 @@ class TestExitCodes:
         rc = main(["cluster", "--output-dir", str(tmp_path / "out")])
         assert rc == 2
 
-    def test_nonconvergent_ssc_exits_one_with_artifacts(self, tmp_path):
+    @staticmethod
+    def check_nonconvergent_ssc(tmp_path, command, extra, artifact):
         manifest = make_bundle(tmp_path)
         out = tmp_path / "out"
         rc = main([
-            "cluster", "--manifest", manifest, "--output-dir", str(out),
-            "--set", "ssc.max_iters=2",
+            command, "--manifest", manifest, "--output-dir", str(out),
+            "--set", "k=2", "--set", "ssc.max_iters=2", *extra,
         ])
         assert rc == 1
         assert (out / "z.mtx").exists()
-        assert (out / "labels.txt").exists()
+        assert (out / artifact).exists()
+        assert (out / "config.resolved.json").exists()
+
+    def test_nonconvergent_ssc_exits_one_with_artifacts(self, tmp_path):
+        self.check_nonconvergent_ssc(tmp_path, "cluster", [], "labels.txt")
+
+    @pytest.mark.parametrize("command, extra, artifact", [
+        ("pipeline", ["--set", "refine.outer_iters=2"], "refined_scores.mtx"),
+        ("tune", ["--set", "tune.lambda1_grid=[0.1]", "--set", "tune.lambda2_grid=[0.0]",
+                  "--set", "tune.mu_grid=[0.0]", "--set", "refine.outer_iters=2"],
+         "tune_results.csv"),
+    ], ids=["pipeline", "tune"])
+    def test_nonconvergent_ssc_exits_one_after_later_stages(
+        self, tmp_path, command, extra, artifact
+    ):
+        self.check_nonconvergent_ssc(tmp_path, command, extra, artifact)
+
+    OUT_OF_RANGE = [
+        (["cluster", "--manifest", "missing.manifest", "--k", "0"], "k"),
+        (["synth", "--threads", "0"], "threads"),
+        (["synth", "--output-dir", ""], "output_dir"),
+        (["synth", "--set", "synth.kind=wat"], "synth.kind"),
+        (["synth", "--set", "synth.kind=planted", "--set", "synth.density=1.0"], "synth.density"),
+        (["synth", "--set", "synth.n_clusters=0"], "synth.n_clusters"),
+        (["synth", "--set", "synth.images_per_cluster=0"], "synth.images_per_cluster"),
+        (["synth", "--set", "synth.tags_per_cluster=0"], "synth.tags_per_cluster"),
+    ]
+
+    @pytest.mark.parametrize("argv, key", OUT_OF_RANGE, ids=[key for _, key in OUT_OF_RANGE])
+    def test_out_of_range_value_exits_two_naming_the_key(self, tmp_path, caplog, argv, key):
+        out = tmp_path / "out"
+        assert main([argv[0], "--output-dir", str(out), *argv[1:]]) == 2
+        assert caplog.records[-1].getMessage().startswith(f"{key}: ")
+        assert not out.exists()
+
+    def test_threads_key_sets_the_blas_budget(self, tmp_path, monkeypatch):
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.setenv(var, "")  # so that undo removes what main sets
+            monkeypatch.delenv(var)
+        assert main(["synth", "--output-dir", str(tmp_path), *TINY, "--set", "threads=3"]) == 0
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
 
     def test_refine_stopping_at_outer_cap_warns_and_exits_zero(self, tmp_path, caplog):
         manifest = make_bundle(tmp_path)
@@ -340,6 +382,31 @@ class TestRefineCommand:
         for name in ("refined_scores.mtx", "refined.mtx"):
             assert (apply_out / name).read_bytes() == (out / name).read_bytes(), name
 
+    def test_refined_mtx_is_clamp_of_scores(self, tmp_path):
+        manifest = make_bundle(tmp_path)
+        out = tmp_path / "out"
+        rc = main([
+            "refine", "--manifest", manifest, "--output-dir", str(out),
+            "--set", "refine.outer_iters=2",
+        ])
+        assert rc == 0
+        scores = read_dense_matrix(out / "refined_scores.mtx")
+        assert scores.min() < 0.0 or scores.max() > 1.0  # so the clamp is exercised
+        exported = read_sparse_matrix(out / "refined.mtx").toarray()
+        np.testing.assert_array_equal(exported, np.clip(scores, 0.0, 1.0))
+
+    @pytest.mark.parametrize("command, flag", [("refine", "--tags-in"), ("tune", "--completed")])
+    def test_mismatched_tag_matrix_exits_two_naming_the_flag(self, tmp_path, caplog, command, flag):
+        manifest = make_bundle(tmp_path)
+        other = tmp_path / "other"
+        assert main(["synth", "--output-dir", str(other), *TINY, "--set", "synth.n_tags=13"]) == 0
+        out = tmp_path / "out"
+        rc = main([command, "--manifest", manifest, "--output-dir", str(out),
+                   flag, str(other / "synthetic_tags.mtx")])
+        assert rc == 2
+        assert caplog.records[-1].getMessage().startswith(f"{flag}: matrix 12x13 ")
+        assert not out.exists()
+
     def test_apply_without_factors_rejected(self, tmp_path):
         manifest = make_bundle(tmp_path)
         rc = main([
@@ -362,6 +429,21 @@ class TestShareCommand:
         ])
         assert rc == 0
         assert (out / "completed.mtx").exists()
+
+    def test_labels_and_affinity_flags_read_the_given_files(self, tmp_path):
+        manifest = make_bundle(tmp_path)
+        clustered = tmp_path / "clustered"
+        assert main(["cluster", "--manifest", manifest, "--output-dir", str(clustered),
+                     "--k", "2"]) == 0
+        assert main(["share", "--manifest", manifest, "--output-dir", str(clustered)]) == 0
+        out = tmp_path / "out"
+        rc = main([
+            "share", "--manifest", manifest, "--output-dir", str(out),
+            "--labels", str(clustered / "labels.txt"),
+            "--affinity", str(clustered / "affinity.mtx"),
+        ])
+        assert rc == 0
+        assert (out / "completed.mtx").read_bytes() == (clustered / "completed.mtx").read_bytes()
 
     def test_missing_affinity_reported(self, tmp_path):
         manifest = make_bundle(tmp_path)

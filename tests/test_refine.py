@@ -322,15 +322,6 @@ class TestRefine:
         diffs = np.diff(residuals)
         assert diffs.max() <= 1e-8 * max(1.0, residuals[0])
 
-    def test_tag_matrix_clamps_only_at_export(self):
-        tags, v, t, l_v, l_s = make_instance(seed=15)
-        cfg = RefineConfig(rank=2, outer_iters=5)
-        result = refine(tags, v, t, l_v, l_s, cfg)
-        exported = result.tag_matrix().toarray()
-        assert exported.min() >= 0.0 and exported.max() <= 1.0
-        clipped = np.clip(result.scores, 0.0, 1.0)
-        np.testing.assert_array_equal(exported, clipped)
-
     def test_resume_from_planted_factors(self):
         inst = gen_planted_annotation(10, 8, 4, 3, 2, density=1.0, seed=16)
         l_v, l_s = zero_laplacians(10, 8)
