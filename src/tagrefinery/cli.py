@@ -12,7 +12,8 @@ files only; the output directory is made on the first write.
 Exit codes: 0 success, 1 SSC non-convergence (in every command that clusters)
 or a conjugate-gradient breakdown in refine (artifacts preserved), 2 unknown
 command or invalid configuration/input. Refine stopping at refine.outer_iters
-before meeting refine.obj_tol logs a warning and still exits 0.
+before meeting refine.obj_tol logs a warning and still exits 0, and so does
+a fit whose CG half-steps stop at refine.cg_iters (one warning with their count).
 """
 
 from __future__ import annotations
@@ -251,7 +252,10 @@ def _read_labels(path: str):
     if not os.path.exists(path):
         raise ConfigError(f"labels file not found: {path}")
     with open(path, encoding="utf-8") as fh:
-        return np.asarray([int(line.strip()) for line in fh if line.strip()], dtype=np.int64)
+        labels = np.asarray([int(line.strip()) for line in fh if line.strip()], dtype=np.int64)
+    if not labels.size:
+        raise ConfigError(f"--labels: labels file {path} holds no cluster labels")
+    return labels
 
 
 # ---------------------------------------------------------------------------

@@ -159,8 +159,8 @@ class _Instance:
         loss = float(np.sum(r * g)) + float(np.sum(self.o * (g - r)))
         return loss + 0.5 * self.config.lambda1 * (float(np.sum(x ** 2)) + float(np.sum(y ** 2)))
 
-    def half_step(self, x, y) -> np.ndarray:
-        """Minimize over the row factor with y fixed, by CG warm-started at x."""
+    def half_step(self, x, y) -> tuple[np.ndarray, bool]:
+        """Minimize over the row factor with y fixed, by CG warm-started at x; see _cg."""
         b, cfg = self.cols @ y, self.config
 
         def normal(z):
@@ -204,7 +204,10 @@ def gradient(
 
 
 def _cg(apply_a, b, x0, tol, max_iters):
-    """Conjugate gradient for the matrix-shaped PSD system A x = b."""
+    """Conjugate gradient for the matrix-shaped PSD system A x = b.
+
+    Returns x and whether CG stopped at max_iters before meeting tol.
+    """
     x = x0.copy()
     r = b - apply_a(x)
     p = r.copy()
@@ -212,7 +215,7 @@ def _cg(apply_a, b, x0, tol, max_iters):
     b_norm = float(np.linalg.norm(b))
     thresh = tol * b_norm if b_norm > 0 else tol
     if np.sqrt(rs) <= thresh:
-        return x
+        return x, False
     for _ in range(max_iters):
         ap = apply_a(p)
         p_ap = float(np.sum(p * ap))
@@ -226,10 +229,10 @@ def _cg(apply_a, b, x0, tol, max_iters):
         r -= alpha * ap
         rs_new = float(np.sum(r * r))
         if np.sqrt(rs_new) <= thresh:
-            break
+            return x, False
         p = r + (rs_new / rs) * p
         rs = rs_new
-    return x
+    return x, True
 
 
 @dataclass(frozen=True)
@@ -256,7 +259,8 @@ def solve_alternating(
     never increases beyond roundoff. Deterministic for a fixed seed.
     Passing init resumes from previously saved factors instead of the
     seeded Gaussian start. A fit that stops at outer_iters without meeting
-    obj_tol logs a warning and returns converged=False.
+    obj_tol logs a warning and returns converged=False. A fit whose CG
+    half-steps stop at cg_iters logs one warning with their count.
     """
     inst = _Instance.build(tags, v, t, l_v, l_s, config)
     inst_t = inst.transposed()
@@ -273,19 +277,28 @@ def solve_alternating(
         p = rng.standard_normal((v.dim, config.rank)) * scale
         q = rng.standard_normal((t.dim, config.rank)) * scale
 
+    log = logging.getLogger(__name__)
     trace = [inst.objective(p, q)]
+    cg_capped = 0
     for outer in range(config.outer_iters):
-        p = inst.half_step(p, q)
+        p, capped = inst.half_step(p, q)
         trace.append(inst.objective(p, q))
-        q = inst_t.half_step(q, p)
+        cg_capped += capped
+        q, capped = inst_t.half_step(q, p)
         trace.append(inst.objective(p, q))
+        cg_capped += capped
         change = abs(trace[-3] - trace[-1]) / max(abs(trace[-3]), 1e-12)
         if change <= config.obj_tol:
             break
     else:
-        logging.getLogger(__name__).warning(
+        log.warning(
             "refine stopped at refine.outer_iters=%d with relative objective change %.3e",
             config.outer_iters, change,
+        )
+    if cg_capped:
+        log.warning(
+            "refine: %d of %d CG half-steps stopped at refine.cg_iters=%d",
+            cg_capped, 2 * (outer + 1), config.cg_iters,
         )
     return SolveResult(
         factors=FactorPair(p, q),

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .subspace import ClusterAssignment
 from .tagmat import SimilarityGraph, TagMatrix, top_n_tags
@@ -84,15 +83,17 @@ def score_tags_in_cluster(
     the convex combination.
     """
     config.validate()
-    m = tags.n_images
-    if image_sims.size != m:
+    if image_sims.size != tags.n_images:
         raise SharingError(
-            f"similarity block has {image_sims.size} images, tag block has {m}"
+            f"similarity block has {image_sims.size} images, tag block has {tags.n_images}"
         )
-    presence = (tags.toarray() != 0).astype(np.float64)
-    sims = image_sims.weights
+    return _score_block((tags.toarray() != 0).astype(np.float64), image_sims.weights, config)
 
-    local = np.zeros((m, tags.n_tags))
+
+def _score_block(presence: np.ndarray, sims: np.ndarray, config: SharingConfig) -> np.ndarray:
+    """score_tags_in_cluster on a 0/1 presence block and its similarity weights, unchecked."""
+    m, n_tags = presence.shape
+    local = np.zeros((m, n_tags))
     if m > 1:
         others = sims.copy()
         np.fill_diagonal(others, -np.inf)
@@ -106,21 +107,20 @@ def score_tags_in_cluster(
     pair = presence.T @ presence
     # Add-one smoothed P(t | t'), rows indexed by the conditioning tag t'.
     conditional = (pair + 1.0) / (counts[:, None] + 2.0)
-    cooc = np.zeros((m, tags.n_tags))
+    cooc = np.zeros((m, n_tags))
     for i in range(m):
         own = np.flatnonzero(presence[i])
         if own.size:
             cooc[i] = conditional[own].max(axis=0)
 
-    freq = np.tile(counts / m, (m, 1))
+    freq = counts / m  # the same row for every image of the cluster
 
     total = config.w_local + config.w_cooc + config.w_freq
-    score = (
+    return (
         config.w_local * _minmax(local)
         + config.w_cooc * _minmax(cooc)
         + config.w_freq * _minmax(freq)
     ) / total
-    return score
 
 
 def share_tags(
@@ -149,13 +149,12 @@ def share_tags(
         )
 
     dense = tags.toarray()
+    presence = (dense != 0).astype(np.float64)
     cluster_ids = np.unique(clusters.labels) if config.max_added_per_image > 0 else []
     for c in cluster_ids:
         idx = np.flatnonzero(clusters.labels == c)
-        block = TagMatrix(sp.csr_array(tags.matrix[idx]))
-        sims = SimilarityGraph(image_sims.weights[np.ix_(idx, idx)])
-        scores = score_tags_in_cluster(block, sims, config)
-        eligible = (dense[idx] == 0) & (scores >= config.min_confidence)
+        scores = _score_block(presence[idx], image_sims.weights[np.ix_(idx, idx)], config)
+        eligible = (presence[idx] == 0) & (scores >= config.min_confidence)
         ranked = np.where(eligible, scores, -np.inf)
         top = top_n_tags(ranked, config.max_added_per_image)
         chosen = np.take_along_axis(ranked, top, axis=1)

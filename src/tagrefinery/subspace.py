@@ -98,10 +98,6 @@ class ClusterAssignment:
         return np.bincount(self.labels, minlength=self.k)
 
 
-def _soft_threshold(a: np.ndarray, tau: float) -> np.ndarray:
-    return np.sign(a) * np.maximum(np.abs(a) - tau, 0.0)
-
-
 def ssc_solve(images: FeatureMatrix, config: SscConfig = SscConfig()) -> SelfRepresentation:
     """Solve the sparse self-representation problem for the given images.
 
@@ -128,12 +124,15 @@ def ssc_solve(images: FeatureMatrix, config: SscConfig = SscConfig()) -> SelfRep
 
     x_norm = np.linalg.norm(x)
     ones = np.ones(n)
-    # Constant system matrix of the Z update: X X^T + I + 1 1^T.
-    m = x @ x.T + np.eye(n) + np.outer(ones, ones)
-    cho = scipy.linalg.cho_factor(m, lower=True)
+    # Z-update matrix X X^T + I + 1 1^T, factored in place (symmetric, so .T is Fortran order).
+    m = x @ x.T
+    m.flat[:: n + 1] += 1.0
+    m += 1.0
+    cho = scipy.linalg.cho_factor(m.T, lower=True, overwrite_a=True)
 
-    z = np.zeros((n, n))
+    z = np.empty((n, n))       # right-hand side of the Z update, then Z solved in place
     j = np.zeros((n, n))
+    buf = np.empty((n, n))     # y2 / rho, then z + y2 / rho, then z - j
     e = np.zeros_like(x)
     y1 = np.zeros_like(x)      # dual of X = Z X + E
     y2 = np.zeros((n, n))      # dual of Z = J
@@ -144,33 +143,35 @@ def ssc_solve(images: FeatureMatrix, config: SscConfig = SscConfig()) -> SelfRep
     converged = False
     it = 0
     for it in range(1, config.max_iters + 1):
-        rhs = (
-            (x - e + y1 / rho) @ x.T
-            + j
-            - y2 / rho
-            + np.outer(ones - y3 / rho, ones)
-        )
-        z = scipy.linalg.cho_solve(cho, rhs.T).T
+        np.divide(y2, rho, out=buf)
+        np.matmul(x - e + y1 / rho, x.T, out=z)
+        z += j
+        z -= buf
+        z += (1.0 - y3 / rho)[:, None]
+        z = scipy.linalg.cho_solve(cho, z.T, overwrite_b=True).T
 
-        j = _soft_threshold(z + y2 / rho, 1.0 / rho)
+        # J = sign(a) max(|a| - 1/rho, 0) at a = z + y2/rho; copysign keeps signed zeros.
+        np.add(z, buf, out=buf)
+        np.subtract(np.abs(buf, out=j), 1.0 / rho, out=j)
+        np.copysign(np.maximum(j, 0.0, out=j), buf, out=j)
         np.fill_diagonal(j, 0.0)
 
         zx = z @ x
         e = (y1 + rho * (x - zx)) / (2.0 * config.mu + rho)
 
-        r_recon = x - zx - e
-        r_gap = z - j
-        r_rowsum = z @ ones - 1.0
-        y1 += rho * r_recon
-        y2 += rho * r_gap
-        y3 += rho * r_rowsum
+        y1 += rho * (x - zx - e)
+        np.subtract(z, j, out=buf)
+        gap_max = float(np.abs(buf).max())
+        buf *= rho
+        y2 += buf
+        y3 += rho * (z @ ones - 1.0)
         rho = min(rho * _PENALTY_GROWTH, _PENALTY_MAX)
 
         # Feasibility is reported for the returned iterate J.
         residuals = SscResiduals(
             recon_rel=float(np.linalg.norm(x - j @ x - e) / x_norm),
             rowsum_max=float(np.abs(j @ ones - 1.0).max()),
-            gap_max=float(np.abs(r_gap).max()),
+            gap_max=gap_max,
         )
         if max(residuals.recon_rel, residuals.rowsum_max, residuals.gap_max) <= config.tol:
             converged = True

@@ -6,6 +6,7 @@ come from a second path rather than the implementation under test.
 """
 
 import numpy as np
+import scipy.linalg
 
 
 def top_n_indices(row, n):
@@ -157,3 +158,62 @@ def dense_unweighted_als(o, v, t, r, lam1, n_outer, seed):
     resid = o - v @ p @ q.T @ t.T
     objective = (resid ** 2).sum() + 0.5 * lam1 * ((p ** 2).sum() + (q ** 2).sum())
     return p, q, objective
+
+
+def ssc_reference(x, mu, max_iters, tol, rho=1.0, growth=1.1, rho_max=1e8):
+    """Textbook ADMM loop of the self-representation solver, one temporary per term.
+
+    Row-normalizes x, then runs the same splitting and penalty schedule as
+    subspace.ssc_solve with plain array expressions; the sum order of every
+    term matches it, so the two must agree bit for bit. Returns
+    (z, e, n_iters, converged, (recon_rel, rowsum_max, gap_max)).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    x = x / np.linalg.norm(x, axis=1)[:, None]
+    n = x.shape[0]
+    x_norm = np.linalg.norm(x)
+    ones = np.ones(n)
+    m = x @ x.T + np.eye(n) + np.outer(ones, ones)
+    cho = scipy.linalg.cho_factor(m, lower=True)
+
+    j = np.zeros((n, n))
+    e = np.zeros_like(x)
+    y1 = np.zeros_like(x)
+    y2 = np.zeros((n, n))
+    y3 = np.zeros(n)
+    residuals = (np.inf, np.inf, np.inf)
+    converged = False
+    it = 0
+    for it in range(1, max_iters + 1):
+        rhs = (
+            (x - e + y1 / rho) @ x.T
+            + j
+            - y2 / rho
+            + np.outer(ones - y3 / rho, ones)
+        )
+        z = scipy.linalg.cho_solve(cho, rhs.T).T
+
+        a = z + y2 / rho
+        j = np.sign(a) * np.maximum(np.abs(a) - 1.0 / rho, 0.0)
+        np.fill_diagonal(j, 0.0)
+
+        zx = z @ x
+        e = (y1 + rho * (x - zx)) / (2.0 * mu + rho)
+
+        r_recon = x - zx - e
+        r_gap = z - j
+        r_rowsum = z @ ones - 1.0
+        y1 += rho * r_recon
+        y2 += rho * r_gap
+        y3 += rho * r_rowsum
+        rho = min(rho * growth, rho_max)
+
+        residuals = (
+            float(np.linalg.norm(x - j @ x - e) / x_norm),
+            float(np.abs(j @ ones - 1.0).max()),
+            float(np.abs(r_gap).max()),
+        )
+        if max(residuals) <= tol:
+            converged = True
+            break
+    return j, e, it, converged, residuals

@@ -445,6 +445,17 @@ class TestShareCommand:
         assert rc == 0
         assert (out / "completed.mtx").read_bytes() == (clustered / "completed.mtx").read_bytes()
 
+    def test_empty_labels_file_exits_two_naming_the_flag(self, tmp_path, caplog):
+        manifest = make_bundle(tmp_path)
+        empty = tmp_path / "empty.txt"
+        empty.write_text("\n")
+        rc = main(["share", "--manifest", manifest, "--output-dir", str(tmp_path / "out"),
+                   "--labels", str(empty), "--set", "sharing.neighbor_source=cosine"])
+        assert rc == 2
+        assert caplog.records[-1].getMessage() == (
+            f"--labels: labels file {empty} holds no cluster labels"
+        )
+
     def test_missing_affinity_reported(self, tmp_path):
         manifest = make_bundle(tmp_path)
         out = tmp_path / "out"

@@ -177,8 +177,9 @@ class TestCg:
         m = rng.standard_normal((6, 6))
         a = m @ m.T + np.eye(6)
         b = rng.standard_normal(6)
-        x = _cg(lambda v: a @ v, b, np.zeros(6), 1e-12, 100)
+        x, capped = _cg(lambda v: a @ v, b, np.zeros(6), 1e-12, 100)
         np.testing.assert_allclose(a @ x, b, atol=1e-9)
+        assert not capped
 
 
 class TestSolveAlternating:
@@ -192,6 +193,23 @@ class TestSolveAlternating:
         ohat = (inst.v.data @ result.factors.p) @ (inst.t.data @ result.factors.q).T
         rel = np.linalg.norm(ohat - inst.scores) / np.linalg.norm(inst.scores)
         assert rel <= 1e-2
+
+    def test_cg_stopping_at_its_cap_warns_once(self, caplog):
+        tags, v, t, l_v, l_s = make_instance(seed=2)
+        cfg = RefineConfig(rank=2, outer_iters=3, cg_iters=1, obj_tol=0.0)
+        with caplog.at_level("WARNING", logger="tagrefinery.refine"):
+            solve_alternating(tags, v, t, l_v, l_s, cfg)
+        capped = [r.getMessage() for r in caplog.records if "CG half-steps" in r.getMessage()]
+        assert capped == ["refine: 6 of 6 CG half-steps stopped at refine.cg_iters=1"]
+
+    def test_converging_fit_logs_no_warning(self, caplog):
+        inst = gen_planted_annotation(10, 8, 4, 3, 2, density=1.0, seed=3)
+        l_v, l_s = zero_laplacians(10, 8)
+        cfg = RefineConfig(rank=2, lambda1=10.0, lambda2=0.0, mu=0.0, outer_iters=100)
+        with caplog.at_level("WARNING", logger="tagrefinery.refine"):
+            result = solve_alternating(inst.o_star, inst.v, inst.t, l_v, l_s, cfg)
+        assert result.converged
+        assert caplog.records == []
 
     def test_huge_lambda_drives_factors_to_zero(self):
         tags, v, t, l_v, l_s = make_instance(seed=4)

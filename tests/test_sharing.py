@@ -5,7 +5,8 @@ import pytest
 
 from tagrefinery.sharing import SharingConfig, SharingError, score_tags_in_cluster, share_tags
 from tagrefinery.subspace import ClusterAssignment
-from tagrefinery.tagmat import SimilarityGraph, TagMatrix
+from tagrefinery.tagmat import SimilarityGraph, TagMatrix, cosine_similarity_graph
+from tagrefinery.testkit import gen_annotation_bundle
 
 from oracles import shared_tags, sharing_scores
 
@@ -219,6 +220,17 @@ class TestShareTags:
             )
             np.testing.assert_array_equal(out != 0, expected != 0)
             np.testing.assert_allclose(out, expected, atol=1e-12)
+
+    def test_densifies_the_tags_once(self, monkeypatch):
+        bundle, labels = gen_annotation_bundle(n_clusters=5, images_per_cluster=8)
+        clusters = ClusterAssignment(labels=labels, k=5)
+        sims = cosine_similarity_graph(bundle.image_features)
+        calls = []
+        densify = TagMatrix.toarray
+        monkeypatch.setattr(TagMatrix, "toarray", lambda self: calls.append(1) or densify(self))
+        out = share_tags(bundle.tags, clusters, sims)
+        assert len(calls) == 1
+        assert out.nnz > bundle.tags.nnz
 
     def test_dimension_mismatches(self):
         tags, clusters, sims = self.two_image_setup()

@@ -18,9 +18,12 @@ from tagrefinery.subspace import (
 from tagrefinery.tagmat import FeatureMatrix, SimilarityGraph
 from tagrefinery.testkit import (
     clustering_accuracy,
+    gen_annotation_bundle,
     gen_union_of_subspaces,
     subspace_preserving_rate,
 )
+
+from oracles import ssc_reference
 
 
 def make_rep(z, e=None):
@@ -74,6 +77,28 @@ class TestSscSolve:
         assert not rep.converged
         assert rep.n_iters == 3
         assert np.isfinite(rep.z).all()
+
+    @pytest.mark.parametrize(
+        "features, max_iters",
+        [
+            (lambda: gen_annotation_bundle()[0].image_features, 4000),
+            (lambda: gen_union_of_subspaces(3, 3, 15, 12, noise_sigma=0.01, seed=2).points, 4000),
+            (lambda: gen_annotation_bundle()[0].image_features, 5),
+        ],
+        ids=["default-bundle", "union-of-subspaces", "capped-at-5"],
+    )
+    def test_matches_reference_loop_bit_for_bit(self, features, max_iters):
+        images = features()
+        cfg = SscConfig(max_iters=max_iters)
+        rep = ssc_solve(images, cfg)
+        z, e, n_iters, converged, residuals = ssc_reference(
+            images.data, cfg.mu, cfg.max_iters, cfg.tol
+        )
+        assert np.array_equal(rep.z, z) and np.array_equal(np.signbit(rep.z), np.signbit(z))
+        assert np.array_equal(rep.e, e)
+        assert (rep.n_iters, rep.converged) == (n_iters, converged)
+        assert (rep.residuals.recon_rel, rep.residuals.rowsum_max, rep.residuals.gap_max) == residuals
+        assert converged == (max_iters > 5)
 
     def test_rejects_single_point(self):
         with pytest.raises(SscError, match="at least 2"):
