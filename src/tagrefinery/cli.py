@@ -33,7 +33,7 @@ import scipy.sparse as sp
 
 from . import subspace
 from .metrics import NoiseSpec, ap_ar_at_n, inject_noise, save_report
-from .refine import CgBreakdownError, RefineConfig, apply_factors, load_factors, save_factors
+from .refine import CgBreakdownError, RefineConfig, RefineError, apply_factors, load_factors, save_factors
 from .refine import refine as run_refine
 from .sharing import SharingConfig, share_tags
 from .subspace import ClusterAssignment, SscConfig
@@ -303,6 +303,22 @@ def _fit(run: _Run, tags: TagMatrix, refine_cfg: RefineConfig, init=None):
     if run.laplacians is None:
         run.laplacians = tuple(graph_laplacian(cosine_similarity_graph(f)) for f in features)
     return run_refine(tags, *features, *run.laplacians, refine_cfg, init=init)
+
+
+def _check_ranks(run: _Run) -> None:
+    """Reject, before any stage runs, a fit rank above the bundle's smaller feature dimension."""
+    if _tune in run.args.stages:
+        key, ranks = "tune.rank_grid", run.cfg["tune"]["rank_grid"]
+    elif _refine in run.args.stages and not getattr(run.args, "apply", False):
+        key, ranks = "refine.rank", [run.refine.rank]
+    else:
+        return
+    dims = (run.bundle.image_features.dim, run.bundle.tag_features.dim)
+    for rank in ranks:
+        try:
+            dataclasses.replace(run.refine, rank=rank).validate(*dims)
+        except RefineError as exc:
+            raise ConfigError(f"{key}: {exc}") from None
 
 
 def _synth(run: _Run) -> None:
@@ -614,6 +630,7 @@ def main(argv=None) -> int:
             run.bundle = load_dataset(cfg["manifest"])
             if run.bundle.ground_truth is None and args.command in ("eval", "tune"):
                 raise ConfigError(f"{args.command} needs a manifest with a ground_truth entry")
+            _check_ranks(run)
         stages = args.stages
         if getattr(args, "completed", None):
             stages = stages[2:]  # tune --completed stands in for cluster and share

@@ -102,12 +102,12 @@ def ssc_solve(images: FeatureMatrix, config: SscConfig = SscConfig()) -> SelfRep
     """Solve the sparse self-representation problem for the given images.
 
     Rows are normalized to unit length first (zero-norm rows are rejected).
-    Splitting: Z carries the reconstruction and row-sum constraints, a copy
-    J carries the L1 norm (soft-threshold update, diagonal projected to
-    zero every iteration), E absorbs the reconstruction error in closed
-    form. Dual ascent on all three couplings; penalty rho grows by
-    _PENALTY_GROWTH up to _PENALTY_MAX. The returned z is the thresholded
-    copy, so its diagonal is exactly zero.
+    Splitting: Z carries the reconstruction and row-sum constraints (its
+    matrix X X^T + I + 1 1^T is inverted once: one GEMM per Z update), a
+    copy J the L1 norm (soft threshold, diagonal projected to zero every
+    iteration), E the reconstruction error in closed form. Dual ascent on
+    all three couplings; penalty rho grows by _PENALTY_GROWTH up to
+    _PENALTY_MAX. The returned z is the thresholded copy: zero diagonal.
 
     Non-convergence within max_iters is not an error: the best iterate is
     returned with converged=False and the residuals achieved.
@@ -124,13 +124,14 @@ def ssc_solve(images: FeatureMatrix, config: SscConfig = SscConfig()) -> SelfRep
 
     x_norm = np.linalg.norm(x)
     ones = np.ones(n)
-    # Z-update matrix X X^T + I + 1 1^T, factored in place (symmetric, so .T is Fortran order).
+    # Z-update matrix M = X X^T + I + 1 1^T: SPD with eigenvalues >= 1, so inverted once, safely.
     m = x @ x.T
     m.flat[:: n + 1] += 1.0
     m += 1.0
-    cho = scipy.linalg.cho_factor(m.T, lower=True, overwrite_a=True)
+    m_inv = scipy.linalg.cho_solve(scipy.linalg.cho_factor(m), np.eye(n), overwrite_b=True)
+    del m  # n x n freed before the loop allocates its iterates
 
-    z = np.empty((n, n))       # right-hand side of the Z update, then Z solved in place
+    z = np.empty((n, n))       # right-hand side of the Z update, then Z (swapped with j)
     j = np.zeros((n, n))
     buf = np.empty((n, n))     # y2 / rho, then z + y2 / rho, then z - j
     e = np.zeros_like(x)
@@ -148,7 +149,7 @@ def ssc_solve(images: FeatureMatrix, config: SscConfig = SscConfig()) -> SelfRep
         z += j
         z -= buf
         z += (1.0 - y3 / rho)[:, None]
-        z = scipy.linalg.cho_solve(cho, z.T, overwrite_b=True).T
+        z, j = np.matmul(z, m_inv, out=j), z  # Z = rhs M^-1 in J's buffer, whose value is in rhs
 
         # J = sign(a) max(|a| - 1/rho, 0) at a = z + y2/rho; copysign keeps signed zeros.
         np.add(z, buf, out=buf)

@@ -164,8 +164,9 @@ def ssc_reference(x, mu, max_iters, tol, rho=1.0, growth=1.1, rho_max=1e8):
     """Textbook ADMM loop of the self-representation solver, one temporary per term.
 
     Row-normalizes x, then runs the same splitting and penalty schedule as
-    subspace.ssc_solve with plain array expressions; the sum order of every
-    term matches it, so the two must agree bit for bit. Returns
+    subspace.ssc_solve with plain array expressions and the same sum order
+    in every term. It solves with the Cholesky factor where ssc_solve applies
+    a precomputed inverse, so the two agree to roundoff. Returns
     (z, e, n_iters, converged, (recon_rel, rowsum_max, gap_max)).
     """
     x = np.asarray(x, dtype=np.float64)

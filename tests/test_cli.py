@@ -223,6 +223,23 @@ class TestExitCodes:
         assert caplog.records[-1].getMessage().startswith(f"{key}: ")
         assert not out.exists()
 
+    RANK_TOO_BIG = [
+        (["pipeline", "--k", "2"], "refine.rank"),
+        (["refine"], "refine.rank"),
+        (["tune", "--set", "k=2", "--set", "tune.rank_grid=[2, 8]"], "tune.rank_grid"),
+    ]
+
+    @pytest.mark.parametrize("argv, key", RANK_TOO_BIG, ids=["pipeline", "refine", "tune"])
+    def test_rank_above_feature_dim_exits_two_before_any_stage(self, tmp_path, caplog, argv, key):
+        manifest = make_bundle(tmp_path, ["--set", "synth.images_per_cluster=8",
+                                          "--set", "synth.tag_dim=4"])
+        out = tmp_path / "out"
+        assert main([argv[0], "--manifest", manifest, "--output-dir", str(out), *argv[1:]]) == 2
+        assert caplog.records[-1].getMessage() == (
+            f"{key}: rank 8 exceeds min feature dimension 4"
+        )
+        assert not out.exists()
+
     def test_threads_key_sets_the_blas_budget(self, tmp_path, monkeypatch):
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             monkeypatch.setenv(var, "")  # so that undo removes what main sets

@@ -87,17 +87,21 @@ class TestSscSolve:
         ],
         ids=["default-bundle", "union-of-subspaces", "capped-at-5"],
     )
-    def test_matches_reference_loop_bit_for_bit(self, features, max_iters):
+    def test_matches_reference_loop(self, features, max_iters):
+        # The solver applies a precomputed inverse where the reference solves with the
+        # Cholesky factor, so the two agree to roundoff, not bit for bit.
         images = features()
         cfg = SscConfig(max_iters=max_iters)
         rep = ssc_solve(images, cfg)
         z, e, n_iters, converged, residuals = ssc_reference(
             images.data, cfg.mu, cfg.max_iters, cfg.tol
         )
-        assert np.array_equal(rep.z, z) and np.array_equal(np.signbit(rep.z), np.signbit(z))
-        assert np.array_equal(rep.e, e)
+        assert np.abs(rep.z - z).max() <= 1e-12
+        assert np.abs(rep.e - e).max() <= 1e-12
         assert (rep.n_iters, rep.converged) == (n_iters, converged)
-        assert (rep.residuals.recon_rel, rep.residuals.rowsum_max, rep.residuals.gap_max) == residuals
+        # gap_max = max|Z - J| is tiny beside the O(0.1) entries it subtracts: z's absolute bound.
+        got = (rep.residuals.recon_rel, rep.residuals.rowsum_max, rep.residuals.gap_max)
+        assert got == pytest.approx(residuals, rel=1e-9, abs=1e-12)
         assert converged == (max_iters > 5)
 
     def test_rejects_single_point(self):
