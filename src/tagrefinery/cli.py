@@ -42,6 +42,7 @@ from .tagmat import (
     FeatureMatrix,
     SimilarityGraph,
     TagMatrix,
+    _csr_from_dense,
     cosine_similarity_graph,
     graph_laplacian,
     load_dataset,
@@ -464,7 +465,7 @@ def _refine(run: _Run) -> None:
     args = run.args
     factor_paths = getattr(args, "import_factors", None)
     init = load_factors(*factor_paths) if factor_paths else None
-    if getattr(args, "apply", False):  # builds no Laplacians and reads no tags
+    if getattr(args, "apply", False):  # no fit: no Laplacians; --tags-in is ignored, the bundle is loaded as always
         if init is None:
             raise ConfigError("--apply requires --import-factors P.mtx Q.mtx")
         run.scores = apply_factors(run.bundle.image_features, run.bundle.tag_features, init)
@@ -479,9 +480,8 @@ def _refine(run: _Run) -> None:
         )
         run.scores = result.scores
         save_factors(result.factors, run.cfg["output_dir"])
-    write_sparse_matrix(
-        run.out("refined.mtx"), TagMatrix.from_dense(np.clip(run.scores, 0.0, 1.0))
-    )
+    # The clamp is built row block by row block: no clipped copy of the scores.
+    write_sparse_matrix(run.out("refined.mtx"), TagMatrix(_csr_from_dense(run.scores, clamp=True)))
     write_dense_matrix(run.out("refined_scores.mtx"), run.scores)
 
 

@@ -16,6 +16,8 @@ import scipy.sparse as sp
 
 SYMMETRY_TOL = 1e-12
 LAPLACIAN_ROWSUM_TOL = 1e-9
+# Dense rows converted to CSR per step: about this many bytes of float64 input.
+_BLOCK_BYTES = 1 << 20
 
 
 class DatasetError(ValueError):
@@ -42,6 +44,8 @@ class TagMatrix:
         m = self.matrix
         if not sp.issparse(m):
             raise DatasetError("TagMatrix requires a scipy sparse matrix")
+        if m.ndim != 2:
+            raise DatasetError(f"tag matrix must be 2-D, got shape {m.shape}")
         m = sp.csr_array(m, dtype=np.float64)
         if m.shape[0] < 1 or m.shape[1] < 1:
             raise DatasetError(f"tag matrix must be at least 1x1, got {m.shape}")
@@ -73,7 +77,12 @@ class TagMatrix:
 
     @classmethod
     def from_dense(cls, arr) -> "TagMatrix":
-        return cls(sp.csr_array(np.asarray(arr, dtype=np.float64)))
+        """The tag matrix of a 2-D array's nonzero entries, converted one row block at a time.
+
+        Any other shape raises DatasetError; so do values outside [0, 1],
+        NaN and inf, as for every TagMatrix.
+        """
+        return cls(_csr_from_dense(arr))
 
     @classmethod
     def from_entries(cls, n_images, n_tags, rows, cols, vals) -> "TagMatrix":
@@ -88,6 +97,47 @@ class TagMatrix:
     def support(self) -> np.ndarray:
         """Boolean mask of annotated (nonzero) positions."""
         return self.matrix.toarray() != 0
+
+
+def _csr_from_dense(arr, clamp: bool = False) -> sp.csr_array:
+    """CSR of a 2-D array, filled one row block (about _BLOCK_BYTES) at a time.
+
+    Gives the arrays and index dtype of sp.csr_array(arr), or with clamp of
+    sp.csr_array(np.clip(arr, 0, 1)), without a dense copy or int64
+    coordinates: the clamp keeps s > 0 as min(s, 1). NaN is kept either way,
+    so TagMatrix rejects it.
+    """
+    arr = np.asarray(arr, dtype=np.float64)
+    if arr.ndim != 2:
+        raise DatasetError(f"tag matrix must be 2-D, got shape {arr.shape}")
+    n_rows, n_cols = arr.shape
+    step = max(1, _BLOCK_BYTES // (8 * max(n_cols, 1)))
+
+    def keep(block):
+        if not clamp:
+            return block != 0.0
+        mask = block <= 0.0
+        return np.logical_not(mask, out=mask)
+
+    counts = np.empty(n_rows, dtype=np.int64)
+    for start in range(0, n_rows, step):
+        counts[start : start + step] = np.count_nonzero(keep(arr[start : start + step]), axis=1)
+    nnz = int(counts.sum())
+    idx_dtype = sp.get_index_dtype(maxval=max(nnz, n_rows, n_cols))
+    indptr = np.zeros(n_rows + 1, dtype=idx_dtype)
+    np.cumsum(counts, out=indptr[1:])
+    del counts
+    data = np.empty(nnz, dtype=np.float64)
+    indices = np.empty(nnz, dtype=idx_dtype)
+    for start in range(0, n_rows, step):
+        block = arr[start : start + step]
+        lo, hi = indptr[start], indptr[start + block.shape[0]]
+        mask = keep(block).ravel()
+        np.compress(mask, block.ravel(), out=data[lo:hi])
+        np.remainder(np.flatnonzero(mask), n_cols, out=indices[lo:hi], casting="unsafe")
+    if clamp:
+        np.minimum(data, 1.0, out=data)
+    return sp.csr_array((data, indices, indptr), shape=(n_rows, n_cols))
 
 
 @dataclass(frozen=True)
@@ -264,7 +314,7 @@ _MANIFEST_OPTIONAL = ("ground_truth",)
 
 
 def write_sparse_matrix(path, tags: TagMatrix) -> None:
-    scipy.io.mmwrite(str(path), sp.coo_matrix(tags.matrix))
+    scipy.io.mmwrite(str(path), tags.matrix.tocoo())
 
 
 def write_dense_matrix(path, arr: np.ndarray) -> None:
@@ -276,7 +326,7 @@ def read_sparse_matrix(path) -> TagMatrix:
         raise DatasetError(f"missing matrix file: {path}")
     m = scipy.io.mmread(str(path))
     if not sp.issparse(m):
-        m = sp.coo_array(np.atleast_2d(m))
+        return TagMatrix.from_dense(np.atleast_2d(m))
     return TagMatrix(sp.csr_array(m))
 
 

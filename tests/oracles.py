@@ -7,6 +7,19 @@ come from a second path rather than the implementation under test.
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
+
+from tagrefinery.tagmat import TagMatrix
+
+
+def tags_from_dense(dense):
+    """scipy's own dense -> COO -> CSR conversion; only TagMatrix's validation is shared."""
+    return TagMatrix(sp.csr_array(np.asarray(dense, dtype=np.float64)))
+
+
+def clamped_tags(scores):
+    """refined.mtx's matrix as a full clipped copy of the scores, converted by scipy."""
+    return tags_from_dense(np.clip(scores, 0.0, 1.0))
 
 
 def top_n_indices(row, n):

@@ -1,9 +1,17 @@
 """Data model, graph construction, ranking, and file format tests."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from oracles import clamped_tags, tags_from_dense
+from tagrefinery import tagmat
 from tagrefinery.tagmat import (
     DatasetBundle,
     DatasetError,
@@ -48,8 +56,13 @@ class TestTagMatrix:
             TagMatrix.from_dense([[-0.1]])
 
     def test_rejects_non_finite(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(DatasetError, match="non-finite"):
+                TagMatrix.from_dense([[0.5, bad]])
+
+    def test_clamp_rejects_nan(self):
         with pytest.raises(DatasetError, match="non-finite"):
-            TagMatrix.from_dense([[np.nan]])
+            TagMatrix(tagmat._csr_from_dense([[0.5, np.nan]], clamp=True))
 
     def test_explicit_zeros_dropped(self):
         coo = sp.coo_array((np.array([0.0, 0.7]), ([0, 1], [0, 1])), shape=(2, 2))
@@ -63,6 +76,71 @@ class TestTagMatrix:
     def test_rejects_empty_dimensions(self):
         with pytest.raises(DatasetError):
             TagMatrix(sp.csr_array((0, 3)))
+
+    @pytest.mark.parametrize("shape", [(2,), (2, 2, 2)])
+    def test_rejects_other_than_2d(self, shape):
+        arr = np.full(shape, 0.5)
+        with pytest.raises(DatasetError, match=rf"2-D, got shape \({shape[0]},"):
+            TagMatrix.from_dense(arr)
+        with pytest.raises(DatasetError, match=rf"2-D, got shape \({shape[0]},"):
+            TagMatrix(sp.coo_array(arr))
+
+
+@st.composite
+def dense_inputs(draw, low, high):
+    """A 2-D array with zero rows and columns, signed zeros and exact ones, and
+    at times one NaN or inf; plus a conversion block of 1 to 7 rows."""
+    n_rows, n_cols = draw(st.integers(1, 40)), draw(st.integers(1, 6))
+    values = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(low, high))
+    arr = draw(hnp.arrays(np.float64, (n_rows, n_cols), elements=values))
+    arr[sorted(draw(st.sets(st.integers(0, n_rows - 1))))] = 0.0
+    arr[:, sorted(draw(st.sets(st.integers(0, n_cols - 1))))] = 0.0
+    if draw(st.booleans()):
+        bad = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        arr[draw(st.integers(0, n_rows - 1)), draw(st.integers(0, n_cols - 1))] = bad
+    return arr, 8 * n_cols * draw(st.integers(1, 7))
+
+
+def built(make):
+    """The CSR arrays of a TagMatrix, or the message of the DatasetError it raised."""
+    try:
+        m = make().matrix
+    except DatasetError as exc:
+        return str(exc)
+    return (m.shape, m.indptr.dtype, m.indices.dtype, m.indptr.tolist(), m.indices.tolist(),
+            m.data.tobytes())
+
+
+class TestRowBlockedBuilder:
+    """from_dense and the refined.mtx clamp give scipy's CSR exactly, block by block."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(dense_inputs(0.0, 1.0))
+    def test_from_dense_matches_scipy(self, case):
+        arr, block_bytes = case
+        with mock.patch.object(tagmat, "_BLOCK_BYTES", block_bytes):
+            assert built(lambda: TagMatrix.from_dense(arr)) == built(lambda: tags_from_dense(arr))
+
+    @settings(max_examples=150, deadline=None)
+    @given(dense_inputs(-3.0, 3.0))
+    def test_clamp_matches_clipped_copy(self, case):
+        scores, block_bytes = case
+        with mock.patch.object(tagmat, "_BLOCK_BYTES", block_bytes):
+            got = built(lambda: TagMatrix(tagmat._csr_from_dense(scores, clamp=True)))
+        assert got == built(lambda: clamped_tags(scores))
+
+    def test_clamp_peak_memory_is_close_to_its_csr(self):
+        # 20,000 rows span several default blocks, the last one partial.
+        scores = np.random.default_rng(0).standard_normal((20_000, 50))
+        tracemalloc.start()
+        try:
+            tags = TagMatrix(tagmat._csr_from_dense(scores, clamp=True))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        m = tags.matrix
+        assert built(lambda: tags) == built(lambda: clamped_tags(scores))
+        assert peak <= 1.25 * (m.data.nbytes + m.indices.nbytes + m.indptr.nbytes)
 
 
 class TestFeatureMatrix:
