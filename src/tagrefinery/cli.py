@@ -624,6 +624,9 @@ def main(argv=None) -> int:
         # Best effort: only effective if numpy has not been imported yet in this process.
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ.setdefault(var, str(cfg["threads"]))
+        stages = args.stages
+        if getattr(args, "completed", None):
+            stages = stages[2:]  # tune --completed stands in for cluster and share
         if args.command != "synth":
             if not cfg["manifest"]:
                 raise ConfigError("manifest: no dataset manifest given (config key or --manifest)")
@@ -631,9 +634,9 @@ def main(argv=None) -> int:
             if run.bundle.ground_truth is None and args.command in ("eval", "tune"):
                 raise ConfigError(f"{args.command} needs a manifest with a ground_truth entry")
             _check_ranks(run)
-        stages = args.stages
-        if getattr(args, "completed", None):
-            stages = stages[2:]  # tune --completed stands in for cluster and share
+            n_images = run.bundle.tags.n_images
+            if _cluster in stages and not cfg["auto_k"] and cfg["k"] > n_images:
+                raise ConfigError(f"k: {cfg['k']} exceeds the number of images {n_images}")
         for stage in stages:
             stage(run)
         _write_json(run.out("config.resolved.json"), cfg, sort_keys=True)

@@ -16,7 +16,8 @@ import scipy.sparse as sp
 
 SYMMETRY_TOL = 1e-12
 LAPLACIAN_ROWSUM_TOL = 1e-9
-# Dense rows converted to CSR per step: about this many bytes of float64 input.
+# Row-blocked passes over dense arrays (CSR building, symmetry checks, SSC's soft
+# threshold) take about this many bytes of float64 rows per step.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -27,6 +28,20 @@ class DatasetError(ValueError):
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+def _block_rows(n_cols: int) -> int:
+    """Rows per block of about _BLOCK_BYTES of an n_cols-wide float64 array (at least 1)."""
+    return max(1, _BLOCK_BYTES // (8 * max(n_cols, 1)))
+
+
+def _asymmetry(a: np.ndarray) -> float:
+    """max |a - a^T| of a square array (0 when empty), one row block at a time; NaN propagates."""
+    n = a.shape[0]
+    step = _block_rows(n)
+    block_max = [np.abs(a[s : s + step] - a[:, s : s + step].T).max(initial=0.0)
+                 for s in range(0, n, step)]
+    return float(np.max(block_max, initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -111,7 +126,7 @@ def _csr_from_dense(arr, clamp: bool = False) -> sp.csr_array:
     if arr.ndim != 2:
         raise DatasetError(f"tag matrix must be 2-D, got shape {arr.shape}")
     n_rows, n_cols = arr.shape
-    step = max(1, _BLOCK_BYTES // (8 * max(n_cols, 1)))
+    step = _block_rows(n_cols)
 
     def keep(block):
         if not clamp:
@@ -177,7 +192,7 @@ class SimilarityGraph:
             raise DatasetError(f"similarity graph must be square, got shape {w.shape}")
         if not np.all(np.isfinite(w)):
             raise DatasetError("similarity graph contains non-finite weights")
-        if np.abs(w - w.T).max(initial=0.0) > SYMMETRY_TOL:
+        if _asymmetry(w) > SYMMETRY_TOL:
             raise DatasetError("similarity graph is not symmetric")
         if np.abs(np.diagonal(w)).max(initial=0.0) != 0.0:
             raise DatasetError("similarity graph must have a zero diagonal")
@@ -200,7 +215,7 @@ class GraphLaplacian:
         m = np.array(self.matrix, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DatasetError(f"Laplacian must be square, got shape {m.shape}")
-        if np.abs(m - m.T).max(initial=0.0) > SYMMETRY_TOL:
+        if _asymmetry(m) > SYMMETRY_TOL:
             raise DatasetError("Laplacian is not symmetric")
         if np.abs(m.sum(axis=1)).max(initial=0.0) > LAPLACIAN_ROWSUM_TOL:
             raise DatasetError("Laplacian row sums are not zero")

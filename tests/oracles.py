@@ -231,3 +231,91 @@ def ssc_reference(x, mu, max_iters, tol, rho=1.0, growth=1.1, rho_max=1e8):
             converged = True
             break
     return j, e, it, converged, residuals
+
+
+# ---------------------------------------------------------------------------
+# Bit pins of the cluster stage
+#
+# Verbatim copies of the GEMM-inverse self-representation loop, the affinity
+# and the normalized Laplacian as they stood before the stage was cut to four
+# n x n arrays. The package must reproduce their output bit for bit: a change
+# to its memory layout may not change a single float operation.
+# ---------------------------------------------------------------------------
+
+
+def ssc_pinned(x, mu, max_iters, tol, rho=1.0, growth=1.1, rho_max=1e8):
+    """Returns (z, e, n_iters, converged, (recon_rel, rowsum_max, gap_max), objective)."""
+    x = np.asarray(x, dtype=np.float64)
+    n = x.shape[0]
+    norms = np.linalg.norm(x, axis=1)
+    x = x / norms[:, None]
+
+    x_norm = np.linalg.norm(x)
+    ones = np.ones(n)
+    m = x @ x.T
+    m.flat[:: n + 1] += 1.0
+    m += 1.0
+    m_inv = scipy.linalg.cho_solve(scipy.linalg.cho_factor(m), np.eye(n), overwrite_b=True)
+    del m
+
+    z = np.empty((n, n))
+    j = np.zeros((n, n))
+    buf = np.empty((n, n))
+    e = np.zeros_like(x)
+    y1 = np.zeros_like(x)
+    y2 = np.zeros((n, n))
+    y3 = np.zeros(n)
+
+    residuals = (np.inf, np.inf, np.inf)
+    converged = False
+    it = 0
+    for it in range(1, max_iters + 1):
+        np.divide(y2, rho, out=buf)
+        np.matmul(x - e + y1 / rho, x.T, out=z)
+        z += j
+        z -= buf
+        z += (1.0 - y3 / rho)[:, None]
+        z, j = np.matmul(z, m_inv, out=j), z
+
+        np.add(z, buf, out=buf)
+        np.subtract(np.abs(buf, out=j), 1.0 / rho, out=j)
+        np.copysign(np.maximum(j, 0.0, out=j), buf, out=j)
+        np.fill_diagonal(j, 0.0)
+
+        zx = z @ x
+        e = (y1 + rho * (x - zx)) / (2.0 * mu + rho)
+
+        y1 += rho * (x - zx - e)
+        np.subtract(z, j, out=buf)
+        gap_max = float(np.abs(buf).max())
+        buf *= rho
+        y2 += buf
+        y3 += rho * (z @ ones - 1.0)
+        rho = min(rho * growth, rho_max)
+
+        residuals = (
+            float(np.linalg.norm(x - j @ x - e) / x_norm),
+            float(np.abs(j @ ones - 1.0).max()),
+            gap_max,
+        )
+        if max(residuals) <= tol:
+            converged = True
+            break
+
+    objective = float(np.abs(j).sum() + mu * (e ** 2).sum())
+    return j, e, it, converged, residuals, objective
+
+
+def affinity_pinned(z):
+    a = np.abs(z)
+    return a + a.T
+
+
+def normalized_laplacian_pinned(weights):
+    n = weights.shape[0]
+    deg = weights.sum(axis=1)
+    dinv = np.zeros(n)
+    pos = deg > 0
+    dinv[pos] = 1.0 / np.sqrt(deg[pos])
+    nlap = np.eye(n) - dinv[:, None] * weights * dinv[None, :]
+    return (nlap + nlap.T) / 2.0

@@ -240,6 +240,19 @@ class TestExitCodes:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["cluster", "pipeline"])
+    def test_k_above_image_count_exits_two_before_ssc(self, tmp_path, monkeypatch, caplog, command):
+        manifest = make_bundle(tmp_path, ["--set", "synth.images_per_cluster=4"])  # 8 images
+
+        def no_ssc(*args, **kwargs):
+            raise AssertionError("ssc_solve ran")
+
+        monkeypatch.setattr("tagrefinery.subspace.ssc_solve", no_ssc)
+        out = tmp_path / "out"
+        assert main([command, "--manifest", manifest, "--output-dir", str(out), "--k", "9"]) == 2
+        assert caplog.records[-1].getMessage() == "k: 9 exceeds the number of images 8"
+        assert not out.exists()
+
     def test_threads_key_sets_the_blas_budget(self, tmp_path, monkeypatch):
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             monkeypatch.setenv(var, "")  # so that undo removes what main sets

@@ -1,7 +1,10 @@
 """Self-representation solver and spectral clustering tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from tagrefinery.subspace import (
     ClusterAssignment,
@@ -9,13 +12,14 @@ from tagrefinery.subspace import (
     SscConfig,
     SscError,
     SscResiduals,
+    _kmeans,
     _lloyd,
     affinity,
     eigengap_k,
     spectral_cluster,
     ssc_solve,
 )
-from tagrefinery.tagmat import FeatureMatrix, SimilarityGraph
+from tagrefinery.tagmat import FeatureMatrix, SimilarityGraph, _block_rows
 from tagrefinery.testkit import (
     clustering_accuracy,
     gen_annotation_bundle,
@@ -23,7 +27,7 @@ from tagrefinery.testkit import (
     subspace_preserving_rate,
 )
 
-from oracles import ssc_reference
+from oracles import affinity_pinned, normalized_laplacian_pinned, ssc_pinned, ssc_reference
 
 
 def make_rep(z, e=None):
@@ -219,6 +223,99 @@ class TestSpectralCluster:
         labels, _, notes = _lloyd(points, points[:2].copy())
         assert notes == []
         np.testing.assert_array_equal(labels, [0, 0, 0, 1, 1, 1])
+
+
+def bits(a):
+    """uint64 view of a float64 array, so that equality also compares signs of zeros."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+class TestBitPins:
+    """The cluster stage reproduces the pinned copies in oracles.py bit for bit."""
+
+    CASES = [
+        (lambda: gen_annotation_bundle()[0].image_features, 5, 4000),
+        (lambda: gen_union_of_subspaces(3, 3, 15, 12, noise_sigma=0.01, seed=2).points, 3, 4000),
+        (lambda: gen_annotation_bundle()[0].image_features, 5, 5),
+        # 400 rows: the soft threshold's row blocks of 327 leave a short last block.
+        (lambda: gen_union_of_subspaces(4, 5, 30, 100, noise_sigma=0.01, seed=2).points, 4, 4000),
+    ]
+
+    @pytest.mark.parametrize("features, k, max_iters", CASES,
+                             ids=["default-bundle", "union-of-subspaces", "capped-at-5", "n-400"])
+    def test_cluster_stage_matches_pinned_bits(self, features, k, max_iters):
+        images = features()
+        n = images.n_rows
+        if n == 400:
+            assert n > _block_rows(n) and n % _block_rows(n)
+        cfg = SscConfig(max_iters=max_iters)
+        rep = ssc_solve(images, cfg)
+        z, e, n_iters, converged, residuals, objective = ssc_pinned(
+            images.data, cfg.mu, cfg.max_iters, cfg.tol
+        )
+        np.testing.assert_array_equal(bits(rep.z), bits(z))
+        np.testing.assert_array_equal(bits(rep.e), bits(e))
+        assert (rep.n_iters, rep.converged) == (n_iters, converged)
+        got = (rep.residuals.recon_rel, rep.residuals.rowsum_max, rep.residuals.gap_max)
+        assert got == residuals
+        assert rep.objective == objective
+
+        aff = affinity(rep)
+        weights = affinity_pinned(z)
+        np.testing.assert_array_equal(bits(aff.weights), bits(weights))
+
+        nlap = normalized_laplacian_pinned(weights)
+        _, vecs = scipy.linalg.eigh(nlap, subset_by_index=(0, k - 1))
+        norms = np.linalg.norm(vecs, axis=1)
+        vecs[norms > 0] /= norms[norms > 0, None]
+        labels, _, _ = _kmeans(vecs, k, 0)
+        np.testing.assert_array_equal(spectral_cluster(aff, k, seed=0).labels, labels)
+
+        vals = scipy.linalg.eigh(nlap, eigvals_only=True, subset_by_index=(0, 10))
+        assert eigengap_k(aff, 10) == int(np.argmax(np.diff(vals))) + 1
+
+
+class TestWorkingSet:
+    """Traced allocation peak of each cluster-stage call above its input, in n x n float64s.
+
+    Each bound sits between the peak measured after the stage was cut to four
+    n x n arrays and the peak measured before (n = 1000, max_iters = 3):
+    - ssc_solve 4.4 (M^-1, two iterate buffers, y2, row-block and n x d
+      temporaries) against 6.2 (a fifth buffer and an |buf| temporary);
+    - affinity 2.3 (|Z| plus either NumPy's copy of its transpose or
+      SimilarityGraph's copy of the sum) against 5.0 (|Z|, |Z| + |Z|^T as a
+      new array, its copy, and w - w^T with its abs in the symmetry check);
+    - spectral_cluster 2.0 (the Laplacian and the copy of its transpose
+      that symmetrizes it in place) against 3.0 (eye - x, its transpose sum,
+      and LAPACK's Fortran copy).
+    """
+
+    @pytest.fixture(scope="class")
+    def peaks(self):
+        images = gen_union_of_subspaces(5, 5, 40, 200, noise_sigma=0.01, seed=0).points
+        unit = 8.0 * images.n_rows ** 2
+        out = {}
+
+        def traced(name, fn, *args, **kwargs):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            result = fn(*args, **kwargs)
+            out[name] = (tracemalloc.get_traced_memory()[1] - base) / unit
+            return result
+
+        tracemalloc.start()
+        try:
+            rep = traced("ssc_solve", ssc_solve, images, SscConfig(max_iters=3))
+            aff = traced("affinity", affinity, rep)
+            traced("spectral_cluster", spectral_cluster, aff, 5, seed=0)
+        finally:
+            tracemalloc.stop()
+        return out
+
+    @pytest.mark.parametrize("name, bound",
+                             [("ssc_solve", 4.6), ("affinity", 2.5), ("spectral_cluster", 2.5)])
+    def test_peak_above_input(self, peaks, name, bound):
+        assert peaks[name] <= bound
 
 
 class TestClusterAssignment:

@@ -16,6 +16,7 @@ from tagrefinery.tagmat import (
     DatasetBundle,
     DatasetError,
     FeatureMatrix,
+    GraphLaplacian,
     SimilarityGraph,
     TagMatrix,
     cosine_similarity_graph,
@@ -162,6 +163,18 @@ class TestSimilarityGraph:
         w = np.array([[0.0, 0.5], [0.4, 0.0]])
         with pytest.raises(DatasetError, match="symmetric"):
             SimilarityGraph(w)
+
+    @pytest.mark.parametrize("cls", [SimilarityGraph, GraphLaplacian])
+    @pytest.mark.parametrize("delta, rejected", [(1e-11, True), (1e-13, False)])
+    def test_symmetry_checked_in_every_row_block(self, cls, delta, rejected):
+        n = 400  # the check runs 327 rows at a time; the entry sits in the short last block
+        w = np.zeros((n, n))
+        w[390, 10] = delta
+        if rejected:
+            with pytest.raises(DatasetError, match="not symmetric"):
+                cls(w)
+        else:
+            cls(w)
 
     def test_rejects_nonzero_diagonal(self):
         with pytest.raises(DatasetError, match="diagonal"):
