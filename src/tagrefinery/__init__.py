@@ -29,7 +29,6 @@ from .subspace import (
 )
 from .sharing import SharingConfig, score_tags_in_cluster, share_tags
 from .refine import (
-    CgBreakdownError,
     FactorPair,
     RefineConfig,
     RefineResult,
@@ -53,7 +52,6 @@ from .testkit import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CgBreakdownError",
     "ClusterAssignment",
     "DatasetBundle",
     "DatasetError",

@@ -10,10 +10,10 @@ it can be replayed bit-for-bit. Logs go to stderr, machine artifacts to
 files only; the output directory is made on the first write.
 
 Exit codes: 0 success, 1 SSC non-convergence (in every command that clusters)
-or a conjugate-gradient breakdown in refine (artifacts preserved), 2 unknown
-command or invalid configuration/input. Refine stopping at refine.outer_iters
-before meeting refine.obj_tol logs a warning and still exits 0, and so does
-a fit whose CG half-steps stop at refine.cg_iters (one warning with their count).
+or a refine half-step whose normal matrix is not positive definite (artifacts
+of earlier stages preserved), 2 unknown command or invalid configuration/input.
+Refine stopping at refine.outer_iters before meeting refine.obj_tol logs a
+warning and still exits 0.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import scipy.sparse as sp
 
 from . import subspace
 from .metrics import NoiseSpec, ap_ar_at_n, inject_noise, save_report
-from .refine import CgBreakdownError, RefineConfig, RefineError, apply_factors, load_factors, save_factors
+from .refine import RefineConfig, RefineError, apply_factors, load_factors, save_factors
 from .refine import refine as run_refine
 from .sharing import SharingConfig, share_tags
 from .subspace import ClusterAssignment, SscConfig
@@ -249,13 +249,20 @@ def _write_labels(path: str, labels) -> None:
             fh.write(f"{int(lab)}\n")
 
 
-def _read_labels(path: str):
+def _read_labels(path: str, n_images: int):
+    """The cluster labels in a --labels file: one nonnegative label per image of the bundle."""
     if not os.path.exists(path):
         raise ConfigError(f"labels file not found: {path}")
     with open(path, encoding="utf-8") as fh:
         labels = np.asarray([int(line.strip()) for line in fh if line.strip()], dtype=np.int64)
     if not labels.size:
         raise ConfigError(f"--labels: labels file {path} holds no cluster labels")
+    if labels.size != n_images:
+        raise ConfigError(
+            f"--labels: labels file {path} holds {labels.size} labels, the bundle has {n_images} images"
+        )
+    if labels.min() < 0:
+        raise ConfigError(f"--labels: labels file {path} holds label {labels.min()}, labels must be >= 0")
     return labels
 
 
@@ -436,9 +443,9 @@ def _cluster(run: _Run) -> None:
 
 def _share(run: _Run) -> None:
     """Share tags within clusters over the SSC affinity, or over cosine similarity when asked."""
-    out_dir = run.cfg["output_dir"]
+    out_dir, n_images = run.cfg["output_dir"], run.bundle.tags.n_images
     if run.assignment is None:
-        labels = _read_labels(run.args.labels or os.path.join(out_dir, "labels.txt"))
+        labels = _read_labels(run.args.labels or os.path.join(out_dir, "labels.txt"), n_images)
         run.assignment = ClusterAssignment(labels=labels, k=int(labels.max()) + 1)
     if run.sharing.neighbor_source == "cosine":
         sims = cosine_similarity_graph(run.bundle.image_features)
@@ -450,7 +457,13 @@ def _share(run: _Run) -> None:
                     f"affinity matrix not found at {aff_path}; run `cluster` first, pass "
                     "--affinity, or set sharing.neighbor_source=cosine"
                 )
-            run.affinity = SimilarityGraph(read_dense_matrix(aff_path))
+            weights = read_dense_matrix(aff_path)
+            if weights.shape != (n_images, n_images):
+                raise ConfigError(
+                    f"--affinity: matrix {aff_path} is {weights.shape[0]}x{weights.shape[1]}, "
+                    f"the bundle has {n_images} images"
+                )
+            run.affinity = SimilarityGraph(weights)
         sims = run.affinity
     run.completed = share_tags(run.bundle.tags, run.assignment, sims, run.sharing)
     log.info("sharing: %d -> %d entries", run.bundle.tags.nnz, run.completed.nnz)
@@ -641,7 +654,7 @@ def main(argv=None) -> int:
             stage(run)
         _write_json(run.out("config.resolved.json"), cfg, sort_keys=True)
         return run.exit_code
-    except CgBreakdownError as exc:
+    except np.linalg.LinAlgError as exc:  # a ValueError, so caught first
         log.error("numerical breakdown: %s", exc)
         return 1
     except ValueError as exc:

@@ -18,8 +18,10 @@ objective, its gradient 2 (M(Ohat) - O) in Ohat, each factor subproblem's
 normal operator X -> 2 V^T M(V X B^T) B + lambda1 X and its right-hand side
 2 V^T O B (B = T Q; W o O = O since O is zero wherever w_ij != 1). A fit
 validates and densifies its instance once; its Q subproblem is the P
-subproblem of the transposed instance, so one matrix-free conjugate-gradient
-half-step serves both factors.
+subproblem of the transposed instance, so one half-step serves both
+factors. Each half-step is solved exactly (alternating least squares): its
+(f r) x (f r) normal matrix is the normal operator applied to each unit
+f x r matrix, and one Cholesky solve gives the minimizer.
 """
 
 from __future__ import annotations
@@ -29,21 +31,13 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .tagmat import FeatureMatrix, GraphLaplacian, TagMatrix, read_dense_matrix, write_dense_matrix
 
 
 class RefineError(ValueError):
     """Raised for invalid refinement configuration or mismatched dimensions."""
-
-
-class CgBreakdownError(RuntimeError):
-    """Conjugate gradient met a non-positive curvature direction.
-
-    The subproblem operator should be PSD whenever 0 <= mu < 1 and the
-    Laplacians are valid, so this signals a lambda/mu misconfiguration or
-    numerically broken inputs.
-    """
 
 
 @dataclass(frozen=True)
@@ -53,8 +47,6 @@ class RefineConfig:
     lambda2: float = 0.01
     mu: float = 0.4
     outer_iters: int = 30
-    cg_iters: int = 200
-    cg_tol: float = 1e-8
     seed: int = 0
     # Relative objective-change threshold for stopping the outer loop early.
     obj_tol: float = 1e-6
@@ -73,10 +65,6 @@ class RefineConfig:
             problems.append(f"mu must satisfy 0 <= mu < 1, got {self.mu}")
         if self.outer_iters < 1:
             problems.append(f"outer_iters must be >= 1, got {self.outer_iters}")
-        if self.cg_iters < 1:
-            problems.append(f"cg_iters must be >= 1, got {self.cg_iters}")
-        if not self.cg_tol > 0:
-            problems.append(f"cg_tol must be > 0, got {self.cg_tol}")
         if self.obj_tol < 0:
             problems.append(f"obj_tol must be >= 0, got {self.obj_tol}")
         if problems:
@@ -159,14 +147,32 @@ class _Instance:
         loss = float(np.sum(r * g)) + float(np.sum(self.o * (g - r)))
         return loss + 0.5 * self.config.lambda1 * (float(np.sum(x ** 2)) + float(np.sum(y ** 2)))
 
-    def half_step(self, x, y) -> tuple[np.ndarray, bool]:
-        """Minimize over the row factor with y fixed, by CG warm-started at x; see _cg."""
+    def half_step(self, y) -> np.ndarray:
+        """Minimize over the row factor with y fixed: one Cholesky solve of the normal equations.
+
+        Raises np.linalg.LinAlgError, naming refine.lambda1, when the normal
+        matrix is not numerically positive definite.
+        """
         b, cfg = self.cols @ y, self.config
+        f, r = self.rows.shape[1], y.shape[1]
 
         def normal(z):
             return 2.0 * self.rows.T @ (self.residual_map((self.rows @ z) @ b.T) @ b) + cfg.lambda1 * z
 
-        return _cg(normal, 2.0 * self.rows.T @ (self.o @ b), x, cfg.cg_tol, cfg.cg_iters)
+        h = np.empty((f * r, f * r))
+        unit = np.zeros((f, r))
+        for k in range(f * r):
+            unit.flat[k] = 1.0
+            h[:, k] = normal(unit).ravel()
+            unit.flat[k] = 0.0
+        rhs = 2.0 * self.rows.T @ (self.o @ b)
+        try:
+            return scipy.linalg.solve(h, rhs.ravel(), assume_a="pos").reshape(f, r)
+        except np.linalg.LinAlgError as exc:
+            raise np.linalg.LinAlgError(
+                "the normal matrix of a refine half-step is not positive definite; "
+                f"raise refine.lambda1 (now {cfg.lambda1:g})"
+            ) from exc
 
 
 def objective(
@@ -203,38 +209,6 @@ def gradient(
     return 2.0 * inst.rows.T @ (g @ (inst.cols @ y)) + config.lambda1 * x
 
 
-def _cg(apply_a, b, x0, tol, max_iters):
-    """Conjugate gradient for the matrix-shaped PSD system A x = b.
-
-    Returns x and whether CG stopped at max_iters before meeting tol.
-    """
-    x = x0.copy()
-    r = b - apply_a(x)
-    p = r.copy()
-    rs = float(np.sum(r * r))
-    b_norm = float(np.linalg.norm(b))
-    thresh = tol * b_norm if b_norm > 0 else tol
-    if np.sqrt(rs) <= thresh:
-        return x, False
-    for _ in range(max_iters):
-        ap = apply_a(p)
-        p_ap = float(np.sum(p * ap))
-        if p_ap <= 0.0:
-            raise CgBreakdownError(
-                "non-positive curvature in factor subproblem "
-                f"(p^T A p = {p_ap:.3e}); check lambda1/lambda2/mu"
-            )
-        alpha = rs / p_ap
-        x += alpha * p
-        r -= alpha * ap
-        rs_new = float(np.sum(r * r))
-        if np.sqrt(rs_new) <= thresh:
-            return x, False
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    return x, True
-
-
 @dataclass(frozen=True)
 class SolveResult:
     factors: FactorPair
@@ -252,15 +226,17 @@ def solve_alternating(
     config: RefineConfig,
     init: FactorPair | None = None,
 ) -> SolveResult:
-    """Alternating minimization over P and Q with CG half-steps.
+    """Alternating least squares over P and Q: each half-step is solved exactly.
 
-    Each half-step solves its convex quadratic from a warm start, so the
-    recorded objective trace (initial value, then one entry per half-step)
-    never increases beyond roundoff. Deterministic for a fixed seed.
-    Passing init resumes from previously saved factors instead of the
-    seeded Gaussian start. A fit that stops at outer_iters without meeting
-    obj_tol logs a warning and returns converged=False. A fit whose CG
-    half-steps stop at cg_iters logs one warning with their count.
+    Each half-step minimizes its convex quadratic, so the recorded objective
+    trace (initial value, then one entry per half-step) never increases
+    beyond roundoff. Deterministic for a fixed seed. Passing init resumes
+    from previously saved factors instead of the seeded Gaussian start; the
+    first half-step uses only init.q. A fit that stops at outer_iters
+    without meeting obj_tol logs a warning and returns converged=False. A
+    half-step whose normal matrix is not numerically positive definite
+    (lambda1 = 0 with rank-deficient features or factors) raises
+    np.linalg.LinAlgError naming refine.lambda1.
     """
     inst = _Instance.build(tags, v, t, l_v, l_s, config)
     inst_t = inst.transposed()
@@ -270,35 +246,26 @@ def solve_alternating(
                 f"initial factors {init.p.shape}/{init.q.shape} do not match "
                 f"features and rank ({v.dim}x{config.rank}, {t.dim}x{config.rank})"
             )
-        p, q = init.p, init.q  # _cg copies its start, so the read-only arrays are safe
+        p, q = init.p, init.q
     else:
         rng = np.random.default_rng(config.seed)
         scale = 1.0 / np.sqrt(config.rank)
         p = rng.standard_normal((v.dim, config.rank)) * scale
         q = rng.standard_normal((t.dim, config.rank)) * scale
 
-    log = logging.getLogger(__name__)
     trace = [inst.objective(p, q)]
-    cg_capped = 0
     for outer in range(config.outer_iters):
-        p, capped = inst.half_step(p, q)
+        p = inst.half_step(q)
         trace.append(inst.objective(p, q))
-        cg_capped += capped
-        q, capped = inst_t.half_step(q, p)
+        q = inst_t.half_step(p)
         trace.append(inst.objective(p, q))
-        cg_capped += capped
         change = abs(trace[-3] - trace[-1]) / max(abs(trace[-3]), 1e-12)
         if change <= config.obj_tol:
             break
     else:
-        log.warning(
+        logging.getLogger(__name__).warning(
             "refine stopped at refine.outer_iters=%d with relative objective change %.3e",
             config.outer_iters, change,
-        )
-    if cg_capped:
-        log.warning(
-            "refine: %d of %d CG half-steps stopped at refine.cg_iters=%d",
-            cg_capped, 2 * (outer + 1), config.cg_iters,
         )
     return SolveResult(
         factors=FactorPair(p, q),

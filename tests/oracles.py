@@ -173,6 +173,26 @@ def dense_unweighted_als(o, v, t, r, lam1, n_outer, seed):
     return p, q, objective
 
 
+def imc_normal_matrix(annotated, v, b, l_v, l_s, lam1, lam2, mu):
+    """Normal matrix of the row-factor subproblem in vec(X) = X.ravel(), by Kronecker products.
+
+    2[(1-mu) V^T V (x) B^T B + mu sum_i v_i v_i^T (x) C_i
+      + lam2 (V^T L_v V (x) B^T B + V^T V (x) B^T L_s B)] + lam1 I,
+    where C_i = sum of b_j b_j^T over the annotated positions j of row i.
+    """
+    f, r = v.shape[1], b.shape[1]
+    btb = b.T @ b
+    h = (1.0 - mu) * np.kron(v.T @ v, btb)
+    for i in range(v.shape[0]):
+        c_i = np.zeros((r, r))
+        for j in range(b.shape[0]):
+            if annotated[i, j]:
+                c_i += np.outer(b[j], b[j])
+        h += mu * np.kron(np.outer(v[i], v[i]), c_i)
+    h += lam2 * (np.kron(v.T @ l_v @ v, btb) + np.kron(v.T @ v, b.T @ l_s @ b))
+    return 2.0 * h + lam1 * np.eye(f * r)
+
+
 def ssc_reference(x, mu, max_iters, tol, rho=1.0, growth=1.1, rho_max=1e8):
     """Textbook ADMM loop of the self-representation solver, one temporary per term.
 

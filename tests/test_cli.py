@@ -437,6 +437,16 @@ class TestRefineCommand:
         assert caplog.records[-1].getMessage().startswith(f"{flag}: matrix 12x13 ")
         assert not out.exists()
 
+    def test_not_positive_definite_half_step_exits_one_naming_lambda1(self, tmp_path, caplog):
+        manifest = make_bundle(tmp_path)
+        # Equal tag-feature rows make T Q rank one: with lambda1 = 0 the normal matrix is singular.
+        write_dense_matrix(tmp_path / "data" / "synthetic_tag_features.mtx",
+                           np.tile(np.linspace(0.5, 1.5, 16), (12, 1)))
+        rc = main(["refine", "--manifest", manifest, "--output-dir", str(tmp_path / "out"),
+                   "--set", "refine.lambda1=0"])
+        assert rc == 1
+        assert "not positive definite; raise refine.lambda1 (now 0)" in caplog.records[-1].getMessage()
+
     def test_apply_without_factors_rejected(self, tmp_path):
         manifest = make_bundle(tmp_path)
         rc = main([
@@ -484,6 +494,31 @@ class TestShareCommand:
         assert rc == 2
         assert caplog.records[-1].getMessage() == (
             f"--labels: labels file {empty} holds no cluster labels"
+        )
+
+    @pytest.mark.parametrize("labels, message", [
+        ([0] * 5, "holds 5 labels, the bundle has 40 images"),
+        ([0] * 39 + [-1], "holds label -1, labels must be >= 0"),
+    ])
+    def test_bad_labels_file_exits_two_naming_the_flag(self, tmp_path, caplog, labels, message):
+        manifest = make_bundle(tmp_path, ["--set", "synth.images_per_cluster=20"])
+        path = tmp_path / "labels.txt"
+        path.write_text("".join(f"{lab}\n" for lab in labels))
+        rc = main(["share", "--manifest", manifest, "--output-dir", str(tmp_path / "out"),
+                   "--labels", str(path), "--set", "sharing.neighbor_source=cosine"])
+        assert rc == 2
+        assert caplog.records[-1].getMessage() == f"--labels: labels file {path} {message}"
+
+    def test_affinity_of_wrong_size_exits_two_naming_the_flag(self, tmp_path, caplog):
+        manifest = make_bundle(tmp_path, ["--set", "synth.images_per_cluster=20"])
+        labels, affinity = tmp_path / "labels.txt", tmp_path / "affinity.mtx"
+        labels.write_text("0\n" * 20 + "1\n" * 20)
+        write_dense_matrix(affinity, np.ones((5, 5)) - np.eye(5))
+        rc = main(["share", "--manifest", manifest, "--output-dir", str(tmp_path / "out"),
+                   "--labels", str(labels), "--affinity", str(affinity)])
+        assert rc == 2
+        assert caplog.records[-1].getMessage() == (
+            f"--affinity: matrix {affinity} is 5x5, the bundle has 40 images"
         )
 
     def test_missing_affinity_reported(self, tmp_path):

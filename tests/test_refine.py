@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
+from tagrefinery.metrics import NoiseSpec
 from tagrefinery.refine import (
-    CgBreakdownError,
     FactorPair,
     RefineConfig,
     RefineError,
-    _cg,
     apply_factors,
     gradient,
     load_factors,
@@ -16,6 +15,7 @@ from tagrefinery.refine import (
     refine,
     save_factors,
     solve_alternating,
+    _Instance,
 )
 from tagrefinery.tagmat import (
     FeatureMatrix,
@@ -26,11 +26,12 @@ from tagrefinery.tagmat import (
     graph_laplacian,
     top_n_tags,
 )
-from tagrefinery.testkit import gen_planted_annotation
+from tagrefinery.testkit import gen_annotation_bundle, gen_planted_annotation
 
 from oracles import (
     central_difference,
     dense_unweighted_als,
+    imc_normal_matrix,
     refine_objective,
     unweighted_imc_gradient,
 )
@@ -54,6 +55,17 @@ def random_factors(f_i, f_t, r, seed=0):
 
 def zero_laplacians(n_i, n_t):
     return GraphLaplacian(np.zeros((n_i, n_i))), GraphLaplacian(np.zeros((n_t, n_t)))
+
+
+def bundle_instance(tag_features=None):
+    """The default noisy bundle at 40 images, with cosine-similarity Laplacians as the CLI builds them."""
+    bundle, _ = gen_annotation_bundle(
+        images_per_cluster=8, noise=NoiseSpec(missing_rate=0.3, inaccurate_rate=0.3)
+    )
+    v = bundle.image_features
+    t = bundle.tag_features if tag_features is None else tag_features
+    l_v, l_s = (graph_laplacian(cosine_similarity_graph(f)) for f in (v, t))
+    return bundle.tags, v, t, l_v, l_s
 
 
 class TestConfig:
@@ -166,20 +178,52 @@ class TestGradient:
             np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
 
 
-class TestCg:
-    def test_breakdown_on_indefinite_operator(self):
-        a = np.diag([1.0, -1.0])
-        with pytest.raises(CgBreakdownError, match="curvature"):
-            _cg(lambda x: a @ x, np.array([0.0, 1.0]), np.zeros(2), 1e-10, 50)
+class TestExactHalfStep:
+    @pytest.mark.parametrize("lam2, mu", [(0.0, 0.0), (0.05, 0.4), (0.3, 0.9)])
+    def test_half_steps_match_kronecker_oracle(self, lam2, mu):
+        for seed in range(3):
+            tags, v, t, l_v, l_s = make_instance(n_i=8, n_t=6, seed=seed + 40)
+            factors = random_factors(4, 3, 2, seed=seed + 90)
+            cfg = RefineConfig(rank=2, lambda1=0.2, lambda2=lam2, mu=mu)
+            inst = _Instance.build(tags, v, t, l_v, l_s, cfg)
+            o, annotated = tags.toarray(), tags.support()
+            sides = [
+                (inst.half_step(factors.q), annotated, v.data, t.data @ factors.q, o,
+                 l_v.matrix, l_s.matrix),
+                (inst.transposed().half_step(factors.p), annotated.T, t.data, v.data @ factors.p, o.T,
+                 l_s.matrix, l_v.matrix),
+            ]
+            for got, mask, rows, b, o_side, l_rows, l_cols in sides:
+                h = imc_normal_matrix(mask, rows, b, l_rows, l_cols, 0.2, lam2, mu)
+                want = np.linalg.solve(h, (2.0 * rows.T @ o_side @ b).ravel()).reshape(got.shape)
+                assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
-    def test_solves_spd_system(self):
-        rng = np.random.default_rng(0)
-        m = rng.standard_normal((6, 6))
-        a = m @ m.T + np.eye(6)
-        b = rng.standard_normal(6)
-        x, capped = _cg(lambda v: a @ v, b, np.zeros(6), 1e-12, 100)
-        np.testing.assert_allclose(a @ x, b, atol=1e-9)
-        assert not capped
+    def test_fit_ends_stationary_in_q(self):
+        tags, v, t, l_v, l_s = bundle_instance()
+        cfg = RefineConfig(outer_iters=5)
+        factors = solve_alternating(tags, v, t, l_v, l_s, cfg).factors
+        g = gradient(tags, v, t, factors, l_v, l_s, cfg, free="q")
+        rhs = 2.0 * t.data.T @ tags.toarray().T @ (v.data @ factors.p)
+        assert np.linalg.norm(g) <= 1e-12 * np.linalg.norm(rhs)
+
+    def test_scores_do_not_amplify_input_roundoff(self):
+        tags, v, t, l_v, l_s = bundle_instance()
+        o = 0.5 * tags.toarray()
+        nudged = o * (1.0 + 1e-13 * np.random.default_rng(0).uniform(-1.0, 1.0, o.shape))
+        cfg = RefineConfig(outer_iters=5)
+        scores = [refine(TagMatrix.from_dense(x), v, t, l_v, l_s, cfg).scores for x in (o, nudged)]
+        d_in = np.abs(nudged - o).max()
+        assert d_in > 0.0
+        assert np.abs(scores[1] - scores[0]).max() <= 1e3 * d_in
+
+    def test_not_positive_definite_raises_naming_lambda1(self):
+        # Equal tag-feature rows make T Q rank one, so with lambda1 = 0 the
+        # normal matrix is singular.
+        tag_features = FeatureMatrix(np.tile(np.linspace(0.5, 1.5, 16), (50, 1)))
+        tags, v, t, l_v, l_s = bundle_instance(tag_features)
+        cfg = RefineConfig(lambda1=0.0)
+        with pytest.raises(np.linalg.LinAlgError, match=r"refine\.lambda1"):
+            solve_alternating(tags, v, t, l_v, l_s, cfg)
 
 
 class TestSolveAlternating:
@@ -187,20 +231,12 @@ class TestSolveAlternating:
         inst = gen_planted_annotation(15, 12, 5, 4, 2, density=1.0, seed=3)
         l_v, l_s = zero_laplacians(15, 12)
         cfg = RefineConfig(rank=2, lambda1=1e-8, lambda2=0.0, mu=0.0,
-                           outer_iters=80, cg_iters=300, cg_tol=1e-12, seed=1,
+                           outer_iters=80, seed=1,
                            obj_tol=1e-13)
         result = solve_alternating(inst.o_star, inst.v, inst.t, l_v, l_s, cfg)
         ohat = (inst.v.data @ result.factors.p) @ (inst.t.data @ result.factors.q).T
         rel = np.linalg.norm(ohat - inst.scores) / np.linalg.norm(inst.scores)
         assert rel <= 1e-2
-
-    def test_cg_stopping_at_its_cap_warns_once(self, caplog):
-        tags, v, t, l_v, l_s = make_instance(seed=2)
-        cfg = RefineConfig(rank=2, outer_iters=3, cg_iters=1, obj_tol=0.0)
-        with caplog.at_level("WARNING", logger="tagrefinery.refine"):
-            solve_alternating(tags, v, t, l_v, l_s, cfg)
-        capped = [r.getMessage() for r in caplog.records if "CG half-steps" in r.getMessage()]
-        assert capped == ["refine: 6 of 6 CG half-steps stopped at refine.cg_iters=1"]
 
     def test_converging_fit_logs_no_warning(self, caplog):
         inst = gen_planted_annotation(10, 8, 4, 3, 2, density=1.0, seed=3)
@@ -256,7 +292,7 @@ class TestSolveAlternating:
         t = FeatureMatrix(rng.standard_normal((5, 3)))
         l_v, l_s = zero_laplacians(7, 5)
         cfg = RefineConfig(rank=2, lambda1=0.2, lambda2=0.0, mu=0.0,
-                           outer_iters=6, cg_iters=500, cg_tol=1e-13, seed=11,
+                           outer_iters=6, seed=11,
                            obj_tol=0.0)
         result = solve_alternating(tags, v, t, l_v, l_s, cfg)
         _, _, oracle_obj = dense_unweighted_als(o, v.data, t.data, 2, 0.2, 6, seed=11)
@@ -308,7 +344,7 @@ class TestRefine:
         inst = gen_planted_annotation(12, 10, 5, 4, 2, density=1.0, seed=9)
         l_v, l_s = zero_laplacians(12, 10)
         cfg = RefineConfig(rank=2, lambda1=1e-8, lambda2=0.0, mu=0.0,
-                           outer_iters=80, cg_iters=300, cg_tol=1e-12, seed=2,
+                           outer_iters=80, seed=2,
                            obj_tol=1e-13)
         result = refine(inst.o_star, inst.v, inst.t, l_v, l_s, cfg)
         got = top_n_tags(result.scores, 3)
@@ -332,7 +368,7 @@ class TestRefine:
         residuals = []
         for mu in (0.0, 0.3, 0.6, 0.9):
             cfg = RefineConfig(rank=2, lambda1=1e-4, lambda2=0.0, mu=mu,
-                               outer_iters=60, cg_iters=300, cg_tol=1e-12, seed=5,
+                               outer_iters=60, seed=5,
                                obj_tol=1e-12)
             result = refine(tags, inst.v, inst.t, l_v, l_s, cfg)
             resid = (tags.toarray() - result.scores)[annotated]
@@ -344,7 +380,7 @@ class TestRefine:
         inst = gen_planted_annotation(10, 8, 4, 3, 2, density=1.0, seed=16)
         l_v, l_s = zero_laplacians(10, 8)
         cfg = RefineConfig(rank=2, lambda1=0.0, lambda2=0.0, mu=0.0,
-                           outer_iters=1, cg_iters=50)
+                           outer_iters=1)
         init = FactorPair(inst.p_star, inst.q_star)
         result = solve_alternating(inst.o_star, inst.v, inst.t, l_v, l_s, cfg, init=init)
         assert result.objective_trace[0] == 0.0
