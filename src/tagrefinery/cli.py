@@ -2,7 +2,8 @@
 
 A stage uses what an earlier stage of the same command made; run alone, it
 reads the file its flag names, or the artifact the earlier stage writes.
-All inputs and outputs go through the manifest + Matrix Market formats.
+All inputs and outputs go through the manifest + Matrix Market formats; a bad
+input file is reported starting with its flag (or manifest key) and path.
 Configuration comes from one JSON file plus repeatable --set overrides
 (flags win); every value must have the kind of its DEFAULT_CONFIG default.
 Every run writes the fully resolved configuration next to its outputs so
@@ -11,7 +12,8 @@ files only; the output directory is made on the first write.
 
 Exit codes: 0 success, 1 SSC non-convergence (in every command that clusters)
 or a refine half-step whose normal matrix is not positive definite (artifacts
-of earlier stages preserved), 2 unknown command or invalid configuration/input.
+of earlier stages and the resolved configuration preserved), 2 unknown command
+or invalid configuration/input.
 Refine stopping at refine.outer_iters before meeting refine.obj_tol logs a
 warning and still exits 0.
 """
@@ -26,6 +28,7 @@ import itertools
 import json
 import logging
 import os
+import pathlib
 import sys
 
 import numpy as np
@@ -33,16 +36,18 @@ import scipy.sparse as sp
 
 from . import subspace
 from .metrics import NoiseSpec, ap_ar_at_n, inject_noise, save_report
-from .refine import RefineConfig, RefineError, apply_factors, load_factors, save_factors
+from .refine import FactorPair, RefineConfig, RefineError, apply_factors, save_factors
 from .refine import refine as run_refine
 from .sharing import SharingConfig, share_tags
 from .subspace import ClusterAssignment, SscConfig
 from .tagmat import (
     DatasetBundle,
+    DatasetError,
     FeatureMatrix,
     SimilarityGraph,
     TagMatrix,
     _csr_from_dense,
+    _read_input,
     cosine_similarity_graph,
     graph_laplacian,
     load_dataset,
@@ -170,15 +175,10 @@ def resolve_config(args: argparse.Namespace) -> dict:
     """Defaults <- config file <- --set overrides <- dedicated flags, then type-checked."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if getattr(args, "config", None):
-        if not os.path.exists(args.config):
-            raise ConfigError(f"config file not found: {args.config}")
-        with open(args.config, encoding="utf-8") as fh:
-            try:
-                loaded = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config file {args.config} is not valid JSON: {exc}") from exc
+        loaded = _read_input("--config", args.config,
+                             lambda path: json.loads(pathlib.Path(path).read_text("utf-8")))
         if not isinstance(loaded, dict):
-            raise ConfigError(f"config file {args.config} must hold a JSON object")
+            raise ConfigError(f"--config: {args.config}: must hold a JSON object")
         _merge_section(cfg, loaded, "")
     for assignment in getattr(args, "set", None) or []:
         _apply_override(cfg, assignment)
@@ -203,7 +203,7 @@ def _build_configs(cfg: dict) -> tuple:
             problems.append(f"{section}: {exc}")
             stage_cfg = None
         configs.append(stage_cfg)
-    for key in ("k", "threads"):
+    for key in ("k", "threads", "auto_k_max"):
         if cfg[key] < 1:
             problems.append(f"{key}: must be a positive integer, got {cfg[key]!r}")
     if not cfg["output_dir"]:
@@ -249,23 +249,6 @@ def _write_labels(path: str, labels) -> None:
             fh.write(f"{int(lab)}\n")
 
 
-def _read_labels(path: str, n_images: int):
-    """The cluster labels in a --labels file: one nonnegative label per image of the bundle."""
-    if not os.path.exists(path):
-        raise ConfigError(f"labels file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        labels = np.asarray([int(line.strip()) for line in fh if line.strip()], dtype=np.int64)
-    if not labels.size:
-        raise ConfigError(f"--labels: labels file {path} holds no cluster labels")
-    if labels.size != n_images:
-        raise ConfigError(
-            f"--labels: labels file {path} holds {labels.size} labels, the bundle has {n_images} images"
-        )
-    if labels.min() < 0:
-        raise ConfigError(f"--labels: labels file {path} holds label {labels.min()}, labels must be >= 0")
-    return labels
-
-
 # ---------------------------------------------------------------------------
 # Stages: each takes the run and adds its products to it.
 # ---------------------------------------------------------------------------
@@ -292,17 +275,6 @@ class _Run:
         """Path of an artifact to write; the output directory is made on the first write."""
         os.makedirs(self.cfg["output_dir"], exist_ok=True)
         return os.path.join(self.cfg["output_dir"], name)
-
-
-def _read_tags(run: _Run, flag: str, path: str) -> TagMatrix:
-    """The tag matrix a flag names, which must have the bundle's shape."""
-    tags, bundle_tags = read_sparse_matrix(path), run.bundle.tags
-    if (tags.n_images, tags.n_tags) != (bundle_tags.n_images, bundle_tags.n_tags):
-        raise ConfigError(
-            f"{flag}: matrix {tags.n_images}x{tags.n_tags} does not match the bundle "
-            f"{bundle_tags.n_images}x{bundle_tags.n_tags}"
-        )
-    return tags
 
 
 def _fit(run: _Run, tags: TagMatrix, refine_cfg: RefineConfig, init=None):
@@ -445,25 +417,24 @@ def _share(run: _Run) -> None:
     """Share tags within clusters over the SSC affinity, or over cosine similarity when asked."""
     out_dir, n_images = run.cfg["output_dir"], run.bundle.tags.n_images
     if run.assignment is None:
-        labels = _read_labels(run.args.labels or os.path.join(out_dir, "labels.txt"), n_images)
-        run.assignment = ClusterAssignment(labels=labels, k=int(labels.max()) + 1)
+        run.assignment = _read_input(
+            "--labels", run.args.labels or os.path.join(out_dir, "labels.txt"),
+            lambda p: np.array(pathlib.Path(p).read_text("utf-8").split(), dtype=np.int64),
+            (n_images,), lambda labels: ClusterAssignment(labels, k=int(labels.max()) + 1),
+        )
     if run.sharing.neighbor_source == "cosine":
         sims = cosine_similarity_graph(run.bundle.image_features)
     else:
         if run.affinity is None:
-            aff_path = run.args.affinity or os.path.join(out_dir, "affinity.mtx")
-            if not os.path.exists(aff_path):
-                raise ConfigError(
-                    f"affinity matrix not found at {aff_path}; run `cluster` first, pass "
-                    "--affinity, or set sharing.neighbor_source=cosine"
-                )
-            weights = read_dense_matrix(aff_path)
-            if weights.shape != (n_images, n_images):
-                raise ConfigError(
-                    f"--affinity: matrix {aff_path} is {weights.shape[0]}x{weights.shape[1]}, "
-                    f"the bundle has {n_images} images"
-                )
-            run.affinity = SimilarityGraph(weights)
+            path = run.args.affinity or os.path.join(out_dir, "affinity.mtx")
+            try:
+                run.affinity = _read_input("--affinity", path, read_dense_matrix,
+                                           (n_images, n_images), SimilarityGraph)
+            except DatasetError as exc:
+                if run.args.affinity:
+                    raise
+                raise DatasetError(f"{exc}; run `cluster` first, pass --affinity, or set "
+                                   "sharing.neighbor_source=cosine") from None
         sims = run.affinity
     run.completed = share_tags(run.bundle.tags, run.assignment, sims, run.sharing)
     log.info("sharing: %d -> %d entries", run.bundle.tags.nnz, run.completed.nnz)
@@ -475,18 +446,23 @@ def _refine(run: _Run) -> None:
 
     Writes the raw scores as refined_scores.mtx and their [0, 1] clamp as refined.mtx.
     """
-    args = run.args
-    factor_paths = getattr(args, "import_factors", None)
-    init = load_factors(*factor_paths) if factor_paths else None
-    if getattr(args, "apply", False):  # no fit: no Laplacians; --tags-in is ignored, the bundle is loaded as always
+    args, bundle = run.args, run.bundle
+    apply, init = getattr(args, "apply", False), None
+    if getattr(args, "import_factors", None):  # P's rank is free under --apply, Q's follows P's
+        p_path, q_path = args.import_factors
+        p = _read_input("--import-factors", p_path, read_dense_matrix,
+                        (bundle.image_features.dim, None if apply else run.refine.rank))
+        init = FactorPair(p, _read_input("--import-factors", q_path, read_dense_matrix,
+                                         (bundle.tag_features.dim, p.shape[1])))
+    if apply:  # no fit: no Laplacians; --tags-in is ignored, the bundle is loaded as always
         if init is None:
             raise ConfigError("--apply requires --import-factors P.mtx Q.mtx")
-        run.scores = apply_factors(run.bundle.image_features, run.bundle.tag_features, init)
+        run.scores = apply_factors(bundle.image_features, bundle.tag_features, init)
     else:
         tags = run.completed
-        if tags is None:
-            tags = _read_tags(run, "--tags-in", args.tags_in) if args.tags_in else run.bundle.tags
-        result = _fit(run, tags, run.refine, init)
+        if tags is None and args.tags_in:
+            tags = _read_input("--tags-in", args.tags_in, read_sparse_matrix, bundle.tags.matrix.shape)
+        result = _fit(run, bundle.tags if tags is None else tags, run.refine, init)
         log.info(
             "refine: %d objective evaluations, final objective %.6e",
             len(result.objective_trace), result.objective_trace[-1],
@@ -502,7 +478,8 @@ def _eval(run: _Run) -> None:
     """AP@N / AR@N of refine's scores, or run alone of --predictions, against the ground truth."""
     truth = run.bundle.ground_truth
     if run.scores is None:
-        run.scores = read_dense_matrix(run.args.predictions)
+        run.scores = _read_input("--predictions", run.args.predictions, read_dense_matrix,
+                                 run.bundle.tags.matrix.shape)
     elif truth is None or run.args.skip_eval:
         return  # pipeline evaluates only a bundle with ground truth
     for n in run.cfg["eval_n"]:
@@ -518,7 +495,8 @@ def _eval(run: _Run) -> None:
 def _tune(run: _Run) -> None:
     """Grid-search refine parameters on share's tags (run alone: --completed) by validation AP@N."""
     if run.completed is None:
-        run.completed = _read_tags(run, "--completed", run.args.completed)
+        run.completed = _read_input("--completed", run.args.completed, read_sparse_matrix,
+                                    run.bundle.tags.matrix.shape)
     t = run.cfg["tune"]
     rng = np.random.default_rng(t["split_seed"])
     n_images = run.bundle.tags.n_images
@@ -651,12 +629,15 @@ def main(argv=None) -> int:
             if _cluster in stages and not cfg["auto_k"] and cfg["k"] > n_images:
                 raise ConfigError(f"k: {cfg['k']} exceeds the number of images {n_images}")
         for stage in stages:
-            stage(run)
-        _write_json(run.out("config.resolved.json"), cfg, sort_keys=True)
+            try:
+                stage(run)
+            except np.linalg.LinAlgError as exc:  # a ValueError: exit 1, earlier artifacts stay
+                log.error("numerical breakdown: %s", exc)
+                run.exit_code = 1
+                break
+        if os.path.isdir(cfg["output_dir"]):  # so that a failed run can be replayed too
+            _write_json(run.out("config.resolved.json"), cfg, sort_keys=True)
         return run.exit_code
-    except np.linalg.LinAlgError as exc:  # a ValueError, so caught first
-        log.error("numerical breakdown: %s", exc)
-        return 1
     except ValueError as exc:
         log.error("%s", exc)
         return 2

@@ -92,7 +92,7 @@ class ClusterAssignment:
         if self.k < 1:
             raise SscError(f"k must be >= 1, got {self.k}")
         if labels.size and (labels.min() < 0 or labels.max() >= self.k):
-            raise SscError("cluster labels out of range")
+            raise SscError(f"cluster labels out of range [0, {self.k}): got {labels.min()} to {labels.max()}")
 
     def cluster_sizes(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.k)

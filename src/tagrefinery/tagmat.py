@@ -7,6 +7,7 @@ bundle format (Matrix Market files + id lists).
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 
@@ -240,27 +241,24 @@ class DatasetBundle:
     def __post_init__(self):
         object.__setattr__(self, "image_ids", tuple(self.image_ids))
         object.__setattr__(self, "tag_names", tuple(self.tag_names))
-        n_i, n_t = self.tags.n_images, self.tags.n_tags
-        if self.image_features.n_rows != n_i:
-            raise DatasetError(
-                f"tag matrix has {n_i} images but image features have "
-                f"{self.image_features.n_rows} rows"
-            )
-        if self.tag_features.n_rows != n_t:
-            raise DatasetError(
-                f"tag matrix has {n_t} tags but tag features have "
-                f"{self.tag_features.n_rows} rows"
-            )
-        if len(self.image_ids) != n_i:
-            raise DatasetError(f"expected {n_i} image ids, got {len(self.image_ids)}")
-        if len(self.tag_names) != n_t:
-            raise DatasetError(f"expected {n_t} tag names, got {len(self.tag_names)}")
-        if self.ground_truth is not None:
-            if (self.ground_truth.n_images, self.ground_truth.n_tags) != (n_i, n_t):
-                raise DatasetError(
-                    f"ground truth shape {(self.ground_truth.n_images, self.ground_truth.n_tags)} "
-                    f"does not match tag matrix {(n_i, n_t)}"
-                )
+        for key in ("image_features", "tag_features", "image_ids", "tag_names", "ground_truth"):
+            _fits_tags(self.tags, key, getattr(self, key))
+
+
+def _fits_tags(tags: TagMatrix, key: str, value):
+    """value, the bundle component named key, once it fits the tag matrix (ground truth may be None)."""
+    n_i, n_t = tags.n_images, tags.n_tags
+    if key == "image_features" and value.n_rows != n_i:
+        raise DatasetError(f"tag matrix has {n_i} images but image features have {value.n_rows} rows")
+    if key == "tag_features" and value.n_rows != n_t:
+        raise DatasetError(f"tag matrix has {n_t} tags but tag features have {value.n_rows} rows")
+    if key == "image_ids" and len(value) != n_i:
+        raise DatasetError(f"expected {n_i} image ids, got {len(value)}")
+    if key == "tag_names" and len(value) != n_t:
+        raise DatasetError(f"expected {n_t} tag names, got {len(value)}")
+    if key == "ground_truth" and value is not None and value.matrix.shape != (n_i, n_t):
+        raise DatasetError(f"ground truth shape {value.matrix.shape} does not match tag matrix {(n_i, n_t)}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -379,18 +377,37 @@ def parse_manifest(path) -> dict[str, str]:
             if not line or line.startswith("#"):
                 continue
             if ":" not in line:
-                raise DatasetError(f"{path}:{lineno}: expected 'key: value', got {line!r}")
+                raise DatasetError(f"line {lineno}: expected 'key: value', got {line!r}")
             key, value = line.split(":", 1)
             key, value = key.strip(), value.strip()
             if key not in _MANIFEST_REQUIRED + _MANIFEST_OPTIONAL:
-                raise DatasetError(f"{path}:{lineno}: unknown manifest key {key!r}")
+                raise DatasetError(f"line {lineno}: unknown manifest key {key!r}")
             if key in entries:
-                raise DatasetError(f"{path}:{lineno}: duplicate manifest key {key!r}")
+                raise DatasetError(f"line {lineno}: duplicate manifest key {key!r}")
             entries[key] = os.path.join(base, value)
     missing = [k for k in _MANIFEST_REQUIRED if k not in entries]
     if missing:
-        raise DatasetError(f"{path}: manifest missing keys {missing}")
+        raise DatasetError(f"manifest missing keys {missing}")
     return entries
+
+
+def _read_input(field, path, read, shape=None, build=None):
+    """build(read(path)), where read(path) must have shape (None: any length) if one is given.
+
+    field is the flag or manifest key that names path. Any failure, a missing
+    or unreadable file too, raises one DatasetError starting "<field>: <path>: ".
+    """
+    try:
+        value = read(path)
+        if shape is not None:
+            got = getattr(value, "matrix", value).shape
+            if len(got) != len(shape) or any(want not in (None, g) for g, want in zip(got, shape)):
+                want = "x".join("*" if d is None else str(d) for d in shape)
+                raise DatasetError(f"has shape {'x'.join(map(str, got))}, expected {want}")
+        return value if build is None else build(value)
+    except (ValueError, OSError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+        raise DatasetError(f"{field}: {path}: {reason}") from None
 
 
 def load_dataset(manifest_path) -> DatasetBundle:
@@ -399,25 +416,22 @@ def load_dataset(manifest_path) -> DatasetBundle:
     The manifest names the tag matrix (Matrix Market coordinate), the image
     and tag feature matrices (Matrix Market array), the image-id and
     tag-name lists (one per line, UTF-8), and optionally a ground-truth tag
-    matrix. All cross-file dimension checks run before returning.
+    matrix. Each component is checked against the tag matrix as it is read,
+    so a bad one raises DatasetError naming its manifest key and file.
     """
-    entries = parse_manifest(manifest_path)
-    tags = read_sparse_matrix(entries["tags"])
-    image_features = FeatureMatrix(read_dense_matrix(entries["image_features"]))
-    tag_features = FeatureMatrix(read_dense_matrix(entries["tag_features"]))
-    image_ids = read_id_list(entries["image_ids"])
-    tag_names = read_id_list(entries["tag_names"])
-    ground_truth = None
-    if "ground_truth" in entries:
-        ground_truth = read_sparse_matrix(entries["ground_truth"])
-    return DatasetBundle(
-        tags=tags,
-        image_features=image_features,
-        tag_features=tag_features,
-        image_ids=tuple(image_ids),
-        tag_names=tuple(tag_names),
-        ground_truth=ground_truth,
-    )
+    entries = _read_input("manifest", manifest_path, parse_manifest)
+    tags = _read_input("tags", entries["tags"], read_sparse_matrix)
+    reads = {
+        "image_features": lambda path: FeatureMatrix(read_dense_matrix(path)),
+        "tag_features": lambda path: FeatureMatrix(read_dense_matrix(path)),
+        "image_ids": read_id_list,
+        "tag_names": read_id_list,
+        "ground_truth": read_sparse_matrix,
+    }
+    return DatasetBundle(tags=tags, **{
+        key: _read_input(key, entries[key], read, build=functools.partial(_fits_tags, tags, key))
+        for key, read in reads.items() if key in entries
+    })
 
 
 def save_dataset(bundle: DatasetBundle, out_dir, name: str = "dataset") -> str:

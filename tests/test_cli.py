@@ -214,6 +214,8 @@ class TestExitCodes:
         (["synth", "--set", "synth.n_clusters=0"], "synth.n_clusters"),
         (["synth", "--set", "synth.images_per_cluster=0"], "synth.images_per_cluster"),
         (["synth", "--set", "synth.tags_per_cluster=0"], "synth.tags_per_cluster"),
+        (["cluster", "--manifest", "missing.manifest", "--set", "auto_k=true",
+          "--set", "auto_k_max=0"], "auto_k_max"),
     ]
 
     @pytest.mark.parametrize("argv, key", OUT_OF_RANGE, ids=[key for _, key in OUT_OF_RANGE])
@@ -431,10 +433,12 @@ class TestRefineCommand:
         other = tmp_path / "other"
         assert main(["synth", "--output-dir", str(other), *TINY, "--set", "synth.n_tags=13"]) == 0
         out = tmp_path / "out"
-        rc = main([command, "--manifest", manifest, "--output-dir", str(out),
-                   flag, str(other / "synthetic_tags.mtx")])
+        path = other / "synthetic_tags.mtx"
+        rc = main([command, "--manifest", manifest, "--output-dir", str(out), flag, str(path)])
         assert rc == 2
-        assert caplog.records[-1].getMessage().startswith(f"{flag}: matrix 12x13 ")
+        assert caplog.records[-1].getMessage() == (
+            f"{flag}: {path}: has shape 12x13, expected 12x12"
+        )
         assert not out.exists()
 
     def test_not_positive_definite_half_step_exits_one_naming_lambda1(self, tmp_path, caplog):
@@ -446,6 +450,21 @@ class TestRefineCommand:
                    "--set", "refine.lambda1=0"])
         assert rc == 1
         assert "not positive definite; raise refine.lambda1 (now 0)" in caplog.records[-1].getMessage()
+
+    def test_breakdown_keeps_earlier_artifacts_and_a_replayable_snapshot(self, tmp_path, caplog):
+        manifest = make_bundle(tmp_path)
+        write_dense_matrix(tmp_path / "data" / "synthetic_tag_features.mtx",
+                           np.tile(np.linspace(0.5, 1.5, 16), (12, 1)))
+        out = tmp_path / "out"
+        rc = main(["pipeline", "--manifest", manifest, "--output-dir", str(out), "--k", "2",
+                   "--set", "refine.lambda1=0", "--set", "refine.rank=1"])
+        assert rc == 1
+        assert "not positive definite" in caplog.records[-1].getMessage()
+        earlier = ["z.mtx", "affinity.mtx", "labels.txt", "ssc_diagnostics.json", "completed.mtx"]
+        first = {name: (out / name).read_bytes() for name in earlier}
+        assert main(["pipeline", "--config", str(out / "config.resolved.json")]) == 1
+        for name in earlier:
+            assert (out / name).read_bytes() == first[name], name
 
     def test_apply_without_factors_rejected(self, tmp_path):
         manifest = make_bundle(tmp_path)
@@ -493,12 +512,13 @@ class TestShareCommand:
                    "--labels", str(empty), "--set", "sharing.neighbor_source=cosine"])
         assert rc == 2
         assert caplog.records[-1].getMessage() == (
-            f"--labels: labels file {empty} holds no cluster labels"
+            f"--labels: {empty}: has shape 0, expected 12"
         )
 
     @pytest.mark.parametrize("labels, message", [
-        ([0] * 5, "holds 5 labels, the bundle has 40 images"),
-        ([0] * 39 + [-1], "holds label -1, labels must be >= 0"),
+        pytest.param([0] * 5, "has shape 5, expected 40", id="labels0-holds 5 labels"),
+        pytest.param([0] * 39 + [-1], "cluster labels out of range [0, 1): got -1 to 0",
+                     id="labels1-holds label -1"),
     ])
     def test_bad_labels_file_exits_two_naming_the_flag(self, tmp_path, caplog, labels, message):
         manifest = make_bundle(tmp_path, ["--set", "synth.images_per_cluster=20"])
@@ -507,7 +527,7 @@ class TestShareCommand:
         rc = main(["share", "--manifest", manifest, "--output-dir", str(tmp_path / "out"),
                    "--labels", str(path), "--set", "sharing.neighbor_source=cosine"])
         assert rc == 2
-        assert caplog.records[-1].getMessage() == f"--labels: labels file {path} {message}"
+        assert caplog.records[-1].getMessage() == f"--labels: {path}: {message}"
 
     def test_affinity_of_wrong_size_exits_two_naming_the_flag(self, tmp_path, caplog):
         manifest = make_bundle(tmp_path, ["--set", "synth.images_per_cluster=20"])
@@ -518,7 +538,7 @@ class TestShareCommand:
                    "--labels", str(labels), "--affinity", str(affinity)])
         assert rc == 2
         assert caplog.records[-1].getMessage() == (
-            f"--affinity: matrix {affinity} is 5x5, the bundle has 40 images"
+            f"--affinity: {affinity}: has shape 5x5, expected 40x40"
         )
 
     def test_missing_affinity_reported(self, tmp_path):
@@ -608,3 +628,92 @@ class TestTune:
         assert rc == 2
         assert f"{key}:" in caplog.text
         assert not out.exists()
+
+
+
+# Each flag's command, reading the file under test at BAD, and how to write a file of the
+# wrong shape for the TINY bundle (12 images, 12 tags, 30 image and 16 tag features).
+FLAG_FILES = {
+    "--labels": (["share", "--labels", "BAD", "--set", "sharing.neighbor_source=cosine"],
+                 lambda path: path.write_text("0\n" * 5)),
+    "--affinity": (["share", "--labels", "LABELS", "--affinity", "BAD"],
+                   lambda path: write_dense_matrix(path, np.ones((5, 5)) - np.eye(5))),
+    "--tags-in": (["refine", "--tags-in", "BAD"],
+                  lambda path: write_dense_matrix(path, np.zeros((12, 13)))),
+    "--completed": (["tune", "--completed", "BAD"],
+                    lambda path: write_dense_matrix(path, np.zeros((13, 12)))),
+    "--import-factors P": (["refine", "--apply", "--import-factors", "BAD", "Q"],
+                           lambda path: write_dense_matrix(path, np.ones((5, 3)))),
+    "--import-factors Q": (["refine", "--apply", "--import-factors", "P", "BAD"],
+                           lambda path: write_dense_matrix(path, np.ones((16, 4)))),
+    "--predictions": (["eval", "--predictions", "BAD"],
+                      lambda path: write_dense_matrix(path, np.ones((12, 7)))),
+}
+# Kind of bad file -> how to make it, and a part of the error it must give.
+BAD_FILES = {
+    "missing": (lambda path, wrong_shape: None, ""),
+    "directory": (lambda path, wrong_shape: path.mkdir(), ""),
+    "unparsable": (lambda path, wrong_shape: path.write_text("a\nb\n"), ""),
+    "wrong-shape": (lambda path, wrong_shape: wrong_shape(path), ": has shape "),
+}
+# Manifest key -> its file in the bundle, what spoils it, and a part of the error it must give.
+MANIFEST_FILES = {
+    "tags": ("synthetic_tags.mtx",
+             lambda path: write_dense_matrix(path, np.full((12, 12), 1.5)), "[0, 1]"),
+    "image_features": ("synthetic_image_features.mtx",
+                       lambda path: write_dense_matrix(path, np.full((12, 30), np.nan)), "non-finite"),
+    "tag_features": ("synthetic_tag_features.mtx",
+                     lambda path: write_dense_matrix(path, np.full((12, 16), np.inf)), "non-finite"),
+    "ground_truth": ("synthetic_ground_truth.mtx",
+                     lambda path: write_dense_matrix(path, np.full((12, 12), -1.0)), "[0, 1]"),
+    "image_ids": ("synthetic_image_ids.txt",
+                  lambda path: path.write_text("a\n" * 11), "expected 12 image ids, got 11"),
+    "tag_names": ("synthetic_tag_names.txt",
+                  lambda path: path.write_text("a\n" * 13), "expected 12 tag names, got 13"),
+    "manifest": ("synthetic.manifest", lambda path: (path.unlink(), path.mkdir()), "directory"),
+}
+INPUT_ROWS = [
+    *[pytest.param(flag.split()[0], argv, None,
+                   lambda path, make=make, wrong_shape=wrong_shape: make(path, wrong_shape), reason,
+                   id=f"{flag.replace(' ', '-')}-{kind}")
+      for flag, (argv, wrong_shape) in FLAG_FILES.items()
+      for kind, (make, reason) in BAD_FILES.items()],
+    pytest.param("--affinity", FLAG_FILES["--affinity"][0], None,
+                 lambda path: write_dense_matrix(path, np.triu(np.ones((12, 12)), 1)),
+                 "not symmetric", id="--affinity-asymmetric"),
+    *[pytest.param(key, ["cluster", "--k", "2"], name, spoil, reason, id=f"manifest-{key}")
+      for key, (name, spoil, reason) in MANIFEST_FILES.items()],
+    *[pytest.param("--config", ["cluster", "--config", "BAD"], None, spoil, reason, id=f"--config-{kind}")
+      for kind, spoil, reason in [
+          ("missing", lambda path: None, "No such file"),
+          ("directory", lambda path: path.mkdir(), "Is a directory"),
+          ("unparsable", lambda path: path.write_text("{"), "Expecting"),
+          ("no-object", lambda path: path.write_text("[1]"), "must hold a JSON object"),
+      ]],
+]
+
+
+@pytest.mark.parametrize("field, argv, data_file, spoil, reason", INPUT_ROWS)
+def test_bad_input_file_exits_two_naming_its_field(
+    tmp_path, caplog, recwarn, field, argv, data_file, spoil, reason
+):
+    """One error, naming the flag or manifest key and the path; no output directory, no warning."""
+    manifest = make_bundle(tmp_path)
+    (tmp_path / "labels.txt").write_text("0\n" * 6 + "1\n" * 6)
+    write_dense_matrix(tmp_path / "p.mtx", np.ones((30, 3)))
+    write_dense_matrix(tmp_path / "q.mtx", np.ones((16, 3)))
+    bad = tmp_path / "data" / data_file if data_file else tmp_path / "bad.mtx"  # mmwrite adds .mtx
+    spoil(bad)
+    files = {"BAD": bad, "LABELS": tmp_path / "labels.txt", "P": tmp_path / "p.mtx",
+             "Q": tmp_path / "q.mtx"}
+    out = tmp_path / "out"
+    caplog.clear()
+    rc = main([argv[0], "--manifest", manifest, "--output-dir", str(out),
+               *[str(files.get(arg, arg)) for arg in argv[1:]]])
+    assert rc == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1
+    assert errors[0].startswith(f"{field}: {bad}: ")
+    assert reason in errors[0]
+    assert not out.exists()
+    assert not recwarn.list
