@@ -46,7 +46,6 @@ from .tagmat import (
     FeatureMatrix,
     SimilarityGraph,
     TagMatrix,
-    _csr_from_dense,
     _read_input,
     cosine_similarity_graph,
     graph_laplacian,
@@ -441,19 +440,26 @@ def _share(run: _Run) -> None:
     write_sparse_matrix(run.out("completed.mtx"), run.completed)
 
 
+def _finite(arr: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(arr)):
+        raise DatasetError("contains non-finite entries")
+    return arr
+
+
 def _refine(run: _Run) -> None:
     """Refine share's tags (run alone: --tags-in, else the bundle's); --apply only scores factors.
 
-    Writes the raw scores as refined_scores.mtx and their [0, 1] clamp as refined.mtx.
+    Writes the raw scores as refined_scores.mtx and their [0, 1] clamp as refined.mtx, both
+    Matrix Market arrays.
     """
     args, bundle = run.args, run.bundle
     apply, init = getattr(args, "apply", False), None
     if getattr(args, "import_factors", None):  # P's rank is free under --apply, Q's follows P's
         p_path, q_path = args.import_factors
         p = _read_input("--import-factors", p_path, read_dense_matrix,
-                        (bundle.image_features.dim, None if apply else run.refine.rank))
+                        (bundle.image_features.dim, None if apply else run.refine.rank), _finite)
         init = FactorPair(p, _read_input("--import-factors", q_path, read_dense_matrix,
-                                         (bundle.tag_features.dim, p.shape[1])))
+                                         (bundle.tag_features.dim, p.shape[1]), _finite))
     if apply:  # no fit: no Laplacians; --tags-in is ignored, the bundle is loaded as always
         if init is None:
             raise ConfigError("--apply requires --import-factors P.mtx Q.mtx")
@@ -469,8 +475,9 @@ def _refine(run: _Run) -> None:
         )
         run.scores = result.scores
         save_factors(result.factors, run.cfg["output_dir"])
-    # The clamp is built row block by row block: no clipped copy of the scores.
-    write_sparse_matrix(run.out("refined.mtx"), TagMatrix(_csr_from_dense(run.scores, clamp=True)))
+    clamped = np.clip(run.scores, 0.0, 1.0)
+    clamped += 0.0  # -0.0 becomes +0.0, so the file never says -0
+    write_dense_matrix(run.out("refined.mtx"), clamped)
     write_dense_matrix(run.out("refined_scores.mtx"), run.scores)
 
 

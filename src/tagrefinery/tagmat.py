@@ -115,29 +115,20 @@ class TagMatrix:
         return self.matrix.toarray() != 0
 
 
-def _csr_from_dense(arr, clamp: bool = False) -> sp.csr_array:
+def _csr_from_dense(arr) -> sp.csr_array:
     """CSR of a 2-D array, filled one row block (about _BLOCK_BYTES) at a time.
 
-    Gives the arrays and index dtype of sp.csr_array(arr), or with clamp of
-    sp.csr_array(np.clip(arr, 0, 1)), without a dense copy or int64
-    coordinates: the clamp keeps s > 0 as min(s, 1). NaN is kept either way,
-    so TagMatrix rejects it.
+    Gives the arrays and index dtype of sp.csr_array(arr) without int64
+    coordinates. NaN is kept, so TagMatrix rejects it.
     """
     arr = np.asarray(arr, dtype=np.float64)
     if arr.ndim != 2:
         raise DatasetError(f"tag matrix must be 2-D, got shape {arr.shape}")
     n_rows, n_cols = arr.shape
     step = _block_rows(n_cols)
-
-    def keep(block):
-        if not clamp:
-            return block != 0.0
-        mask = block <= 0.0
-        return np.logical_not(mask, out=mask)
-
     counts = np.empty(n_rows, dtype=np.int64)
     for start in range(0, n_rows, step):
-        counts[start : start + step] = np.count_nonzero(keep(arr[start : start + step]), axis=1)
+        counts[start : start + step] = np.count_nonzero(arr[start : start + step], axis=1)
     nnz = int(counts.sum())
     idx_dtype = sp.get_index_dtype(maxval=max(nnz, n_rows, n_cols))
     indptr = np.zeros(n_rows + 1, dtype=idx_dtype)
@@ -148,11 +139,9 @@ def _csr_from_dense(arr, clamp: bool = False) -> sp.csr_array:
     for start in range(0, n_rows, step):
         block = arr[start : start + step]
         lo, hi = indptr[start], indptr[start + block.shape[0]]
-        mask = keep(block).ravel()
+        mask = (block != 0.0).ravel()
         np.compress(mask, block.ravel(), out=data[lo:hi])
         np.remainder(np.flatnonzero(mask), n_cols, out=indices[lo:hi], casting="unsafe")
-    if clamp:
-        np.minimum(data, 1.0, out=data)
     return sp.csr_array((data, indices, indptr), shape=(n_rows, n_cols))
 
 
@@ -335,8 +324,7 @@ def write_dense_matrix(path, arr: np.ndarray) -> None:
 
 
 def read_sparse_matrix(path) -> TagMatrix:
-    if not os.path.exists(path):
-        raise DatasetError(f"missing matrix file: {path}")
+    open(path, "rb").close()  # a missing path or a directory raises open()'s OSError
     m = scipy.io.mmread(str(path))
     if not sp.issparse(m):
         return TagMatrix.from_dense(np.atleast_2d(m))
@@ -344,8 +332,7 @@ def read_sparse_matrix(path) -> TagMatrix:
 
 
 def read_dense_matrix(path) -> np.ndarray:
-    if not os.path.exists(path):
-        raise DatasetError(f"missing matrix file: {path}")
+    open(path, "rb").close()  # a missing path or a directory raises open()'s OSError
     m = scipy.io.mmread(str(path))
     if sp.issparse(m):
         m = m.toarray()
@@ -353,8 +340,6 @@ def read_dense_matrix(path) -> np.ndarray:
 
 
 def read_id_list(path) -> list[str]:
-    if not os.path.exists(path):
-        raise DatasetError(f"missing id list: {path}")
     with open(path, encoding="utf-8") as fh:
         return [line.rstrip("\n") for line in fh if line.strip()]
 

@@ -4,12 +4,16 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from oracles import clamped_tags
+from tagrefinery import cli
 from tagrefinery.cli import DEFAULT_CONFIG, ConfigError, main, resolve_config
 from tagrefinery.tagmat import load_dataset, read_dense_matrix, read_sparse_matrix, write_dense_matrix
+from test_tagmat import built
 
 
 TINY = [
@@ -427,6 +431,54 @@ class TestRefineCommand:
         exported = read_sparse_matrix(out / "refined.mtx").toarray()
         np.testing.assert_array_equal(exported, np.clip(scores, 0.0, 1.0))
 
+    @staticmethod
+    def apply_scores(tmp_path, monkeypatch, scores):
+        """refine --apply on a bundle of scores' shape, whose factors score it as `scores`.
+
+        Returns the output directory and the peak bytes that tracemalloc saw
+        allocated from the scoring to the end of the run.
+        """
+        n_images, n_tags = scores.shape
+        manifest = make_bundle(tmp_path, ["--set", f"synth.images_per_cluster={n_images // 2}",
+                                          "--set", f"synth.n_tags={n_tags}"])
+        write_dense_matrix(tmp_path / "p.mtx", np.ones((30, 3)))
+        write_dense_matrix(tmp_path / "q.mtx", np.ones((16, 3)))
+
+        def apply_factors(v, t, factors):
+            tracemalloc.start()
+            return scores
+
+        monkeypatch.setattr(cli, "apply_factors", apply_factors)
+        out = tmp_path / "apply"
+        try:
+            rc = main(["refine", "--manifest", manifest, "--output-dir", str(out), "--apply",
+                       "--import-factors", str(tmp_path / "p.mtx"), str(tmp_path / "q.mtx")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        return out, peak
+
+    def test_refined_mtx_is_an_array_of_the_clipped_scores(self, tmp_path, monkeypatch):
+        scores = np.random.default_rng(0).uniform(-1.0, 2.0, (12, 13))
+        scores[0, :3] = [-0.0, 0.0, 1.0]
+        out, _ = self.apply_scores(tmp_path, monkeypatch, scores)
+        path = out / "refined.mtx"
+        lines = path.read_text().splitlines()
+        assert lines[0] == "%%MatrixMarket matrix array real general"
+        size, *column_major = [line for line in lines if not line.startswith("%")]
+        assert size == "12 13"
+        # Python's float() keeps the sign of "-0", which the Matrix Market reader drops.
+        values = np.array([float(x) for x in column_major]).reshape(13, 12).T
+        assert values.tobytes() == np.abs(np.clip(scores, 0.0, 1.0)).tobytes()
+        assert not np.signbit(values).any()
+        assert built(lambda: read_sparse_matrix(path)) == built(lambda: clamped_tags(scores))
+
+    def test_clamp_and_write_allocate_one_copy_of_the_scores(self, tmp_path, monkeypatch):
+        scores = np.random.default_rng(0).standard_normal((2000, 50))
+        _, peak = self.apply_scores(tmp_path, monkeypatch, scores)
+        assert peak <= 1.1 * scores.nbytes
+
     @pytest.mark.parametrize("command, flag", [("refine", "--tags-in"), ("tune", "--completed")])
     def test_mismatched_tag_matrix_exits_two_naming_the_flag(self, tmp_path, caplog, command, flag):
         manifest = make_bundle(tmp_path)
@@ -649,10 +701,18 @@ FLAG_FILES = {
     "--predictions": (["eval", "--predictions", "BAD"],
                       lambda path: write_dense_matrix(path, np.ones((12, 7)))),
 }
+
+
+def with_nan(shape):
+    arr = np.ones(shape)
+    arr[1, 2] = np.nan
+    return arr
+
+
 # Kind of bad file -> how to make it, and a part of the error it must give.
 BAD_FILES = {
-    "missing": (lambda path, wrong_shape: None, ""),
-    "directory": (lambda path, wrong_shape: path.mkdir(), ""),
+    "missing": (lambda path, wrong_shape: None, "No such file or directory"),
+    "directory": (lambda path, wrong_shape: path.mkdir(), "Is a directory"),
     "unparsable": (lambda path, wrong_shape: path.write_text("a\nb\n"), ""),
     "wrong-shape": (lambda path, wrong_shape: wrong_shape(path), ": has shape "),
 }
@@ -678,6 +738,10 @@ INPUT_ROWS = [
                    id=f"{flag.replace(' ', '-')}-{kind}")
       for flag, (argv, wrong_shape) in FLAG_FILES.items()
       for kind, (make, reason) in BAD_FILES.items()],
+    *[pytest.param("--import-factors", FLAG_FILES[f"--import-factors {which}"][0], None,
+                   lambda path, shape=shape: write_dense_matrix(path, with_nan(shape)), "non-finite",
+                   id=f"--import-factors-{which}-non-finite")
+      for which, shape in [("P", (30, 3)), ("Q", (16, 3))]],
     pytest.param("--affinity", FLAG_FILES["--affinity"][0], None,
                  lambda path: write_dense_matrix(path, np.triu(np.ones((12, 12)), 1)),
                  "not symmetric", id="--affinity-asymmetric"),
