@@ -24,6 +24,7 @@ import argparse
 import copy
 import csv
 import dataclasses
+import inspect
 import itertools
 import json
 import logging
@@ -35,7 +36,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import subspace
-from .metrics import NoiseSpec, ap_ar_at_n, inject_noise, save_report
+from .metrics import MetricsError, NoiseSpec, ap_ar_at_n, save_report
 from .refine import FactorPair, RefineConfig, RefineError, apply_factors, save_factors
 from .refine import refine as run_refine
 from .sharing import SharingConfig, share_tags
@@ -54,14 +55,24 @@ from .tagmat import (
     read_sparse_matrix,
     save_dataset,
     write_dense_matrix,
+    write_id_list,
     write_sparse_matrix,
 )
-from .testkit import gen_annotation_bundle, gen_planted_annotation, gen_union_of_subspaces
+from .testkit import _bundle, gen_annotation_bundle, gen_planted_annotation, gen_union_of_subspaces
 
 log = logging.getLogger("tagrefinery")
 
 # Config section -> stage config class; the class defaults are the section defaults.
 _STAGE_SECTIONS = (("ssc", SscConfig), ("sharing", SharingConfig), ("refine", RefineConfig))
+# The synth keys of the bundle kind, with gen_annotation_bundle's defaults.
+_BUNDLE_DEFAULTS = {name: param.default for name, param
+                    in inspect.signature(gen_annotation_bundle).parameters.items() if name != "noise"}
+# Synth kind -> the keys it reads that must be positive integers.
+_SYNTH_POSITIVE = {
+    "bundle": ("n_clusters", "images_per_cluster", "tags_per_cluster", "dim_subspace", "tag_dim"),
+    "planted": ("n_clusters", "images_per_cluster", "n_tags", "image_dim", "tag_dim", "rank"),
+    "subspaces": ("n_clusters", "images_per_cluster", "dim_subspace", "tag_dim"),
+}
 
 DEFAULT_CONFIG: dict = {
     "manifest": None,
@@ -74,22 +85,12 @@ DEFAULT_CONFIG: dict = {
     **{section: dataclasses.asdict(cls()) for section, cls in _STAGE_SECTIONS},
     "synth": {
         "kind": "bundle",
-        "n_clusters": 5,
-        "images_per_cluster": 40,
-        "n_tags": 50,
-        "tags_per_cluster": 8,
-        "dim_subspace": 4,
-        "image_dim": 30,
-        "tag_dim": 16,
-        "tag_presence": 0.9,
-        "cluster_spread": 0.35,
-        "image_noise": 0.02,
+        **_BUNDLE_DEFAULTS,
         "rank": 3,
         "density": 0.2,
         "missing_rate": 0.3,
         "inaccurate_rate": 0.3,
         "noise_seed": 0,
-        "seed": 0,
         "name": "synthetic",
     },
     "tune": {
@@ -207,8 +208,8 @@ def _build_configs(cfg: dict) -> tuple:
             problems.append(f"{key}: must be a positive integer, got {cfg[key]!r}")
     if not cfg["output_dir"]:
         problems.append("output_dir: must name a directory, got ''")
-    if not all(n >= 1 for n in cfg["eval_n"]):
-        problems.append(f"eval_n: must be a list of positive integers, got {cfg['eval_n']!r}")
+    if not cfg["eval_n"] or not all(n >= 1 for n in cfg["eval_n"]):
+        problems.append(f"eval_n: must be a non-empty list of positive integers, got {cfg['eval_n']!r}")
     tune, refine_base = cfg["tune"], configs[2] or RefineConfig()
     for key in ("lambda1_grid", "lambda2_grid", "mu_grid", "rank_grid"):
         if not tune[key]:
@@ -222,15 +223,36 @@ def _build_configs(cfg: dict) -> tuple:
         problems.append(f"tune.n: must be a positive integer, got {tune['n']!r}")
     if not 0 < tune["val_fraction"] <= 1:
         problems.append(f"tune.val_fraction: must be in (0, 1], got {tune['val_fraction']!r}")
-    synth = cfg["synth"]
-    if synth["kind"] not in ("bundle", "planted", "subspaces"):
-        problems.append(f"synth.kind: expected 'bundle', 'planted' or 'subspaces', got {synth['kind']!r}")
-    if synth["kind"] == "planted" and not synth["density"] < 1.0:
-        problems.append("synth.density: planted bundles need density < 1 so the tag matrix is "
-                        "binary and noise can be injected")
-    for key in ("n_clusters", "images_per_cluster", "tags_per_cluster"):
+    synth, kind = cfg["synth"], cfg["synth"]["kind"]
+    if kind not in _SYNTH_POSITIVE:
+        problems.append(f"synth.kind: expected 'bundle', 'planted' or 'subspaces', got {kind!r}")
+    for key in _SYNTH_POSITIVE.get(kind, ()):
         if synth[key] < 1:
             problems.append(f"synth.{key}: must be a positive integer, got {synth[key]!r}")
+    for key in ("seed", "noise_seed"):
+        if synth[key] < 0:
+            problems.append(f"synth.{key}: must be a non-negative integer, got {synth[key]!r}")
+    for key in ("missing_rate", "inaccurate_rate"):
+        if not 0 <= synth[key] <= 1:
+            problems.append(f"synth.{key}: must be in [0, 1], got {synth[key]!r}")
+    if os.path.dirname(synth["name"]):
+        problems.append(f"synth.name: must be a file name, not a path, got {synth['name']!r}")
+    if kind == "bundle" and synth["n_tags"] < synth["n_clusters"] * synth["tags_per_cluster"]:
+        problems.append(f"synth.n_tags: must be at least synth.n_clusters x synth.tags_per_cluster = "
+                        f"{synth['n_clusters'] * synth['tags_per_cluster']}, got {synth['n_tags']!r}")
+    if kind in ("bundle", "subspaces"):
+        if synth["image_dim"] <= synth["dim_subspace"]:
+            problems.append(f"synth.image_dim: must exceed synth.dim_subspace = {synth['dim_subspace']!r}, "
+                            f"got {synth['image_dim']!r}")
+        if synth["image_noise"] < 0:
+            problems.append(f"synth.image_noise: must be non-negative, got {synth['image_noise']!r}")
+    if kind == "planted":
+        if not 0 < synth["density"] < 1:
+            problems.append("synth.density: planted bundles need 0 < density < 1 so the tag matrix is "
+                            f"binary and noise can be injected, got {synth['density']!r}")
+        if synth["rank"] > min(synth["image_dim"], synth["tag_dim"]):
+            problems.append(f"synth.rank: must be at most min(synth.image_dim, synth.tag_dim) = "
+                            f"{min(synth['image_dim'], synth['tag_dim'])}, got {synth['rank']!r}")
     if problems:
         raise ConfigError("; ".join(problems))
     return tuple(configs)
@@ -240,12 +262,6 @@ def _write_json(path: str, obj, sort_keys: bool = False) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=sort_keys)
         fh.write("\n")
-
-
-def _write_labels(path: str, labels) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for lab in labels:
-            fh.write(f"{int(lab)}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -303,72 +319,43 @@ def _check_ranks(run: _Run) -> None:
 def _synth(run: _Run) -> None:
     """A synthetic bundle of kind synth.kind, written as a manifest plus its files."""
     s = run.cfg["synth"]
-    noise = NoiseSpec(
-        missing_rate=s["missing_rate"],
-        inaccurate_rate=s["inaccurate_rate"],
-        seed=s["noise_seed"],
-    )
+    noise = NoiseSpec(s["missing_rate"], s["inaccurate_rate"], seed=s["noise_seed"])
     labels = None
-    if s["kind"] == "bundle":
-        bundle, labels = gen_annotation_bundle(
-            n_clusters=s["n_clusters"],
-            images_per_cluster=s["images_per_cluster"],
-            n_tags=s["n_tags"],
-            tags_per_cluster=s["tags_per_cluster"],
-            dim_subspace=s["dim_subspace"],
-            image_dim=s["image_dim"],
-            tag_dim=s["tag_dim"],
-            tag_presence=s["tag_presence"],
-            cluster_spread=s["cluster_spread"],
-            image_noise=s["image_noise"],
-            noise=noise,
-            seed=s["seed"],
-        )
-    elif s["kind"] == "planted":
-        inst = gen_planted_annotation(
-            n_images=s["n_clusters"] * s["images_per_cluster"],
-            n_tags=s["n_tags"],
-            f_i=s["image_dim"],
-            f_t=s["tag_dim"],
-            r=s["rank"],
-            density=s["density"],
-            seed=s["seed"],
-        )
-        n_images = inst.v.n_rows
-        bundle = DatasetBundle(
-            tags=inject_noise(inst.o_star, noise),
-            image_features=inst.v,
-            tag_features=inst.t,
-            image_ids=tuple(f"img_{i:05d}" for i in range(n_images)),
-            tag_names=tuple(f"tag_{j:04d}" for j in range(s["n_tags"])),
-            ground_truth=inst.o_star,
-        )
-    else:  # subspaces
-        inst = gen_union_of_subspaces(
-            k=s["n_clusters"],
-            dim_subspace=s["dim_subspace"],
-            dim_ambient=s["image_dim"],
-            n_per_subspace=s["images_per_cluster"],
-            noise_sigma=s["image_noise"],
-            seed=s["seed"],
-        )
-        labels = inst.labels
-        rng = np.random.default_rng(s["seed"] + 1)
-        onehot = np.zeros((inst.points.n_rows, s["n_clusters"]))
-        onehot[np.arange(inst.points.n_rows), labels] = 1.0
-        truth = TagMatrix.from_dense(onehot)
-        bundle = DatasetBundle(
-            tags=inject_noise(truth, noise),
-            image_features=inst.points,
-            tag_features=FeatureMatrix(rng.standard_normal((s["n_clusters"], s["tag_dim"]))),
-            image_ids=tuple(f"img_{i:05d}" for i in range(inst.points.n_rows)),
-            tag_names=tuple(f"cluster_{j}" for j in range(s["n_clusters"])),
-            ground_truth=truth,
-        )
+    try:
+        if s["kind"] == "bundle":
+            bundle, labels = gen_annotation_bundle(**{key: s[key] for key in _BUNDLE_DEFAULTS}, noise=noise)
+        elif s["kind"] == "planted":
+            inst = gen_planted_annotation(
+                n_images=s["n_clusters"] * s["images_per_cluster"],
+                n_tags=s["n_tags"],
+                f_i=s["image_dim"],
+                f_t=s["tag_dim"],
+                r=s["rank"],
+                density=s["density"],
+                seed=s["seed"],
+            )
+            bundle = _bundle(inst.o_star, inst.v, inst.t, noise, "tag_{:04d}")
+        else:  # subspaces
+            inst = gen_union_of_subspaces(
+                k=s["n_clusters"],
+                dim_subspace=s["dim_subspace"],
+                dim_ambient=s["image_dim"],
+                n_per_subspace=s["images_per_cluster"],
+                noise_sigma=s["image_noise"],
+                seed=s["seed"],
+            )
+            labels = inst.labels
+            rng = np.random.default_rng(s["seed"] + 1)
+            onehot = np.zeros((inst.points.n_rows, s["n_clusters"]))
+            onehot[np.arange(inst.points.n_rows), labels] = 1.0
+            tag_features = FeatureMatrix(rng.standard_normal((s["n_clusters"], s["tag_dim"])))
+            bundle = _bundle(TagMatrix.from_dense(onehot), inst.points, tag_features, noise, "cluster_{}")
+    except MetricsError as exc:  # inject_noise: too few empty cells for the spurious entries
+        raise ConfigError(f"synth.inaccurate_rate: {exc}") from None
 
     manifest = save_dataset(bundle, run.cfg["output_dir"], name=s["name"])
     if labels is not None:
-        _write_labels(run.out(f"{s['name']}_true_clusters.txt"), labels)
+        write_id_list(run.out(f"{s['name']}_true_clusters.txt"), labels)
     log.info("wrote synthetic bundle: %s", manifest)
     print(manifest)
 
@@ -392,7 +379,7 @@ def _cluster(run: _Run) -> None:
 
     write_dense_matrix(run.out("z.mtx"), rep.z)
     write_dense_matrix(run.out("affinity.mtx"), run.affinity.weights)
-    _write_labels(run.out("labels.txt"), run.assignment.labels)
+    write_id_list(run.out("labels.txt"), run.assignment.labels)
     _write_json(
         run.out("ssc_diagnostics.json"),
         {
@@ -486,7 +473,7 @@ def _eval(run: _Run) -> None:
     truth = run.bundle.ground_truth
     if run.scores is None:
         run.scores = _read_input("--predictions", run.args.predictions, read_dense_matrix,
-                                 run.bundle.tags.matrix.shape)
+                                 run.bundle.tags.matrix.shape, _finite)
     elif truth is None or run.args.skip_eval:
         return  # pipeline evaluates only a bundle with ground truth
     for n in run.cfg["eval_n"]:

@@ -274,14 +274,27 @@ def gen_annotation_bundle(
             (tags_per_cluster, tag_dim)
         )
 
-    observed = inject_noise(truth_tags, noise) if noise is not None else truth_tags
-    bundle = DatasetBundle(
-        tags=observed,
-        image_features=FeatureMatrix(points),
-        tag_features=FeatureMatrix(tag_features),
-        image_ids=tuple(f"img_{i:05d}" for i in range(n_images)),
-        tag_names=tuple(f"tag_{j:04d}" for j in range(n_tags)),
-        ground_truth=truth_tags,
-    )
+    bundle = _bundle(truth_tags, FeatureMatrix(points), FeatureMatrix(tag_features), noise, "tag_{:04d}")
     labels.setflags(write=False)
     return bundle, labels
+
+
+def _bundle(
+    truth: TagMatrix,
+    image_features: FeatureMatrix,
+    tag_features: FeatureMatrix,
+    noise: NoiseSpec | None,
+    tag_name: str,
+) -> DatasetBundle:
+    """The bundle whose ground truth is truth and whose tags are truth corrupted by noise, if given.
+
+    Images are named img_00000, img_00001, ...; tag j is named tag_name.format(j).
+    """
+    return DatasetBundle(
+        tags=truth if noise is None else inject_noise(truth, noise),
+        image_features=image_features,
+        tag_features=tag_features,
+        image_ids=tuple(f"img_{i:05d}" for i in range(truth.n_images)),
+        tag_names=tuple(tag_name.format(j) for j in range(truth.n_tags)),
+        ground_truth=truth,
+    )

@@ -209,6 +209,7 @@ class TestExitCodes:
     ):
         self.check_nonconvergent_ssc(tmp_path, command, extra, artifact)
 
+    # (argv, key[, test id where the key repeats])
     OUT_OF_RANGE = [
         (["cluster", "--manifest", "missing.manifest", "--k", "0"], "k"),
         (["synth", "--threads", "0"], "threads"),
@@ -220,9 +221,34 @@ class TestExitCodes:
         (["synth", "--set", "synth.tags_per_cluster=0"], "synth.tags_per_cluster"),
         (["cluster", "--manifest", "missing.manifest", "--set", "auto_k=true",
           "--set", "auto_k_max=0"], "auto_k_max"),
+        (["eval", "--manifest", "missing.manifest", "--predictions", "p.mtx", "--set", "eval_n=[]"],
+         "eval_n"),
+        (["synth", "--set", "synth.image_dim=4"], "synth.image_dim"),
+        (["synth", "--set", "synth.kind=subspaces", "--set", "synth.image_dim=4"], "synth.image_dim",
+         "synth.image_dim-subspaces"),
+        (["synth", "--set", "synth.kind=planted", "--set", "synth.rank=40"], "synth.rank"),
+        (["synth", "--set", "synth.kind=planted", "--set", "synth.rank=0"], "synth.rank",
+         "synth.rank-zero"),
+        (["synth", "--set", "synth.missing_rate=2"], "synth.missing_rate"),
+        (["synth", "--set", "synth.inaccurate_rate=-0.5"], "synth.inaccurate_rate"),
+        (["synth", "--set", "synth.kind=subspaces", "--set", "synth.n_clusters=1"],
+         "synth.inaccurate_rate", "synth.inaccurate_rate-no-empty-cells"),
+        (["synth", "--set", "synth.n_tags=10"], "synth.n_tags"),
+        (["synth", "--set", "synth.kind=planted", "--set", "synth.n_tags=0"], "synth.n_tags",
+         "synth.n_tags-planted"),
+        (["synth", "--set", "synth.kind=planted", "--set", "synth.density=0"], "synth.density",
+         "synth.density-zero"),
+        (["synth", "--set", "synth.dim_subspace=0"], "synth.dim_subspace"),
+        (["synth", "--set", "synth.kind=subspaces", "--set", "synth.tag_dim=0"], "synth.tag_dim"),
+        (["synth", "--set", "synth.kind=subspaces", "--set", "synth.image_noise=-1"],
+         "synth.image_noise"),
+        (["synth", "--set", "synth.seed=-1"], "synth.seed"),
+        (["synth", "--set", "synth.noise_seed=-1"], "synth.noise_seed"),
+        (["synth", "--set", "synth.name=sub/x"], "synth.name"),
     ]
 
-    @pytest.mark.parametrize("argv, key", OUT_OF_RANGE, ids=[key for _, key in OUT_OF_RANGE])
+    @pytest.mark.parametrize("argv, key", [row[:2] for row in OUT_OF_RANGE],
+                             ids=[row[-1] for row in OUT_OF_RANGE])
     def test_out_of_range_value_exits_two_naming_the_key(self, tmp_path, caplog, argv, key):
         out = tmp_path / "out"
         assert main([argv[0], "--output-dir", str(out), *argv[1:]]) == 2
@@ -738,10 +764,11 @@ INPUT_ROWS = [
                    id=f"{flag.replace(' ', '-')}-{kind}")
       for flag, (argv, wrong_shape) in FLAG_FILES.items()
       for kind, (make, reason) in BAD_FILES.items()],
-    *[pytest.param("--import-factors", FLAG_FILES[f"--import-factors {which}"][0], None,
+    *[pytest.param(flag.split()[0], FLAG_FILES[flag][0], None,
                    lambda path, shape=shape: write_dense_matrix(path, with_nan(shape)), "non-finite",
-                   id=f"--import-factors-{which}-non-finite")
-      for which, shape in [("P", (30, 3)), ("Q", (16, 3))]],
+                   id=f"{flag.replace(' ', '-')}-non-finite")
+      for flag, shape in [("--import-factors P", (30, 3)), ("--import-factors Q", (16, 3)),
+                          ("--predictions", (12, 12))]],
     pytest.param("--affinity", FLAG_FILES["--affinity"][0], None,
                  lambda path: write_dense_matrix(path, np.triu(np.ones((12, 12)), 1)),
                  "not symmetric", id="--affinity-asymmetric"),
