@@ -48,6 +48,7 @@ from .tagmat import (
     SimilarityGraph,
     TagMatrix,
     _read_input,
+    _unit_rows,
     cosine_similarity_graph,
     graph_laplacian,
     load_dataset,
@@ -138,11 +139,12 @@ def _apply_override(cfg: dict, assignment: str) -> None:
 
 # The type rule, by the type of a key's default: the types a value may have,
 # then the names of one and of many for error messages. bool is a subclass of
-# int, so _matches accepts it only where the default is a bool.
+# int, so _matches accepts it only where the default is a bool; a float must be
+# finite, since NaN and inf pass no range check and JSON cannot hold them.
 _KINDS = {
     bool: ((bool,), "true or false", "booleans"),
     int: ((int,), "an integer", "integers"),
-    float: ((int, float), "a number", "numbers"),
+    float: ((int, float), "a finite number", "finite numbers"),
     str: ((str,), "a string", "strings"),
     type(None): ((str, type(None)), "a string", "strings"),  # manifest: unset or a path
 }
@@ -152,7 +154,8 @@ def _matches(value, default) -> bool:
     if isinstance(default, list):
         return isinstance(value, list) and all(_matches(v, default[0]) for v in value)
     accepted = _KINDS[type(default)][0]
-    return isinstance(value, accepted) and (isinstance(default, bool) or not isinstance(value, bool))
+    return (isinstance(value, accepted) and (isinstance(default, bool) or not isinstance(value, bool))
+            and (not isinstance(value, float) or np.isfinite(value)))
 
 
 def _type_problems(cfg: dict, defaults: dict, prefix: str) -> list[str]:
@@ -229,9 +232,11 @@ def _build_configs(cfg: dict) -> tuple:
     for key in _SYNTH_POSITIVE.get(kind, ()):
         if synth[key] < 1:
             problems.append(f"synth.{key}: must be a positive integer, got {synth[key]!r}")
-    for key in ("seed", "noise_seed"):
-        if synth[key] < 0:
-            problems.append(f"synth.{key}: must be a non-negative integer, got {synth[key]!r}")
+    seeds = {"synth.seed": synth["seed"], "synth.noise_seed": synth["noise_seed"],
+             "refine.seed": cfg["refine"]["seed"], "tune.split_seed": tune["split_seed"]}
+    for key, seed in seeds.items():
+        if seed < 0:
+            problems.append(f"{key}: must be a non-negative integer, got {seed!r}")
     for key in ("missing_rate", "inaccurate_rate"):
         if not 0 <= synth[key] <= 1:
             problems.append(f"synth.{key}: must be in [0, 1], got {synth[key]!r}")
@@ -300,20 +305,34 @@ def _fit(run: _Run, tags: TagMatrix, refine_cfg: RefineConfig, init=None):
     return run_refine(tags, *features, *run.laplacians, refine_cfg, init=init)
 
 
-def _check_ranks(run: _Run) -> None:
-    """Reject, before any stage runs, a fit rank above the bundle's smaller feature dimension."""
-    if _tune in run.args.stages:
-        key, ranks = "tune.rank_grid", run.cfg["tune"]["rank_grid"]
-    elif _refine in run.args.stages and not getattr(run.args, "apply", False):
-        key, ranks = "refine.rank", [run.refine.rank]
-    else:
-        return
-    dims = (run.bundle.image_features.dim, run.bundle.tag_features.dim)
-    for rank in ranks:
-        try:
-            dataclasses.replace(run.refine, rank=rank).validate(*dims)
-        except RefineError as exc:
-            raise ConfigError(f"{key}: {exc}") from None
+def _check_bundle(run: _Run) -> None:
+    """Reject, before any stage runs, bundle values that a stage of this command cannot use.
+
+    Fits need a rank within both feature dimensions and nonzero feature rows (cosine graphs);
+    clustering and cosine sharing need nonzero image rows; evaluation an annotated ground truth.
+    """
+    stages, args = run.args.stages, run.args
+    fits = _tune in stages or (_refine in stages and not getattr(args, "apply", False))
+    if fits:
+        key, ranks = ("tune.rank_grid", run.cfg["tune"]["rank_grid"]) if _tune in stages \
+            else ("refine.rank", [run.refine.rank])
+        dims = (run.bundle.image_features.dim, run.bundle.tag_features.dim)
+        for rank in ranks:
+            try:
+                dataclasses.replace(run.refine, rank=rank).validate(*dims)
+            except RefineError as exc:
+                raise ConfigError(f"{key}: {exc}") from None
+    cosine = _share in stages and run.sharing.neighbor_source == "cosine"
+    for key, needed in (("image_features", fits or cosine or _cluster in stages), ("tag_features", fits)):
+        if needed:
+            try:
+                _unit_rows(getattr(run.bundle, key).data)
+            except DatasetError as exc:
+                raise ConfigError(f"{key}: {exc}") from None
+    truth = run.bundle.ground_truth
+    if (_tune in stages or (_eval in stages and not getattr(args, "skip_eval", False))) \
+            and truth is not None and truth.nnz == 0:
+        raise ConfigError("ground_truth: all rows are empty; nothing to evaluate")
 
 
 def _synth(run: _Run) -> None:
@@ -618,7 +637,7 @@ def main(argv=None) -> int:
             run.bundle = load_dataset(cfg["manifest"])
             if run.bundle.ground_truth is None and args.command in ("eval", "tune"):
                 raise ConfigError(f"{args.command} needs a manifest with a ground_truth entry")
-            _check_ranks(run)
+            _check_bundle(run)
             n_images = run.bundle.tags.n_images
             if _cluster in stages and not cfg["auto_k"] and cfg["k"] > n_images:
                 raise ConfigError(f"k: {cfg['k']} exceeds the number of images {n_images}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .tagmat import FeatureMatrix, SimilarityGraph, _block_rows
+from .tagmat import FeatureMatrix, SimilarityGraph, _block_rows, _unit_rows
 
 
 class SscError(ValueError):
@@ -101,7 +101,8 @@ class ClusterAssignment:
 def ssc_solve(images: FeatureMatrix, config: SscConfig = SscConfig()) -> SelfRepresentation:
     """Run the self-representation solver on the given images.
 
-    Rows are normalized to unit length first (zero-norm rows are rejected).
+    Rows are normalized to unit length first; as in cosine_similarity_graph, a
+    zero-norm row raises DatasetError("zero-norm feature row(s) at indices [...]").
     Splitting: Z carries the reconstruction and row-sum constraints (its
     matrix X X^T + I + 1 1^T is inverted once: one GEMM per Z update), a
     copy J the L1 norm (soft threshold, diagonal projected to zero every
@@ -127,10 +128,7 @@ def ssc_solve(images: FeatureMatrix, config: SscConfig = SscConfig()) -> SelfRep
     n = x.shape[0]
     if n < 2:
         raise SscError("self-representation needs at least 2 images")
-    norms = np.linalg.norm(x, axis=1)
-    if np.any(norms == 0.0):
-        raise SscError("zero-norm feature row; cannot normalize")
-    x = x / norms[:, None]
+    x = _unit_rows(x)
 
     x_norm = np.linalg.norm(x)
     ones = np.ones(n)

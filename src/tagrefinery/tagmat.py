@@ -255,17 +255,22 @@ def _fits_tags(tags: TagMatrix, key: str, value):
 # ---------------------------------------------------------------------------
 
 
-def cosine_similarity_graph(features: FeatureMatrix) -> SimilarityGraph:
-    """Pairwise cosine similarity between feature rows, negatives clamped to 0.
-
-    Rows with zero norm are rejected. The diagonal is zero.
-    """
-    x = features.data
+def _unit_rows(x: np.ndarray) -> np.ndarray:
+    """x with each row scaled to unit length; zero rows raise DatasetError naming (up to 5 of) them."""
     norms = np.linalg.norm(x, axis=1)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise DatasetError(f"zero-norm feature row(s) at indices {zero[:5].tolist()}")
-    unit = x / norms[:, None]
+    return x / norms[:, None]
+
+
+def cosine_similarity_graph(features: FeatureMatrix) -> SimilarityGraph:
+    """Pairwise cosine similarity between feature rows, negatives clamped to 0.
+
+    As in ssc_solve, a zero-norm row raises DatasetError("zero-norm feature
+    row(s) at indices [...]"). The diagonal is zero.
+    """
+    unit = _unit_rows(features.data)
     cos = unit @ unit.T
     w = np.maximum(np.clip((cos + cos.T) / 2.0, -1.0, 1.0), 0.0)
     np.fill_diagonal(w, 0.0)
@@ -352,8 +357,6 @@ def write_id_list(path, ids) -> None:
 
 def parse_manifest(path) -> dict[str, str]:
     """Parse a `key: value` manifest; values are paths relative to the manifest."""
-    if not os.path.exists(path):
-        raise DatasetError(f"missing manifest: {path}")
     base = os.path.dirname(os.path.abspath(path))
     entries: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:

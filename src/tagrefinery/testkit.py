@@ -16,7 +16,7 @@ import numpy as np
 
 from .metrics import NoiseSpec, inject_noise
 from .subspace import ClusterAssignment, SelfRepresentation
-from .tagmat import DatasetBundle, FeatureMatrix, TagMatrix, top_n_tags
+from .tagmat import DatasetBundle, FeatureMatrix, TagMatrix, _freeze, _unit_rows, top_n_tags
 
 logger = logging.getLogger(__name__)
 
@@ -45,7 +45,8 @@ def gen_union_of_subspaces(
 
     Each subspace gets a random orthonormal basis; points are Gaussian
     coefficient mixes of the basis plus optional ambient Gaussian noise,
-    then normalized to unit length. Bit-reproducible for a fixed seed.
+    then normalized to unit length (a zero row raises DatasetError).
+    Bit-reproducible for a fixed seed.
     """
     if k < 1:
         raise TestkitError(f"k must be >= 1, got {k}")
@@ -58,30 +59,31 @@ def gen_union_of_subspaces(
     if noise_sigma < 0:
         raise TestkitError("noise_sigma must be >= 0")
     rng = np.random.default_rng(seed)
-    blocks, labels, bases = [], [], []
-    for c in range(k):
-        basis = np.linalg.qr(rng.standard_normal((dim_ambient, dim_subspace)))[0]
-        coeff = rng.standard_normal((n_per_subspace, dim_subspace))
-        pts = coeff @ basis.T
-        if noise_sigma > 0:
-            pts = pts + noise_sigma * rng.standard_normal(pts.shape)
-        blocks.append(pts)
-        labels.extend([c] * n_per_subspace)
-        basis.setflags(write=False)
-        bases.append(basis)
-    points = np.vstack(blocks)
-    norms = np.linalg.norm(points, axis=1)
-    if np.any(norms == 0.0):
-        raise TestkitError("degenerate zero-norm sample; change the seed")
-    points /= norms[:, None]
-    labels = np.asarray(labels, dtype=np.int64)
-    labels.setflags(write=False)
+    points, labels, bases = _cluster_points(rng, np.zeros((k, dim_ambient)), dim_subspace,
+                                            n_per_subspace, 1.0, noise_sigma)
     return SubspaceInstance(
         points=FeatureMatrix(points),
         labels=labels,
-        bases=tuple(bases),
+        bases=bases,
         noise_sigma=noise_sigma,
     )
+
+
+def _cluster_points(rng, centers, dim_subspace, n_per_cluster, spread, noise):
+    """Unit rows, labels and bases: per center, a random basis, spread-scaled mixes of it, then noise.
+
+    Each cluster draws its basis, coefficients and (if noise > 0) noise from rng in that order.
+    """
+    blocks, bases = [], []
+    for center in centers:
+        basis = np.linalg.qr(rng.standard_normal((center.size, dim_subspace)))[0]
+        pts = center + spread * rng.standard_normal((n_per_cluster, dim_subspace)) @ basis.T
+        if noise > 0:
+            pts = pts + noise * rng.standard_normal(pts.shape)
+        blocks.append(pts)
+        bases.append(_freeze(basis))
+    labels = _freeze(np.repeat(np.arange(len(centers)), n_per_cluster))
+    return _unit_rows(np.vstack(blocks)), labels, tuple(bases)
 
 
 def subspace_preserving_rate(rep, labels) -> float:
@@ -242,19 +244,9 @@ def gen_annotation_bundle(
     rng = np.random.default_rng(seed)
     n_images = n_clusters * images_per_cluster
 
-    centers = rng.standard_normal((n_clusters, image_dim))
-    centers /= np.linalg.norm(centers, axis=1, keepdims=True)
-    blocks = []
-    labels = np.repeat(np.arange(n_clusters), images_per_cluster)
-    for c in range(n_clusters):
-        basis = np.linalg.qr(rng.standard_normal((image_dim, dim_subspace)))[0]
-        coeff = cluster_spread * rng.standard_normal((images_per_cluster, dim_subspace))
-        pts = centers[c] + coeff @ basis.T
-        if image_noise > 0:
-            pts = pts + image_noise * rng.standard_normal(pts.shape)
-        blocks.append(pts)
-    points = np.vstack(blocks)
-    points /= np.linalg.norm(points, axis=1, keepdims=True)
+    centers = _unit_rows(rng.standard_normal((n_clusters, image_dim)))
+    points, labels, _ = _cluster_points(rng, centers, dim_subspace, images_per_cluster,
+                                        cluster_spread, image_noise)
 
     rng = np.random.default_rng(seed + 1)
     truth = np.zeros((n_images, n_tags))
@@ -275,7 +267,6 @@ def gen_annotation_bundle(
         )
 
     bundle = _bundle(truth_tags, FeatureMatrix(points), FeatureMatrix(tag_features), noise, "tag_{:04d}")
-    labels.setflags(write=False)
     return bundle, labels
 
 

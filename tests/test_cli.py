@@ -12,7 +12,14 @@ import pytest
 from oracles import clamped_tags
 from tagrefinery import cli
 from tagrefinery.cli import DEFAULT_CONFIG, ConfigError, main, resolve_config
-from tagrefinery.tagmat import load_dataset, read_dense_matrix, read_sparse_matrix, write_dense_matrix
+from tagrefinery.tagmat import (
+    TagMatrix,
+    load_dataset,
+    read_dense_matrix,
+    read_sparse_matrix,
+    write_dense_matrix,
+    write_sparse_matrix,
+)
 from test_tagmat import built
 
 
@@ -138,6 +145,29 @@ class TestTypeRule:
         assert "refine.rank: expected an integer, got 3.5" in caplog.text
         assert not out.exists()
 
+    NUMBER_LEAVES = [(key, default) for key, default in LEAVES
+                     if isinstance(default, float) or isinstance(default, list) and isinstance(default[0], float)]
+
+    @pytest.mark.parametrize("key, default", NUMBER_LEAVES, ids=[key for key, _ in NUMBER_LEAVES])
+    def test_non_finite_number_exits_two_naming_the_key(
+        self, tmp_path, monkeypatch, caplog, key, default
+    ):
+        monkeypatch.chdir(tmp_path)
+        kind, value = ("a list of finite numbers", "[0.5, Infinity]") if isinstance(default, list) \
+            else ("a finite number", "NaN")
+        rc = main(["synth", "--set", f"{key}={value}"])
+        assert rc == 2
+        assert caplog.records[-1].getMessage() == f"{key}: expected {kind}, got {value}"
+        assert not any(tmp_path.iterdir())
+
+    def test_non_finite_number_in_config_file_exits_two(self, tmp_path, caplog):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"refine": {"lambda2": -Infinity}}')
+        out = tmp_path / "out"
+        assert main(["synth", "--output-dir", str(out), "--config", str(path)]) == 2
+        assert caplog.records[-1].getMessage() == "refine.lambda2: expected a finite number, got -Infinity"
+        assert not out.exists()
+
     def test_int_for_float_key_kept_as_given(self, tmp_path):
         out = tmp_path / "out"
         assert main(["synth", "--output-dir", str(out), *TINY, "--set", "refine.mu=0"]) == 0
@@ -245,6 +275,8 @@ class TestExitCodes:
         (["synth", "--set", "synth.seed=-1"], "synth.seed"),
         (["synth", "--set", "synth.noise_seed=-1"], "synth.noise_seed"),
         (["synth", "--set", "synth.name=sub/x"], "synth.name"),
+        (["pipeline", "--manifest", "missing.manifest", "--set", "refine.seed=-1"], "refine.seed"),
+        (["tune", "--manifest", "missing.manifest", "--set", "tune.split_seed=-1"], "tune.split_seed"),
     ]
 
     @pytest.mark.parametrize("argv, key", [row[:2] for row in OUT_OF_RANGE],
@@ -284,6 +316,66 @@ class TestExitCodes:
         assert main([command, "--manifest", manifest, "--output-dir", str(out), "--k", "9"]) == 2
         assert caplog.records[-1].getMessage() == "k: 9 exceeds the number of images 8"
         assert not out.exists()
+
+    # (argv, the manifest key whose file is spoiled, test id)
+    UNUSABLE_BUNDLE = [
+        *[(argv, "image_features", f"image_features-{argv[0]}") for argv in (
+            ["cluster", "--k", "2"], ["pipeline", "--k", "2"], ["tune", "--set", "k=2"], ["refine"],
+            ["share", "--labels", "LABELS", "--set", "sharing.neighbor_source=cosine"])],
+        *[(argv, "tag_features", f"tag_features-{argv[0]}") for argv in (
+            ["pipeline", "--k", "2"], ["tune", "--set", "k=2"], ["refine"])],
+        *[(argv, "ground_truth", f"ground_truth-{argv[0]}") for argv in (
+            ["eval", "--predictions", "PREDICTIONS"], ["tune", "--set", "k=2"], ["pipeline", "--k", "2"])],
+    ]
+    UNUSABLE_REASONS = {
+        "image_features": "zero-norm feature row(s) at indices [2]",
+        "tag_features": "zero-norm feature row(s) at indices [2]",
+        "ground_truth": "all rows are empty; nothing to evaluate",
+    }
+
+    @staticmethod
+    def spoil(tmp_path, key):
+        """The bundle with image or tag feature row 2 zeroed, or with an empty ground truth."""
+        manifest = make_bundle(tmp_path)
+        bundle = load_dataset(manifest)
+        path = tmp_path / "data" / f"synthetic_{key}.mtx"
+        if key == "ground_truth":
+            write_sparse_matrix(path, TagMatrix.from_dense(np.zeros(bundle.tags.matrix.shape)))
+        else:
+            features = getattr(bundle, key).data.copy()
+            features[2] = 0.0
+            write_dense_matrix(path, features)
+        return manifest, bundle
+
+    @pytest.mark.parametrize("argv, key", [row[:2] for row in UNUSABLE_BUNDLE],
+                             ids=[row[2] for row in UNUSABLE_BUNDLE])
+    def test_unusable_bundle_value_exits_two_before_any_stage(
+        self, tmp_path, monkeypatch, caplog, argv, key
+    ):
+        manifest, bundle = self.spoil(tmp_path, key)
+        (tmp_path / "labels.txt").write_text("0\n" * 6 + "1\n" * 6)
+        write_dense_matrix(tmp_path / "p.mtx", np.ones(bundle.tags.matrix.shape))
+
+        def no_ssc(*args, **kwargs):
+            raise AssertionError("ssc_solve ran")
+
+        monkeypatch.setattr("tagrefinery.subspace.ssc_solve", no_ssc)
+        files = {"LABELS": str(tmp_path / "labels.txt"), "PREDICTIONS": str(tmp_path / "p.mtx")}
+        out = tmp_path / "out"
+        argv = [files.get(arg, arg) for arg in argv]
+        assert main([argv[0], "--manifest", manifest, "--output-dir", str(out), *argv[1:]]) == 2
+        assert caplog.records[-1].getMessage() == f"{key}: {self.UNUSABLE_REASONS[key]}"
+        assert not out.exists()
+
+    def test_apply_scores_a_zero_image_row(self, tmp_path):
+        manifest, bundle = self.spoil(tmp_path, "image_features")
+        p, q = tmp_path / "p.mtx", tmp_path / "q.mtx"
+        write_dense_matrix(p, np.ones((bundle.image_features.dim, 3)))
+        write_dense_matrix(q, np.ones((bundle.tag_features.dim, 3)))
+        out = tmp_path / "out"
+        assert main(["refine", "--manifest", manifest, "--output-dir", str(out), "--apply",
+                     "--import-factors", str(p), str(q)]) == 0
+        assert not read_dense_matrix(out / "refined_scores.mtx")[2].any()
 
     def test_threads_key_sets_the_blas_budget(self, tmp_path, monkeypatch):
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):

@@ -19,7 +19,7 @@ from tagrefinery.subspace import (
     spectral_cluster,
     ssc_solve,
 )
-from tagrefinery.tagmat import FeatureMatrix, SimilarityGraph, _block_rows
+from tagrefinery.tagmat import DatasetError, FeatureMatrix, SimilarityGraph, _block_rows
 from tagrefinery.testkit import (
     clustering_accuracy,
     gen_annotation_bundle,
@@ -113,7 +113,7 @@ class TestSscSolve:
             ssc_solve(FeatureMatrix([[1.0, 0.0]]))
 
     def test_rejects_zero_row_when_normalizing(self):
-        with pytest.raises(SscError, match="zero-norm"):
+        with pytest.raises(DatasetError, match=r"^zero-norm feature row\(s\) at indices \[0\]$"):
             ssc_solve(FeatureMatrix([[0.0, 0.0], [1.0, 0.0]]))
 
     def test_permutation_equivariance(self):

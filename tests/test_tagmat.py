@@ -160,6 +160,18 @@ class TestSimilarityGraph:
             SimilarityGraph(w)
 
 
+class TestUnitRows:
+    def test_scales_each_row_to_unit_length(self):
+        np.testing.assert_array_equal(tagmat._unit_rows(np.array([[3.0, 4.0], [0.0, -2.0]])),
+                                      [[0.6, 0.8], [0.0, -1.0]])
+
+    def test_names_up_to_five_zero_rows(self):
+        x = np.ones((8, 2))
+        x[[1, 2, 3, 4, 5, 7]] = 0.0
+        with pytest.raises(DatasetError, match=r"^zero-norm feature row\(s\) at indices \[1, 2, 3, 4, 5\]$"):
+            tagmat._unit_rows(x)
+
+
 class TestCosineGraph:
     def test_orthogonal_rows(self):
         g = cosine_similarity_graph(FeatureMatrix([[1.0, 0.0], [0.0, 1.0]]))
@@ -284,7 +296,7 @@ class TestBundleAndManifest:
         assert loaded.tag_names == bundle.tag_names
 
     def test_missing_manifest(self, tmp_path):
-        with pytest.raises(DatasetError, match="missing manifest"):
+        with pytest.raises(DatasetError, match=r"^manifest: .*nope\.manifest: No such file or directory$"):
             load_dataset(tmp_path / "nope.manifest")
 
     def test_missing_component_file(self, tmp_path):
