@@ -12,8 +12,8 @@ files only; the output directory is made on the first write.
 
 Exit codes: 0 success, 1 SSC non-convergence (in every command that clusters)
 or a refine half-step whose normal matrix is not positive definite (artifacts
-of earlier stages and the resolved configuration preserved), 2 unknown command
-or invalid configuration/input.
+of earlier stages and the resolved configuration preserved), 2 unknown command,
+invalid configuration/input, or a failed write ("output_dir: <path>: <reason>").
 Refine stopping at refine.outer_iters before meeting refine.obj_tol logs a
 warning and still exits 0.
 """
@@ -36,8 +36,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import subspace
-from .metrics import MetricsError, NoiseSpec, ap_ar_at_n, save_report
-from .refine import FactorPair, RefineConfig, RefineError, apply_factors, save_factors
+from .metrics import NoiseSpec, ap_ar_at_n, save_report
+from .refine import FactorPair, RefineConfig, apply_factors, save_factors
 from .refine import refine as run_refine
 from .sharing import SharingConfig, share_tags
 from .subspace import ClusterAssignment, SscConfig
@@ -106,18 +106,14 @@ DEFAULT_CONFIG: dict = {
 }
 
 
-class ConfigError(ValueError):
-    """Invalid configuration; the message names the offending field(s)."""
-
-
 def _merge_section(base: dict, override: dict, prefix: str) -> None:
     for key, value in override.items():
         path = f"{prefix}{key}"
         if key not in base:
-            raise ConfigError(f"unknown config key {path!r}")
+            raise DatasetError(f"unknown config key {path!r}")
         if isinstance(base[key], dict):
             if not isinstance(value, dict):
-                raise ConfigError(f"config key {path!r} must be a section/object")
+                raise DatasetError(f"config key {path!r} must be a section/object")
             _merge_section(base[key], value, f"{path}.")
         else:
             base[key] = value  # the type rule checks it once everything is merged
@@ -126,7 +122,7 @@ def _merge_section(base: dict, override: dict, prefix: str) -> None:
 def _apply_override(cfg: dict, assignment: str) -> None:
     """Merge one ``dotted.key=value`` flag as if it came from a config file."""
     if "=" not in assignment:
-        raise ConfigError(f"override {assignment!r} is not of the form key=value")
+        raise DatasetError(f"override {assignment!r} is not of the form key=value")
     dotted, raw = assignment.split("=", 1)
     try:
         value = json.loads(raw)
@@ -181,7 +177,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
         loaded = _read_input("--config", args.config,
                              lambda path: json.loads(pathlib.Path(path).read_text("utf-8")))
         if not isinstance(loaded, dict):
-            raise ConfigError(f"--config: {args.config}: must hold a JSON object")
+            raise DatasetError(f"--config: {args.config}: must hold a JSON object")
         _merge_section(cfg, loaded, "")
     for assignment in getattr(args, "set", None) or []:
         _apply_override(cfg, assignment)
@@ -190,7 +186,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
             cfg[key] = getattr(args, key)
     problems = _type_problems(cfg, DEFAULT_CONFIG, "")
     if problems:
-        raise ConfigError("; ".join(problems))
+        raise DatasetError("; ".join(problems))
     return cfg
 
 
@@ -240,8 +236,8 @@ def _build_configs(cfg: dict) -> tuple:
     for key in ("missing_rate", "inaccurate_rate"):
         if not 0 <= synth[key] <= 1:
             problems.append(f"synth.{key}: must be in [0, 1], got {synth[key]!r}")
-    if os.path.dirname(synth["name"]):
-        problems.append(f"synth.name: must be a file name, not a path, got {synth['name']!r}")
+    if not synth["name"] or os.path.dirname(synth["name"]):
+        problems.append(f"synth.name: must be a non-empty file name, not a path, got {synth['name']!r}")
     if kind == "bundle" and synth["n_tags"] < synth["n_clusters"] * synth["tags_per_cluster"]:
         problems.append(f"synth.n_tags: must be at least synth.n_clusters x synth.tags_per_cluster = "
                         f"{synth['n_clusters'] * synth['tags_per_cluster']}, got {synth['n_tags']!r}")
@@ -259,8 +255,17 @@ def _build_configs(cfg: dict) -> tuple:
             problems.append(f"synth.rank: must be at most min(synth.image_dim, synth.tag_dim) = "
                             f"{min(synth['image_dim'], synth['tag_dim'])}, got {synth['rank']!r}")
     if problems:
-        raise ConfigError("; ".join(problems))
+        raise DatasetError("; ".join(problems))
     return tuple(configs)
+
+
+def _check_output_dir(path: str) -> None:
+    """Refuse, before any stage runs, an output_dir that exists as, or lies under, a non-directory."""
+    probe = os.path.abspath(path)
+    while not os.path.exists(probe):  # up to the nearest existing ancestor
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        raise DatasetError(f"output_dir: {path}: {probe} is not a directory")
 
 
 def _write_json(path: str, obj, sort_keys: bool = False) -> None:
@@ -305,11 +310,19 @@ def _fit(run: _Run, tags: TagMatrix, refine_cfg: RefineConfig, init=None):
     return run_refine(tags, *features, *run.laplacians, refine_cfg, init=init)
 
 
+def _val_rows(run: _Run) -> np.ndarray:
+    """The sorted image rows of tune's validation split (tune.val_fraction, tune.split_seed)."""
+    t, n_images = run.cfg["tune"], run.bundle.tags.n_images
+    n_val = max(1, int(round(t["val_fraction"] * n_images)))
+    return np.sort(np.random.default_rng(t["split_seed"]).permutation(n_images)[:n_val])
+
+
 def _check_bundle(run: _Run) -> None:
     """Reject, before any stage runs, bundle values that a stage of this command cannot use.
 
     Fits need a rank within both feature dimensions and nonzero feature rows (cosine graphs);
-    clustering and cosine sharing need nonzero image rows; evaluation an annotated ground truth.
+    clustering and cosine sharing need nonzero image rows; evaluation an annotated ground
+    truth, and tune an annotated image in its validation split.
     """
     stages, args = run.args.stages, run.args
     fits = _tune in stages or (_refine in stages and not getattr(args, "apply", False))
@@ -320,19 +333,25 @@ def _check_bundle(run: _Run) -> None:
         for rank in ranks:
             try:
                 dataclasses.replace(run.refine, rank=rank).validate(*dims)
-            except RefineError as exc:
-                raise ConfigError(f"{key}: {exc}") from None
+            except DatasetError as exc:
+                raise DatasetError(f"{key}: {exc}") from None
     cosine = _share in stages and run.sharing.neighbor_source == "cosine"
     for key, needed in (("image_features", fits or cosine or _cluster in stages), ("tag_features", fits)):
         if needed:
             try:
                 _unit_rows(getattr(run.bundle, key).data)
             except DatasetError as exc:
-                raise ConfigError(f"{key}: {exc}") from None
+                raise DatasetError(f"{key}: {exc}") from None
     truth = run.bundle.ground_truth
     if (_tune in stages or (_eval in stages and not getattr(args, "skip_eval", False))) \
             and truth is not None and truth.nnz == 0:
-        raise ConfigError("ground_truth: all rows are empty; nothing to evaluate")
+        raise DatasetError("ground_truth: all rows are empty; nothing to evaluate")
+    if _tune in stages:
+        val_rows = _val_rows(run)
+        if truth.matrix[val_rows].nnz == 0:
+            raise DatasetError(f"tune.val_fraction: the validation split of {val_rows.size} images "
+                               f"(tune.split_seed={run.cfg['tune']['split_seed']}) has no ground-truth "
+                               "tags; nothing to evaluate")
 
 
 def _synth(run: _Run) -> None:
@@ -369,8 +388,10 @@ def _synth(run: _Run) -> None:
             onehot[np.arange(inst.points.n_rows), labels] = 1.0
             tag_features = FeatureMatrix(rng.standard_normal((s["n_clusters"], s["tag_dim"])))
             bundle = _bundle(TagMatrix.from_dense(onehot), inst.points, tag_features, noise, "cluster_{}")
-    except MetricsError as exc:  # inject_noise: too few empty cells for the spurious entries
-        raise ConfigError(f"synth.inaccurate_rate: {exc}") from None
+    except DatasetError as exc:
+        # inject_noise: too few empty cells for the spurious entries. _build_configs already
+        # refuses every other value these generators reject.
+        raise DatasetError(f"synth.inaccurate_rate: {exc}") from None
 
     manifest = save_dataset(bundle, run.cfg["output_dir"], name=s["name"])
     if labels is not None:
@@ -468,7 +489,7 @@ def _refine(run: _Run) -> None:
                                          (bundle.tag_features.dim, p.shape[1]), _finite))
     if apply:  # no fit: no Laplacians; --tags-in is ignored, the bundle is loaded as always
         if init is None:
-            raise ConfigError("--apply requires --import-factors P.mtx Q.mtx")
+            raise DatasetError("--apply requires --import-factors P.mtx Q.mtx")
         run.scores = apply_factors(bundle.image_features, bundle.tag_features, init)
     else:
         tags = run.completed
@@ -510,11 +531,7 @@ def _tune(run: _Run) -> None:
     if run.completed is None:
         run.completed = _read_input("--completed", run.args.completed, read_sparse_matrix,
                                     run.bundle.tags.matrix.shape)
-    t = run.cfg["tune"]
-    rng = np.random.default_rng(t["split_seed"])
-    n_images = run.bundle.tags.n_images
-    n_val = max(1, int(round(t["val_fraction"] * n_images)))
-    val_idx = np.sort(rng.permutation(n_images)[:n_val])
+    t, val_idx = run.cfg["tune"], _val_rows(run)
     truth_val = TagMatrix(sp.csr_array(run.bundle.ground_truth.matrix[val_idx]))
 
     rows = []
@@ -633,14 +650,16 @@ def main(argv=None) -> int:
             stages = stages[2:]  # tune --completed stands in for cluster and share
         if args.command != "synth":
             if not cfg["manifest"]:
-                raise ConfigError("manifest: no dataset manifest given (config key or --manifest)")
+                raise DatasetError("manifest: no dataset manifest given (config key or --manifest)")
             run.bundle = load_dataset(cfg["manifest"])
             if run.bundle.ground_truth is None and args.command in ("eval", "tune"):
-                raise ConfigError(f"{args.command} needs a manifest with a ground_truth entry")
+                raise DatasetError(f"ground_truth: {args.command} needs a manifest with a "
+                                   "ground_truth entry")
             _check_bundle(run)
             n_images = run.bundle.tags.n_images
             if _cluster in stages and not cfg["auto_k"] and cfg["k"] > n_images:
-                raise ConfigError(f"k: {cfg['k']} exceeds the number of images {n_images}")
+                raise DatasetError(f"k: {cfg['k']} exceeds the number of images {n_images}")
+        _check_output_dir(cfg["output_dir"])
         for stage in stages:
             try:
                 stage(run)
@@ -653,6 +672,9 @@ def main(argv=None) -> int:
         return run.exit_code
     except ValueError as exc:
         log.error("%s", exc)
+        return 2
+    except OSError as exc:  # every read goes through _read_input, so this is a failed write
+        log.error("output_dir: %s: %s", exc.filename or cfg["output_dir"], exc.strerror or exc)
         return 2
 
 

@@ -7,11 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tagmat import TagMatrix, top_n_tags
-
-
-class MetricsError(ValueError):
-    """Raised for invalid evaluation inputs."""
+from .tagmat import DatasetError, TagMatrix, top_n_tags
 
 
 @dataclass(frozen=True)
@@ -40,14 +36,14 @@ class NoiseSpec:
 
     def __post_init__(self):
         if not 0.0 <= self.missing_rate <= 1.0:
-            raise MetricsError(f"missing_rate must be in [0, 1], got {self.missing_rate}")
+            raise DatasetError(f"missing_rate must be in [0, 1], got {self.missing_rate}")
         if not 0.0 <= self.inaccurate_rate <= 1.0:
-            raise MetricsError(f"inaccurate_rate must be in [0, 1], got {self.inaccurate_rate}")
+            raise DatasetError(f"inaccurate_rate must be in [0, 1], got {self.inaccurate_rate}")
 
 
 def _require_binary(truth: TagMatrix, what: str) -> None:
     if truth.nnz and not np.all(truth.matrix.data == 1.0):
-        raise MetricsError(f"{what} must be binary (confidences exactly 0 or 1)")
+        raise DatasetError(f"{what} must be binary (confidences exactly 0 or 1)")
 
 
 def ap_ar_at_n(predicted, truth: TagMatrix, n: int) -> EvalReport:
@@ -60,10 +56,10 @@ def ap_ar_at_n(predicted, truth: TagMatrix, n: int) -> EvalReport:
     from both means, as their recall is undefined.
     """
     if n < 1:
-        raise MetricsError(f"n must be >= 1, got {n}")
+        raise DatasetError(f"n must be >= 1, got {n}")
     scores = predicted.toarray() if isinstance(predicted, TagMatrix) else np.asarray(predicted)
     if scores.shape != (truth.n_images, truth.n_tags):
-        raise MetricsError(
+        raise DatasetError(
             f"prediction shape {scores.shape} does not match truth "
             f"{(truth.n_images, truth.n_tags)}"
         )
@@ -72,7 +68,7 @@ def ap_ar_at_n(predicted, truth: TagMatrix, n: int) -> EvalReport:
     counts = np.diff(truth.matrix.indptr)
     included = np.flatnonzero(counts > 0)
     if not included.size:
-        raise MetricsError("all ground-truth rows are empty; nothing to evaluate")
+        raise DatasetError("all ground-truth rows are empty; nothing to evaluate")
     hits = truth.matrix[included[:, None], top_n_tags(scores[included], n)].sum(axis=1)
     precisions = hits / n
     recalls = hits / counts[included]
@@ -108,7 +104,7 @@ def inject_noise(truth: TagMatrix, spec: NoiseSpec) -> TagMatrix:
     n_add = int(np.floor(spec.inaccurate_rate * n_entries))
     n_zero = n_cells - n_entries
     if n_add > n_zero:
-        raise MetricsError(
+        raise DatasetError(
             f"cannot add {n_add} spurious entries: only {n_zero} zero positions available"
         )
     rows = [coo.row[keep]]

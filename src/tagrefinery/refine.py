@@ -33,11 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .tagmat import FeatureMatrix, GraphLaplacian, TagMatrix, read_dense_matrix, write_dense_matrix
-
-
-class RefineError(ValueError):
-    """Raised for invalid refinement configuration or mismatched dimensions."""
+from .tagmat import DatasetError, FeatureMatrix, GraphLaplacian, TagMatrix, read_dense_matrix, write_dense_matrix
 
 
 @dataclass(frozen=True)
@@ -59,8 +55,8 @@ class RefineConfig:
             problems.append(
                 f"rank {self.rank} exceeds min feature dimension {min(f_i, f_t)}"
             )
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            problems.append("lambda1 and lambda2 must be nonnegative")
+        problems += [f"{name} must be >= 0, got {value}"
+                     for name, value in (("lambda1", self.lambda1), ("lambda2", self.lambda2)) if value < 0]
         if not 0.0 <= self.mu < 1.0:
             problems.append(f"mu must satisfy 0 <= mu < 1, got {self.mu}")
         if self.outer_iters < 1:
@@ -68,7 +64,7 @@ class RefineConfig:
         if self.obj_tol < 0:
             problems.append(f"obj_tol must be >= 0, got {self.obj_tol}")
         if problems:
-            raise RefineError("; ".join(problems))
+            raise DatasetError("; ".join(problems))
 
 
 @dataclass(frozen=True)
@@ -82,9 +78,9 @@ class FactorPair:
         p = np.array(self.p, dtype=np.float64)
         q = np.array(self.q, dtype=np.float64)
         if p.ndim != 2 or q.ndim != 2 or p.shape[1] != q.shape[1]:
-            raise RefineError(f"factor shapes {p.shape} / {q.shape} are inconsistent")
+            raise DatasetError(f"factor shapes {p.shape} / {q.shape} are inconsistent")
         if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
-            raise RefineError("factors contain non-finite entries")
+            raise DatasetError("factors contain non-finite entries")
         p.setflags(write=False)
         q.setflags(write=False)
         object.__setattr__(self, "p", p)
@@ -120,7 +116,7 @@ class _Instance:
         if l_s.size != tags.n_tags:
             problems.append(f"tag Laplacian is {l_s.size}x{l_s.size}, expected {tags.n_tags}")
         if problems:
-            raise RefineError("; ".join(problems))
+            raise DatasetError("; ".join(problems))
         o = tags.toarray()
         w = np.where(o != 0, 1.0, 1.0 - config.mu)
         return cls(o, w, v.data, t.data, l_v.matrix, l_s.matrix, config)
@@ -200,7 +196,7 @@ def gradient(
 ) -> np.ndarray:
     """Analytic gradient of the objective with respect to the free factor."""
     if free not in ("p", "q"):
-        raise RefineError(f"free factor must be 'p' or 'q', got {free!r}")
+        raise DatasetError(f"free factor must be 'p' or 'q', got {free!r}")
     inst = _Instance.build(tags, v, t, l_v, l_s, config)
     x, y = factors.p, factors.q
     if free == "q":
@@ -242,7 +238,7 @@ def solve_alternating(
     inst_t = inst.transposed()
     if init is not None:
         if init.p.shape != (v.dim, config.rank) or init.q.shape != (t.dim, config.rank):
-            raise RefineError(
+            raise DatasetError(
                 f"initial factors {init.p.shape}/{init.q.shape} do not match "
                 f"features and rank ({v.dim}x{config.rank}, {t.dim}x{config.rank})"
             )
@@ -312,7 +308,7 @@ def refine(
 def apply_factors(v: FeatureMatrix, t: FeatureMatrix, factors: FactorPair) -> np.ndarray:
     """Score new rows inductively: V P Q^T T^T for features never seen in training."""
     if v.dim != factors.p.shape[0] or t.dim != factors.q.shape[0]:
-        raise RefineError(
+        raise DatasetError(
             f"features ({v.dim}, {t.dim}) do not match factors "
             f"({factors.p.shape[0]}, {factors.q.shape[0]})"
         )

@@ -16,11 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .subspace import ClusterAssignment
-from .tagmat import SimilarityGraph, TagMatrix, top_n_tags
-
-
-class SharingError(ValueError):
-    """Raised for invalid sharing configuration or mismatched inputs."""
+from .tagmat import DatasetError, SimilarityGraph, TagMatrix, top_n_tags
 
 
 @dataclass(frozen=True)
@@ -48,18 +44,18 @@ class SharingConfig:
         problems = []
         if self.n_neighbors < 1:
             problems.append(f"n_neighbors must be >= 1, got {self.n_neighbors}")
-        if min(self.w_local, self.w_cooc, self.w_freq) < 0:
-            problems.append("component weights must be nonnegative")
-        if self.w_local + self.w_cooc + self.w_freq <= 0:
+        weights = {"w_local": self.w_local, "w_cooc": self.w_cooc, "w_freq": self.w_freq}
+        problems += [f"{name} must be >= 0, got {w}" for name, w in weights.items() if w < 0]
+        if not any(weights.values()):
             problems.append("at least one component weight must be positive")
         if self.max_added_per_image < 0:
-            problems.append("max_added_per_image must be >= 0")
+            problems.append(f"max_added_per_image must be >= 0, got {self.max_added_per_image}")
         if not 0.0 <= self.min_confidence <= 1.1:
-            problems.append(f"min_confidence out of range: {self.min_confidence}")
+            problems.append(f"min_confidence must be in [0, 1.1], got {self.min_confidence}")
         if self.neighbor_source not in ("affinity", "cosine"):
             problems.append(f"neighbor_source must be 'affinity' or 'cosine', got {self.neighbor_source!r}")
         if problems:
-            raise SharingError("; ".join(problems))
+            raise DatasetError("; ".join(problems))
 
 
 def _minmax(a: np.ndarray) -> np.ndarray:
@@ -84,7 +80,7 @@ def score_tags_in_cluster(
     """
     config.validate()
     if image_sims.size != tags.n_images:
-        raise SharingError(
+        raise DatasetError(
             f"similarity block has {image_sims.size} images, tag block has {tags.n_images}"
         )
     return _score_block((tags.toarray() != 0).astype(np.float64), image_sims.weights, config)
@@ -138,12 +134,12 @@ def share_tags(
     """
     config.validate()
     if clusters.labels.shape[0] != tags.n_images:
-        raise SharingError(
+        raise DatasetError(
             f"cluster assignment covers {clusters.labels.shape[0]} images, "
             f"tag matrix has {tags.n_images}"
         )
     if image_sims.size != tags.n_images:
-        raise SharingError(
+        raise DatasetError(
             f"similarity graph covers {image_sims.size} images, "
             f"tag matrix has {tags.n_images}"
         )

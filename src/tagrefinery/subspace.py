@@ -18,11 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .tagmat import FeatureMatrix, SimilarityGraph, _block_rows, _unit_rows
-
-
-class SscError(ValueError):
-    """Raised for invalid solver configuration or degenerate inputs."""
+from .tagmat import DatasetError, FeatureMatrix, SimilarityGraph, _block_rows, _unit_rows
 
 
 # Penalty schedule of the augmented-Lagrangian loop: a solver detail, not a model parameter.
@@ -52,7 +48,7 @@ class SscConfig:
         if self.max_iters < 1:
             problems.append(f"max_iters must be >= 1, got {self.max_iters}")
         if problems:
-            raise SscError("; ".join(problems))
+            raise DatasetError("; ".join(problems))
 
 
 @dataclass(frozen=True)
@@ -90,9 +86,9 @@ class ClusterAssignment:
         labels.setflags(write=False)
         object.__setattr__(self, "labels", labels)
         if self.k < 1:
-            raise SscError(f"k must be >= 1, got {self.k}")
+            raise DatasetError(f"k must be >= 1, got {self.k}")
         if labels.size and (labels.min() < 0 or labels.max() >= self.k):
-            raise SscError(f"cluster labels out of range [0, {self.k}): got {labels.min()} to {labels.max()}")
+            raise DatasetError(f"cluster labels out of range [0, {self.k}): got {labels.min()} to {labels.max()}")
 
     def cluster_sizes(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.k)
@@ -127,7 +123,7 @@ def ssc_solve(images: FeatureMatrix, config: SscConfig = SscConfig()) -> SelfRep
     x = np.asarray(images.data, dtype=np.float64)
     n = x.shape[0]
     if n < 2:
-        raise SscError("self-representation needs at least 2 images")
+        raise DatasetError("self-representation needs at least 2 images")
     x = _unit_rows(x)
 
     x_norm = np.linalg.norm(x)
@@ -317,9 +313,9 @@ def spectral_cluster(aff: SimilarityGraph, k: int, seed: int = 0) -> ClusterAssi
     """
     n = aff.size
     if k < 1:
-        raise SscError(f"k must be >= 1, got {k}")
+        raise DatasetError(f"k must be >= 1, got {k}")
     if k > n:
-        raise SscError(f"k={k} exceeds the number of images {n}")
+        raise DatasetError(f"k={k} exceeds the number of images {n}")
     if k == 1:
         return ClusterAssignment(labels=np.zeros(n, dtype=np.int64), k=1)
     embedding = _spectral_embedding(aff.weights, k)

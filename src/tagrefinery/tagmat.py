@@ -23,7 +23,7 @@ _BLOCK_BYTES = 1 << 20
 
 
 class DatasetError(ValueError):
-    """Raised for malformed dataset files, dimension mismatches or bad values."""
+    """Bad input: a file, a shape or a value, configuration included."""
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -321,10 +321,12 @@ _MANIFEST_OPTIONAL = ("ground_truth",)
 
 
 def write_sparse_matrix(path, tags: TagMatrix) -> None:
+    open(path, "wb").close()  # scipy's mmwrite fails silently where open() raises OSError
     scipy.io.mmwrite(str(path), tags.matrix.tocoo())
 
 
 def write_dense_matrix(path, arr: np.ndarray) -> None:
+    open(path, "wb").close()  # scipy's mmwrite fails silently where open() raises OSError
     scipy.io.mmwrite(str(path), np.asarray(arr, dtype=np.float64))
 
 

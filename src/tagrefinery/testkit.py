@@ -16,13 +16,9 @@ import numpy as np
 
 from .metrics import NoiseSpec, inject_noise
 from .subspace import ClusterAssignment, SelfRepresentation
-from .tagmat import DatasetBundle, FeatureMatrix, TagMatrix, _freeze, _unit_rows, top_n_tags
+from .tagmat import DatasetBundle, DatasetError, FeatureMatrix, TagMatrix, _freeze, _unit_rows, top_n_tags
 
 logger = logging.getLogger(__name__)
-
-
-class TestkitError(ValueError):
-    __test__ = False  # keep pytest from collecting this as a test class
 
 
 @dataclass(frozen=True)
@@ -49,15 +45,15 @@ def gen_union_of_subspaces(
     Bit-reproducible for a fixed seed.
     """
     if k < 1:
-        raise TestkitError(f"k must be >= 1, got {k}")
+        raise DatasetError(f"k must be >= 1, got {k}")
     if not 1 <= dim_subspace < dim_ambient:
-        raise TestkitError(
+        raise DatasetError(
             f"need 1 <= dim_subspace < dim_ambient, got {dim_subspace} / {dim_ambient}"
         )
     if n_per_subspace < 1:
-        raise TestkitError("n_per_subspace must be >= 1")
+        raise DatasetError("n_per_subspace must be >= 1")
     if noise_sigma < 0:
-        raise TestkitError("noise_sigma must be >= 0")
+        raise DatasetError("noise_sigma must be >= 0")
     rng = np.random.default_rng(seed)
     points, labels, bases = _cluster_points(rng, np.zeros((k, dim_ambient)), dim_subspace,
                                             n_per_subspace, 1.0, noise_sigma)
@@ -96,13 +92,13 @@ def subspace_preserving_rate(rep, labels) -> float:
     z = rep.z if isinstance(rep, SelfRepresentation) else np.asarray(rep, dtype=np.float64)
     labels = np.asarray(labels)
     if z.shape[0] != z.shape[1] or z.shape[0] != labels.shape[0]:
-        raise TestkitError(f"shape mismatch: z {z.shape}, labels {labels.shape}")
+        raise DatasetError(f"shape mismatch: z {z.shape}, labels {labels.shape}")
     mass = np.abs(z).copy()
     np.fill_diagonal(mass, 0.0)
     totals = mass.sum(axis=1)
     valid = totals > 0
     if not np.any(valid):
-        raise TestkitError("all representation rows are zero; rate undefined")
+        raise DatasetError("all representation rows are zero; rate undefined")
     if not np.all(valid):
         logger.warning(
             "subspace_preserving_rate: excluded %d all-zero rows", int((~valid).sum())
@@ -121,7 +117,7 @@ def clustering_accuracy(pred, truth) -> float:
     pred_labels = pred.labels if isinstance(pred, ClusterAssignment) else np.asarray(pred)
     truth = np.asarray(truth)
     if pred_labels.shape[0] != truth.shape[0]:
-        raise TestkitError(
+        raise DatasetError(
             f"length mismatch: {pred_labels.shape[0]} predictions, {truth.shape[0]} truths"
         )
     # Imported here, not at module level: the package __init__ imports this
@@ -172,9 +168,9 @@ def gen_planted_annotation(
     a valid confidence matrix the refinement model represents exactly.
     """
     if r > min(f_i, f_t):
-        raise TestkitError(f"rank {r} exceeds min feature dim {min(f_i, f_t)}")
+        raise DatasetError(f"rank {r} exceeds min feature dim {min(f_i, f_t)}")
     if not 0.0 < density <= 1.0:
-        raise TestkitError(f"density must be in (0, 1], got {density}")
+        raise DatasetError(f"density must be in (0, 1], got {density}")
     rng = np.random.default_rng(seed)
     v = np.abs(rng.standard_normal((n_images, f_i)))
     t = np.abs(rng.standard_normal((n_tags, f_t)))
@@ -234,11 +230,11 @@ def gen_annotation_bundle(
     bundle.ground_truth keeps the clean one.
     """
     if n_clusters * tags_per_cluster > n_tags:
-        raise TestkitError(
+        raise DatasetError(
             f"{n_clusters} clusters x {tags_per_cluster} tags exceed the vocabulary {n_tags}"
         )
     if not 1 <= dim_subspace < image_dim:
-        raise TestkitError(
+        raise DatasetError(
             f"need 1 <= dim_subspace < image_dim, got {dim_subspace} / {image_dim}"
         )
     rng = np.random.default_rng(seed)

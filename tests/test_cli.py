@@ -2,6 +2,7 @@
 
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import tracemalloc
@@ -11,8 +12,9 @@ import pytest
 
 from oracles import clamped_tags
 from tagrefinery import cli
-from tagrefinery.cli import DEFAULT_CONFIG, ConfigError, main, resolve_config
+from tagrefinery.cli import DEFAULT_CONFIG, main, resolve_config
 from tagrefinery.tagmat import (
+    DatasetError,
     TagMatrix,
     load_dataset,
     read_dense_matrix,
@@ -83,7 +85,7 @@ class TestConfigResolution:
             config = None
             set = ["refine.bogus=1"]
 
-        with pytest.raises(ConfigError, match="bogus"):
+        with pytest.raises(DatasetError, match="bogus"):
             resolve_config(Args())
 
     def test_config_file_merge(self, tmp_path):
@@ -107,7 +109,7 @@ class TestConfigResolution:
             config = str(path)
             set = None
 
-        with pytest.raises(ConfigError, match="nonsense"):
+        with pytest.raises(DatasetError, match="nonsense"):
             resolve_config(Args())
 
     def test_object_for_value_key_in_config_file_exits_two(self, tmp_path, caplog):
@@ -275,6 +277,7 @@ class TestExitCodes:
         (["synth", "--set", "synth.seed=-1"], "synth.seed"),
         (["synth", "--set", "synth.noise_seed=-1"], "synth.noise_seed"),
         (["synth", "--set", "synth.name=sub/x"], "synth.name"),
+        (["synth", "--set", "synth.name="], "synth.name", "synth.name-empty"),
         (["pipeline", "--manifest", "missing.manifest", "--set", "refine.seed=-1"], "refine.seed"),
         (["tune", "--manifest", "missing.manifest", "--set", "tune.split_seed=-1"], "tune.split_seed"),
     ]
@@ -285,6 +288,23 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert main([argv[0], "--output-dir", str(out), *argv[1:]]) == 2
         assert caplog.records[-1].getMessage().startswith(f"{key}: ")
+        assert not out.exists()
+
+    # A stage-config value out of range: the message names the field and gives the value.
+    STAGE_FIELDS = [
+        ("sharing.w_cooc=-1", "sharing: w_cooc must be >= 0, got -1"),
+        ("sharing.max_added_per_image=-1", "sharing: max_added_per_image must be >= 0, got -1"),
+        ("sharing.min_confidence=2", "sharing: min_confidence must be in [0, 1.1], got 2"),
+        ("refine.lambda2=-1", "refine: lambda2 must be >= 0, got -1"),
+    ]
+
+    @pytest.mark.parametrize("assignment, message", STAGE_FIELDS,
+                             ids=[row[0].split("=")[0] for row in STAGE_FIELDS])
+    def test_stage_value_out_of_range_names_field_and_value(self, tmp_path, caplog, assignment, message):
+        out = tmp_path / "out"
+        assert main(["pipeline", "--manifest", "missing.manifest", "--output-dir", str(out),
+                     "--set", assignment]) == 2
+        assert caplog.records[-1].getMessage() == message
         assert not out.exists()
 
     RANK_TOO_BIG = [
@@ -367,6 +387,19 @@ class TestExitCodes:
         assert caplog.records[-1].getMessage() == f"{key}: {self.UNUSABLE_REASONS[key]}"
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [["eval", "--predictions", "p.mtx"], ["tune", "--set", "k=2"]],
+                             ids=["eval", "tune"])
+    def test_manifest_without_ground_truth_exits_two_naming_the_key(self, tmp_path, caplog, argv):
+        manifest = pathlib.Path(make_bundle(tmp_path))
+        stripped = manifest.with_name("stripped.manifest")
+        stripped.write_text("".join(line for line in manifest.read_text().splitlines(keepends=True)
+                                    if not line.startswith("ground_truth")))
+        out = tmp_path / "out"
+        assert main([argv[0], "--manifest", str(stripped), "--output-dir", str(out), *argv[1:]]) == 2
+        assert caplog.records[-1].getMessage() == (
+            f"ground_truth: {argv[0]} needs a manifest with a ground_truth entry")
+        assert not out.exists()
+
     def test_apply_scores_a_zero_image_row(self, tmp_path):
         manifest, bundle = self.spoil(tmp_path, "image_features")
         p, q = tmp_path / "p.mtx", tmp_path / "q.mtx"
@@ -393,6 +426,36 @@ class TestExitCodes:
         assert rc == 0
         assert "refine.outer_iters=1" in caplog.text
         assert "relative objective change" in caplog.text
+
+
+class TestFailedWrite:
+    @pytest.mark.parametrize("artifact", ["z.mtx", "labels.txt"])
+    def test_unwritable_artifact_exits_two_naming_output_dir(self, tmp_path, caplog, artifact):
+        manifest = make_bundle(tmp_path)
+        out = tmp_path / "out"
+        (out / artifact).mkdir(parents=True)
+        assert main(["cluster", "--manifest", manifest, "--output-dir", str(out), "--k", "2"]) == 2
+        assert caplog.records[-1].getMessage() == f"output_dir: {out / artifact}: Is a directory"
+
+    @pytest.mark.parametrize("argv, output_dir", [
+        (["pipeline", "--k", "2"], "afile"),
+        (["synth"], "afile/sub"),
+    ], ids=["pipeline-file", "synth-under-file"])
+    def test_output_dir_not_a_directory_exits_two_before_any_stage(
+        self, tmp_path, monkeypatch, caplog, argv, output_dir
+    ):
+        manifest = make_bundle(tmp_path)
+        (tmp_path / "afile").write_text("")
+
+        def no_stage(*args, **kwargs):
+            raise AssertionError("a stage ran")
+
+        monkeypatch.setattr("tagrefinery.subspace.ssc_solve", no_stage)
+        monkeypatch.setattr("tagrefinery.cli.save_dataset", no_stage)
+        out = tmp_path / output_dir
+        assert main([argv[0], "--manifest", manifest, "--output-dir", str(out), *argv[1:]]) == 2
+        assert caplog.records[-1].getMessage() == (
+            f"output_dir: {out}: {tmp_path / 'afile'} is not a directory")
 
 
 class TestClusterCommand:
@@ -779,6 +842,26 @@ class TestTune:
         assert best["mu"] in (0.0, 0.5)
         lines = (out / "tune_results.csv").read_text().strip().splitlines()
         assert len(lines) == 3  # header + 2 grid points
+
+    def test_validation_split_without_ground_truth_exits_two_before_any_stage(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        manifest = make_bundle(tmp_path)
+        truth = load_dataset(manifest).ground_truth.toarray()
+        truth[1:] = 0.0  # only image 0 is annotated
+        write_sparse_matrix(tmp_path / "data" / "synthetic_ground_truth.mtx", TagMatrix.from_dense(truth))
+
+        def no_ssc(*args, **kwargs):
+            raise AssertionError("ssc_solve ran")
+
+        monkeypatch.setattr("tagrefinery.subspace.ssc_solve", no_ssc)
+        out = tmp_path / "tune"
+        assert main(["tune", "--manifest", manifest, "--output-dir", str(out), "--set", "k=2",
+                     "--set", "tune.val_fraction=0.25", "--set", "tune.split_seed=1"]) == 2
+        assert caplog.records[-1].getMessage() == (
+            "tune.val_fraction: the validation split of 3 images (tune.split_seed=1) has no "
+            "ground-truth tags; nothing to evaluate")
+        assert not out.exists()
 
     @pytest.mark.parametrize("assignment, key", [
         ("tune.mu_grid=[]", "tune.mu_grid"),

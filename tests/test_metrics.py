@@ -5,14 +5,13 @@ import pytest
 
 from tagrefinery.metrics import (
     EvalReport,
-    MetricsError,
     NoiseSpec,
     ap_ar_at_n,
     format_report,
     inject_noise,
     save_report,
 )
-from tagrefinery.tagmat import TagMatrix
+from tagrefinery.tagmat import DatasetError, TagMatrix
 
 from oracles import ap_ar
 
@@ -62,17 +61,17 @@ class TestApArAtN:
 
     def test_all_empty_truth_rejected(self):
         truth = TagMatrix.from_dense(np.zeros((2, 3)))
-        with pytest.raises(MetricsError, match="empty"):
+        with pytest.raises(DatasetError, match="empty"):
             ap_ar_at_n(np.zeros((2, 3)), truth, 1)
 
     def test_non_binary_truth_rejected(self):
         truth = TagMatrix.from_dense([[0.5, 0.0]])
-        with pytest.raises(MetricsError, match="binary"):
+        with pytest.raises(DatasetError, match="binary"):
             ap_ar_at_n(np.zeros((1, 2)), truth, 1)
 
     def test_shape_mismatch_rejected(self):
         truth = TagMatrix.from_dense([[1.0, 0.0]])
-        with pytest.raises(MetricsError, match="shape"):
+        with pytest.raises(DatasetError, match="shape"):
             ap_ar_at_n(np.zeros((2, 2)), truth, 1)
 
     def test_recall_one_when_n_covers_all_tags(self):
@@ -133,18 +132,18 @@ class TestInjectNoise:
 
     def test_too_many_additions_rejected(self):
         truth = TagMatrix.from_dense([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
-        with pytest.raises(MetricsError, match="zero positions"):
+        with pytest.raises(DatasetError, match="zero positions"):
             inject_noise(truth, NoiseSpec(0.0, 0.9, seed=0))
 
     def test_non_binary_rejected(self):
         truth = TagMatrix.from_dense([[0.4]])
-        with pytest.raises(MetricsError, match="binary"):
+        with pytest.raises(DatasetError, match="binary"):
             inject_noise(truth, NoiseSpec(0.1, 0.1, seed=0))
 
     def test_rate_validation(self):
-        with pytest.raises(MetricsError, match="missing_rate"):
+        with pytest.raises(DatasetError, match="missing_rate"):
             NoiseSpec(1.5, 0.0)
-        with pytest.raises(MetricsError, match="inaccurate_rate"):
+        with pytest.raises(DatasetError, match="inaccurate_rate"):
             NoiseSpec(0.0, -0.2)
 
 

@@ -7,7 +7,6 @@ from tagrefinery.metrics import NoiseSpec
 from tagrefinery.refine import (
     FactorPair,
     RefineConfig,
-    RefineError,
     apply_factors,
     gradient,
     load_factors,
@@ -18,6 +17,7 @@ from tagrefinery.refine import (
     _Instance,
 )
 from tagrefinery.tagmat import (
+    DatasetError,
     FeatureMatrix,
     GraphLaplacian,
     SimilarityGraph,
@@ -70,15 +70,15 @@ def bundle_instance(tag_features=None):
 
 class TestConfig:
     def test_mu_bound_named(self):
-        with pytest.raises(RefineError, match=r"0 <= mu < 1"):
+        with pytest.raises(DatasetError, match=r"0 <= mu < 1"):
             RefineConfig(mu=1.2).validate()
 
     def test_rank_vs_feature_dims(self):
-        with pytest.raises(RefineError, match="rank"):
+        with pytest.raises(DatasetError, match="rank"):
             RefineConfig(rank=5).validate(4, 6)
 
     def test_negative_lambdas(self):
-        with pytest.raises(RefineError, match="lambda"):
+        with pytest.raises(DatasetError, match="lambda"):
             RefineConfig(lambda1=-0.1).validate()
 
 
@@ -131,7 +131,7 @@ class TestObjective:
         tags, v, t, l_v, l_s = make_instance()
         factors = random_factors(4, 3, 2)
         bad_l_v = GraphLaplacian(np.zeros((3, 3)))
-        with pytest.raises(RefineError, match="Laplacian"):
+        with pytest.raises(DatasetError, match="Laplacian"):
             objective(tags, v, t, factors, bad_l_v, l_s, RefineConfig(rank=2))
 
 
@@ -399,5 +399,5 @@ class TestRefine:
 
     def test_apply_factors_dimension_check(self):
         factors = random_factors(4, 3, 2)
-        with pytest.raises(RefineError, match="do not match"):
+        with pytest.raises(DatasetError, match="do not match"):
             apply_factors(FeatureMatrix(np.ones((2, 5))), FeatureMatrix(np.ones((2, 3))), factors)

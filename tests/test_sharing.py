@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from tagrefinery.sharing import SharingConfig, SharingError, score_tags_in_cluster, share_tags
+from tagrefinery.sharing import SharingConfig, score_tags_in_cluster, share_tags
 from tagrefinery.subspace import ClusterAssignment
-from tagrefinery.tagmat import SimilarityGraph, TagMatrix, cosine_similarity_graph
+from tagrefinery.tagmat import DatasetError, SimilarityGraph, TagMatrix, cosine_similarity_graph
 from tagrefinery.testkit import gen_annotation_bundle
 
 from oracles import shared_tags, sharing_scores
@@ -33,15 +33,15 @@ def random_weights(rng, m, tied=False):
 
 class TestConfig:
     def test_all_weights_zero_rejected(self):
-        with pytest.raises(SharingError, match="positive"):
+        with pytest.raises(DatasetError, match="positive"):
             SharingConfig(w_local=0.0, w_cooc=0.0, w_freq=0.0).validate()
 
     def test_negative_weight_rejected(self):
-        with pytest.raises(SharingError, match="nonnegative"):
+        with pytest.raises(DatasetError, match=r"^w_local must be >= 0, got -0\.1$"):
             SharingConfig(w_local=-0.1).validate()
 
     def test_bad_neighbor_source(self):
-        with pytest.raises(SharingError, match="neighbor_source"):
+        with pytest.raises(DatasetError, match="neighbor_source"):
             SharingConfig(neighbor_source="knn").validate()
 
 
@@ -114,7 +114,7 @@ class TestScoreTagsInCluster:
 
     def test_block_size_mismatch(self):
         tags = TagMatrix.from_dense([[1.0, 0.0]])
-        with pytest.raises(SharingError, match="similarity block"):
+        with pytest.raises(DatasetError, match="similarity block"):
             score_tags_in_cluster(tags, pair_graph(0.5))
 
 
@@ -234,7 +234,7 @@ class TestShareTags:
 
     def test_dimension_mismatches(self):
         tags, clusters, sims = self.two_image_setup()
-        with pytest.raises(SharingError, match="cluster assignment"):
+        with pytest.raises(DatasetError, match="cluster assignment"):
             share_tags(tags, ClusterAssignment(labels=np.zeros(3, dtype=int), k=1), sims)
-        with pytest.raises(SharingError, match="similarity graph"):
+        with pytest.raises(DatasetError, match="similarity graph"):
             share_tags(tags, clusters, graph(np.zeros((3, 3))))

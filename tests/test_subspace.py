@@ -10,7 +10,6 @@ from tagrefinery.subspace import (
     ClusterAssignment,
     SelfRepresentation,
     SscConfig,
-    SscError,
     SscResiduals,
     _kmeans,
     _lloyd,
@@ -42,7 +41,7 @@ def make_rep(z, e=None):
 
 class TestConfig:
     def test_bad_values_collected(self):
-        with pytest.raises(SscError) as err:
+        with pytest.raises(DatasetError) as err:
             SscConfig(mu=-1.0, tol=0.0, max_iters=0).validate()
         msg = str(err.value)
         assert "mu" in msg and "tol" in msg and "max_iters" in msg
@@ -109,7 +108,7 @@ class TestSscSolve:
         assert converged == (max_iters > 5)
 
     def test_rejects_single_point(self):
-        with pytest.raises(SscError, match="at least 2"):
+        with pytest.raises(DatasetError, match="at least 2"):
             ssc_solve(FeatureMatrix([[1.0, 0.0]]))
 
     def test_rejects_zero_row_when_normalizing(self):
@@ -178,7 +177,7 @@ class TestSpectralCluster:
         assert set(labels) == {0}
 
     def test_k_exceeding_n_rejected(self):
-        with pytest.raises(SscError, match="exceeds"):
+        with pytest.raises(DatasetError, match="exceeds"):
             spectral_cluster(self.block_affinity(), 7, seed=0)
 
     def test_scaling_invariance(self):
@@ -320,7 +319,7 @@ class TestWorkingSet:
 
 class TestClusterAssignment:
     def test_label_range_checked(self):
-        with pytest.raises(SscError, match="out of range"):
+        with pytest.raises(DatasetError, match="out of range"):
             ClusterAssignment(labels=np.array([0, 3]), k=2)
 
     def test_sizes(self):

@@ -27,6 +27,7 @@ from tagrefinery.tagmat import (
     save_dataset,
     top_n_tags,
     write_dense_matrix,
+    write_sparse_matrix,
 )
 
 
@@ -356,6 +357,18 @@ class TestBundleAndManifest:
         loaded = load_dataset(manifest)
         assert loaded.tags.n_images == 2900
         assert loaded.tags.n_tags == 495
+
+    @pytest.mark.parametrize("write, value", [(write_dense_matrix, np.eye(2)),
+                                              (write_sparse_matrix, TagMatrix.from_dense(np.eye(2)))],
+                             ids=["dense", "sparse"])
+    @pytest.mark.parametrize("target, error", [("dir.mtx", IsADirectoryError),
+                                               ("missing/x.mtx", FileNotFoundError)],
+                             ids=["directory", "missing-parent"])
+    def test_write_to_unopenable_path_raises(self, tmp_path, write, value, target, error):
+        (tmp_path / "dir.mtx").mkdir()
+        with pytest.raises(error):
+            write(tmp_path / target, value)
+        assert not (tmp_path / "missing").exists()
 
     def test_dense_matrix_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(3)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from tagrefinery.metrics import NoiseSpec
+from tagrefinery.tagmat import DatasetError
 from tagrefinery.testkit import (
-    TestkitError,
     clustering_accuracy,
     gen_annotation_bundle,
     gen_planted_annotation,
@@ -43,9 +43,9 @@ class TestGenUnionOfSubspaces:
         np.testing.assert_array_equal(a.labels, b.labels)
 
     def test_invalid_dimensions_rejected(self):
-        with pytest.raises(TestkitError):
+        with pytest.raises(DatasetError):
             gen_union_of_subspaces(2, 5, 5, 4)
-        with pytest.raises(TestkitError):
+        with pytest.raises(DatasetError):
             gen_union_of_subspaces(0, 2, 5, 4)
 
 
@@ -72,7 +72,7 @@ class TestSubspacePreservingRate:
         assert subspace_preserving_rate(z, labels) == pytest.approx(expected, abs=1e-12)
 
     def test_zero_rows_rejected_when_all_zero(self):
-        with pytest.raises(TestkitError, match="zero"):
+        with pytest.raises(DatasetError, match="zero"):
             subspace_preserving_rate(np.zeros((3, 3)), np.array([0, 0, 1]))
 
     def test_partial_zero_rows_excluded(self):
@@ -114,7 +114,7 @@ class TestClusteringAccuracy:
             assert clustering_accuracy(pred, truth) == pytest.approx(brute)
 
     def test_length_mismatch(self):
-        with pytest.raises(TestkitError, match="length"):
+        with pytest.raises(DatasetError, match="length"):
             clustering_accuracy(np.array([0, 1]), np.array([0, 1, 1]))
 
 
@@ -150,7 +150,7 @@ class TestGenPlantedAnnotation:
         np.testing.assert_array_equal(a.o_star.toarray(), b.o_star.toarray())
 
     def test_rank_bound_checked(self):
-        with pytest.raises(TestkitError, match="rank"):
+        with pytest.raises(DatasetError, match="rank"):
             gen_planted_annotation(5, 4, 3, 3, 4)
 
 
@@ -191,6 +191,6 @@ class TestGenAnnotationBundle:
         np.testing.assert_array_equal(la, lb)
 
     def test_vocabulary_bound(self):
-        with pytest.raises(TestkitError, match="vocabulary"):
+        with pytest.raises(DatasetError, match="vocabulary"):
             gen_annotation_bundle(n_clusters=4, images_per_cluster=3,
                                   n_tags=10, tags_per_cluster=3)
