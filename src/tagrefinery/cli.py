@@ -574,7 +574,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--manifest", help="dataset manifest path (overrides config)")
     parser.add_argument("--output-dir", help="artifact directory (overrides config)")
-    parser.add_argument("--threads", type=int, help="BLAS thread budget; 1 keeps runs bit-stable")
+    parser.add_argument(
+        "--threads", type=int,
+        help="the threads config key, set as OMP/OPENBLAS/MKL_NUM_THREADS where unset; "
+             "numpy is loaded by then, so this does not pin BLAS: set them in the environment",
+    )
     parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
 
 

@@ -8,6 +8,7 @@ bundle format (Matrix Market files + id lists).
 from __future__ import annotations
 
 import functools
+import math
 import os
 from dataclasses import dataclass
 
@@ -17,8 +18,8 @@ import scipy.sparse as sp
 
 SYMMETRY_TOL = 1e-12
 LAPLACIAN_ROWSUM_TOL = 1e-9
-# Row-blocked passes over dense arrays (CSR building, symmetry checks, SSC's soft
-# threshold) take about this many bytes of float64 rows per step.
+# Blocked passes over dense arrays (CSR building, symmetry checks, transpose sums)
+# take about this many bytes of float64 per step; SSC's soft threshold takes 1/16.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -43,6 +44,24 @@ def _asymmetry(a: np.ndarray) -> float:
     block_max = [np.abs(a[s : s + step] - a[:, s : s + step].T).max(initial=0.0)
                  for s in range(0, n, step)]
     return float(np.max(block_max, initial=0.0))
+
+
+def _add_transpose(a: np.ndarray) -> np.ndarray:
+    """a += a^T in place for a square array, one pair of square blocks at a time; returns a.
+
+    NumPy's a += a.T first copies the whole overlapping operand. Here each
+    entry gets a[i, j] + a[j, i], and x + y == y + x exactly, so the bits
+    are those of a + a.T. Only a diagonal block is copied, by NumPy.
+    """
+    n = a.shape[0]
+    step = max(1, math.isqrt(_BLOCK_BYTES // 8))  # square blocks of about _BLOCK_BYTES
+    for s in range(0, n, step):
+        for t in range(s, n, step):
+            upper = a[s : s + step, t : t + step]
+            upper += a[t : t + step, s : s + step].T
+            if t > s:
+                a[t : t + step, s : s + step] = upper.T
+    return a
 
 
 @dataclass(frozen=True)
@@ -271,8 +290,10 @@ def cosine_similarity_graph(features: FeatureMatrix) -> SimilarityGraph:
     row(s) at indices [...]"). The diagonal is zero.
     """
     unit = _unit_rows(features.data)
-    cos = unit @ unit.T
-    w = np.maximum(np.clip((cos + cos.T) / 2.0, -1.0, 1.0), 0.0)
+    w = _add_transpose(unit @ unit.T)
+    w /= 2.0
+    np.clip(w, -1.0, 1.0, out=w)
+    np.maximum(w, 0.0, out=w)
     np.fill_diagonal(w, 0.0)
     return SimilarityGraph(w)
 

@@ -13,12 +13,14 @@ from tagrefinery.subspace import (
     SscResiduals,
     _kmeans,
     _lloyd,
+    _normalized_laplacian,
+    _threshold_rows,
     affinity,
     eigengap_k,
     spectral_cluster,
     ssc_solve,
 )
-from tagrefinery.tagmat import DatasetError, FeatureMatrix, SimilarityGraph, _block_rows
+from tagrefinery.tagmat import DatasetError, FeatureMatrix, SimilarityGraph, cosine_similarity_graph
 from tagrefinery.testkit import (
     clustering_accuracy,
     gen_annotation_bundle,
@@ -210,6 +212,17 @@ class TestSpectralCluster:
         sizes = assignment.cluster_sizes()
         assert np.all(sizes > 0) or assignment.notes
 
+    def test_normalized_laplacian_is_exactly_symmetric(self):
+        # 400 nodes: _add_transpose's square blocks of 362 leave a short last pair.
+        rng = np.random.default_rng(9)
+        w = np.abs(rng.standard_normal((400, 400)))
+        w = w + w.T
+        np.fill_diagonal(w, 0.0)
+        w[7] = w[:, 7] = 0.0  # an isolated node
+        nlap = _normalized_laplacian(w)
+        np.testing.assert_array_equal(bits(nlap), bits(nlap.T))
+        np.testing.assert_array_equal(bits(nlap), bits(normalized_laplacian_pinned(w)))
+
     def test_eigengap_on_blocks(self):
         assert eigengap_k(self.block_affinity(), 5) == 2
 
@@ -236,17 +249,17 @@ class TestBitPins:
         (lambda: gen_annotation_bundle()[0].image_features, 5, 4000),
         (lambda: gen_union_of_subspaces(3, 3, 15, 12, noise_sigma=0.01, seed=2).points, 3, 4000),
         (lambda: gen_annotation_bundle()[0].image_features, 5, 5),
-        # 400 rows: the soft threshold's row blocks of 327 leave a short last block.
-        (lambda: gen_union_of_subspaces(4, 5, 30, 100, noise_sigma=0.01, seed=2).points, 4, 4000),
+        # 420 rows: the soft threshold's row blocks of 19 leave a short last block.
+        (lambda: gen_union_of_subspaces(4, 5, 30, 105, noise_sigma=0.01, seed=2).points, 4, 4000),
     ]
 
     @pytest.mark.parametrize("features, k, max_iters", CASES,
-                             ids=["default-bundle", "union-of-subspaces", "capped-at-5", "n-400"])
+                             ids=["default-bundle", "union-of-subspaces", "capped-at-5", "n-420"])
     def test_cluster_stage_matches_pinned_bits(self, features, k, max_iters):
         images = features()
         n = images.n_rows
-        if n == 400:
-            assert n > _block_rows(n) and n % _block_rows(n)
+        if n == 420:
+            assert n > _threshold_rows(n) and n % _threshold_rows(n)
         cfg = SscConfig(max_iters=max_iters)
         rep = ssc_solve(images, cfg)
         z, e, n_iters, converged, residuals, objective = ssc_pinned(
@@ -277,8 +290,9 @@ class TestBitPins:
 class TestWorkingSet:
     """Traced allocation peak of each cluster-stage call above its input, in n x n float64s.
 
-    Each bound sits between the peak measured after the stage was cut to four
-    n x n arrays and the peak measured before (n = 1000, max_iters = 3):
+    Measured at n = 1000, max_iters = 3. The first three bounds were set
+    when the stage was cut to four n x n arrays, each between the peak after
+    that cut and the peak before:
     - ssc_solve 4.4 (M^-1, two iterate buffers, y2, row-block and n x d
       temporaries) against 6.2 (a fifth buffer and an |buf| temporary);
     - affinity 2.3 (|Z| plus either NumPy's copy of its transpose or
@@ -287,6 +301,18 @@ class TestWorkingSet:
     - spectral_cluster 2.0 (the Laplacian and the copy of its transpose
       that symmetrizes it in place) against 3.0 (eye - x, its transpose sum,
       and LAPACK's Fortran copy).
+
+    The last three were set when NumPy's copies of overlapping operands and
+    the whole-row-block |a| temporary went, each between the peak after and
+    the peak before:
+    - ssc_solve 4.25 (the soft threshold's |a| takes 1/16 of a row block)
+      against 4.43 (a whole row block of 131 rows);
+    - spectral_cluster 1.15 (the Laplacian, symmetrized by _add_transpose)
+      against 2.01 (plus NumPy's copy of its transpose);
+    - cosine_similarity_graph 2.30 (the cosines, built in place, and
+      SimilarityGraph's copy) against 3.30 (cos + cos^T and its halves as
+      new arrays).
+    affinity stays at 2.26: |Z| and SimilarityGraph's copy of it.
     """
 
     @pytest.fixture(scope="class")
@@ -307,12 +333,15 @@ class TestWorkingSet:
             rep = traced("ssc_solve", ssc_solve, images, SscConfig(max_iters=3))
             aff = traced("affinity", affinity, rep)
             traced("spectral_cluster", spectral_cluster, aff, 5, seed=0)
+            traced("cosine_similarity_graph", cosine_similarity_graph, images)
         finally:
             tracemalloc.stop()
         return out
 
     @pytest.mark.parametrize("name, bound",
-                             [("ssc_solve", 4.6), ("affinity", 2.5), ("spectral_cluster", 2.5)])
+                             [("ssc_solve", 4.6), ("affinity", 2.5), ("spectral_cluster", 2.5),
+                              ("ssc_solve", 4.35), ("spectral_cluster", 1.6),
+                              ("cosine_similarity_graph", 2.8)])
     def test_peak_above_input(self, peaks, name, bound):
         assert peaks[name] <= bound
 

@@ -161,6 +161,21 @@ class TestSimilarityGraph:
             SimilarityGraph(w)
 
 
+class TestAddTranspose:
+    """_add_transpose(a) is a + a.T bit for bit, computed in a's own buffer."""
+
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_matches_sum_with_transpose(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((n, n))
+        a[a < -1.0] = -0.0  # signed zeros too: the sums must keep their signs
+        want = a + a.T
+        with mock.patch.object(tagmat, "_BLOCK_BYTES", 8 * 9):  # 3 x 3 blocks: 7 leaves a short last one
+            got = tagmat._add_transpose(a)
+        assert got is a
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 class TestUnitRows:
     def test_scales_each_row_to_unit_length(self):
         np.testing.assert_array_equal(tagmat._unit_rows(np.array([[3.0, 4.0], [0.0, -2.0]])),
