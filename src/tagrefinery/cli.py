@@ -289,7 +289,7 @@ class _Run:
     sharing: SharingConfig
     refine: RefineConfig
     bundle: DatasetBundle | None = None
-    affinity: SimilarityGraph | None = None  # cluster
+    affinity: SimilarityGraph | None = None  # cluster; share, its last user, drops it
     assignment: ClusterAssignment | None = None  # cluster
     completed: TagMatrix | None = None  # share
     laplacians: tuple | None = None  # the first refine fit
@@ -322,7 +322,7 @@ def _check_bundle(run: _Run) -> None:
 
     Fits need a rank within both feature dimensions and nonzero feature rows (cosine graphs);
     clustering and cosine sharing need nonzero image rows; evaluation an annotated ground
-    truth, and tune an annotated image in its validation split.
+    truth and cut-offs within the tag count, and tune an annotated image in its validation split.
     """
     stages, args = run.args.stages, run.args
     fits = _tune in stages or (_refine in stages and not getattr(args, "apply", False))
@@ -343,9 +343,14 @@ def _check_bundle(run: _Run) -> None:
             except DatasetError as exc:
                 raise DatasetError(f"{key}: {exc}") from None
     truth = run.bundle.ground_truth
-    if (_tune in stages or (_eval in stages and not getattr(args, "skip_eval", False))) \
-            and truth is not None and truth.nnz == 0:
+    evaluates = _eval in stages and not getattr(args, "skip_eval", False) and truth is not None
+    if (_tune in stages or evaluates) and truth is not None and truth.nnz == 0:
         raise DatasetError("ground_truth: all rows are empty; nothing to evaluate")
+    n_tags = run.bundle.tags.n_tags
+    for key, n, checked in (("eval_n", max(run.cfg["eval_n"]), evaluates),
+                            ("tune.n", run.cfg["tune"]["n"], _tune in stages)):
+        if checked and n > n_tags:
+            raise DatasetError(f"{key}: {n} exceeds the number of tags {n_tags}")
     if _tune in stages:
         val_rows = _val_rows(run)
         if truth.matrix[val_rows].nnz == 0:
@@ -463,6 +468,7 @@ def _share(run: _Run) -> None:
                                    "sharing.neighbor_source=cosine") from None
         sims = run.affinity
     run.completed = share_tags(run.bundle.tags, run.assignment, sims, run.sharing)
+    run.affinity = None  # no later stage reads it, so its n x n buffer goes before refine's
     log.info("sharing: %d -> %d entries", run.bundle.tags.nnz, run.completed.nnz)
     write_sparse_matrix(run.out("completed.mtx"), run.completed)
 

@@ -32,6 +32,13 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _adopt(x) -> np.ndarray:
+    """x itself if it is a read-only float64 ndarray that owns its data, else a float64 copy."""
+    if type(x) is np.ndarray and x.dtype == np.float64 and x.flags.owndata and not x.flags.writeable:
+        return x
+    return np.array(x, dtype=np.float64)
+
+
 def _block_rows(n_cols: int) -> int:
     """Rows per block of about _BLOCK_BYTES of an n_cols-wide float64 array (at least 1)."""
     return max(1, _BLOCK_BYTES // (8 * max(n_cols, 1)))
@@ -191,12 +198,17 @@ class FeatureMatrix:
 
 @dataclass(frozen=True)
 class SimilarityGraph:
-    """Symmetric nonnegative weight matrix with zero diagonal."""
+    """Symmetric nonnegative weight matrix with zero diagonal.
+
+    Keeps the array it is given if that is read-only float64 and owns its
+    data, as the graph builders hand over; copies anything else, so a
+    caller's writable array is never frozen or aliased.
+    """
 
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.array(self.weights, dtype=np.float64)
+        w = _adopt(self.weights)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise DatasetError(f"similarity graph must be square, got shape {w.shape}")
         if not np.all(np.isfinite(w)):
@@ -216,12 +228,17 @@ class SimilarityGraph:
 
 @dataclass(frozen=True)
 class GraphLaplacian:
-    """L = diag(W @ 1) - W for a similarity graph W; symmetric PSD, L @ 1 = 0."""
+    """L = diag(W @ 1) - W for a similarity graph W; symmetric PSD, L @ 1 = 0.
+
+    Keeps the array it is given if that is read-only float64 and owns its
+    data, as graph_laplacian hands over; copies anything else, so a caller's
+    writable array is never frozen or aliased.
+    """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=np.float64)
+        m = _adopt(self.matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DatasetError(f"Laplacian must be square, got shape {m.shape}")
         if _asymmetry(m) > SYMMETRY_TOL:
@@ -287,7 +304,8 @@ def cosine_similarity_graph(features: FeatureMatrix) -> SimilarityGraph:
     """Pairwise cosine similarity between feature rows, negatives clamped to 0.
 
     As in ssc_solve, a zero-norm row raises DatasetError("zero-norm feature
-    row(s) at indices [...]"). The diagonal is zero.
+    row(s) at indices [...]"). The diagonal is zero. Built in one n x n
+    buffer, which SimilarityGraph keeps.
     """
     unit = _unit_rows(features.data)
     w = _add_transpose(unit @ unit.T)
@@ -295,20 +313,25 @@ def cosine_similarity_graph(features: FeatureMatrix) -> SimilarityGraph:
     np.clip(w, -1.0, 1.0, out=w)
     np.maximum(w, 0.0, out=w)
     np.fill_diagonal(w, 0.0)
-    return SimilarityGraph(w)
+    return SimilarityGraph(_freeze(w))
 
 
 def graph_laplacian(graph: SimilarityGraph) -> GraphLaplacian:
     """Unnormalized Laplacian diag(W @ 1) - W of a similarity graph.
 
     Takes only a SimilarityGraph, which already guarantees W is square,
-    symmetric, nonnegative and zero on the diagonal.
+    symmetric, nonnegative and zero on the diagonal. Built in one n x n
+    buffer, which GraphLaplacian keeps. Off the diagonal, 0 - W is the
+    float operation of np.diag(d) - W; on it, (0 - W_ii) + d_i equals
+    d_i - W_ii because W_ii is a zero and d_i is -0 only where W_ii is. So
+    the bits, signed zeros included, are those of np.diag(d) - W.
     """
     w = graph.weights
-    lap = np.diag(w.sum(axis=1)) - w
+    lap = np.subtract(0.0, w)
+    lap.flat[:: w.shape[0] + 1] += w.sum(axis=1)
     # Force exact zero row sums so L @ 1 = 0 holds to machine precision.
     np.fill_diagonal(lap, np.diagonal(lap) - lap.sum(axis=1))
-    return GraphLaplacian(lap)
+    return GraphLaplacian(_freeze(lap))
 
 
 # ---------------------------------------------------------------------------

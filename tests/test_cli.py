@@ -337,6 +337,39 @@ class TestExitCodes:
         assert caplog.records[-1].getMessage() == "k: 9 exceeds the number of images 8"
         assert not out.exists()
 
+    # (argv, message): a ranking cut-off above the 12 tags of the TINY bundle
+    CUTOFF_TOO_BIG = [
+        (["pipeline", "--k", "2", "--set", "eval_n=[5, 13]"], "eval_n: 13 exceeds the number of tags 12"),
+        (["eval", "--predictions", "PREDICTIONS", "--set", "eval_n=[13]"],
+         "eval_n: 13 exceeds the number of tags 12"),
+        (["tune", "--set", "k=2", "--set", "tune.n=13"], "tune.n: 13 exceeds the number of tags 12"),
+    ]
+
+    @pytest.mark.parametrize("argv, message", CUTOFF_TOO_BIG, ids=["pipeline", "eval", "tune"])
+    def test_cutoff_above_tag_count_exits_two_before_any_stage(
+        self, tmp_path, monkeypatch, caplog, argv, message
+    ):
+        manifest = make_bundle(tmp_path)
+        predictions = tmp_path / "p.mtx"
+        write_dense_matrix(predictions, np.ones(load_dataset(manifest).tags.matrix.shape))
+
+        def no_ssc(*args, **kwargs):
+            raise AssertionError("ssc_solve ran")
+
+        monkeypatch.setattr("tagrefinery.subspace.ssc_solve", no_ssc)
+        out = tmp_path / "out"
+        argv = [str(predictions) if arg == "PREDICTIONS" else arg for arg in argv]
+        assert main([argv[0], "--manifest", manifest, "--output-dir", str(out), *argv[1:]]) == 2
+        assert caplog.records[-1].getMessage() == message
+        assert not out.exists()
+
+    def test_cutoff_above_tag_count_passes_when_pipeline_skips_eval(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["pipeline", "--manifest", make_bundle(tmp_path), "--output-dir", str(out),
+                     "--k", "2", "--skip-eval", "--set", "eval_n=[13]",
+                     "--set", "refine.outer_iters=2"]) == 0
+        assert not list(out.glob("eval_at_*"))
+
     # (argv, the manifest key whose file is spoiled, test id)
     UNUSABLE_BUNDLE = [
         *[(argv, "image_features", f"image_features-{argv[0]}") for argv in (
@@ -709,6 +742,19 @@ class TestRefineCommand:
 
 
 class TestShareCommand:
+    @pytest.mark.parametrize("source", ["affinity", "cosine"])
+    def test_share_drops_the_affinity_from_the_run(self, tmp_path, source):
+        args = cli.build_parser().parse_args([
+            "pipeline", "--manifest", make_bundle(tmp_path), "--output-dir", str(tmp_path / "out"),
+            "--k", "2", "--set", f"sharing.neighbor_source={source}",
+        ])
+        cfg = resolve_config(args)
+        run = cli._Run(args, cfg, *cli._build_configs(cfg), bundle=load_dataset(cfg["manifest"]))
+        cli._cluster(run)
+        assert run.affinity is not None
+        cli._share(run)
+        assert run.affinity is None and run.completed is not None
+
     def test_cosine_neighbor_source_needs_no_affinity(self, tmp_path):
         manifest = make_bundle(tmp_path)
         out = tmp_path / "out"

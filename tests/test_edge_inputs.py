@@ -24,6 +24,7 @@ from tagrefinery.testkit import gen_annotation_bundle
 EDGE = settings(max_examples=4, deadline=None)
 IMAGE_DIM, TAG_DIM = 12, 9  # the default refine.rank 8 fits under both
 FAST_REFINE = ("--set", "refine.outer_iters=2")
+EVAL_N = ("--set", "eval_n=[2, 5]")  # pipeline evaluates at cut-offs within the 8 tags
 
 seeds = st.integers(0, 10_000)
 
@@ -55,7 +56,7 @@ def assert_scores_valid(out, shape):
 def test_k_equal_to_the_image_count(tmp_path_factory, seed, per_cluster):
     bundle = tiny_bundle(seed, per_cluster)
     n = bundle.tags.n_images
-    rc, out = run(tmp_path_factory, bundle, "pipeline", "--k", str(n), *FAST_REFINE)
+    rc, out = run(tmp_path_factory, bundle, "pipeline", "--k", str(n), *FAST_REFINE, *EVAL_N)
     assert rc == 0
     labels = np.loadtxt(out / "labels.txt", dtype=np.int64)
     assert labels.shape == (n,) and labels.min() >= 0 and labels.max() < n
@@ -71,7 +72,7 @@ def test_duplicate_feature_rows(tmp_path_factory, seed, data):
                                   max_size=2, unique=True))
     features[dst] = features[src]
     bundle = dataclasses.replace(bundle, image_features=FeatureMatrix(features))
-    rc, out = run(tmp_path_factory, bundle, "pipeline", "--k", "2", *FAST_REFINE)
+    rc, out = run(tmp_path_factory, bundle, "pipeline", "--k", "2", *FAST_REFINE, *EVAL_N)
     assert rc == 0
     assert_scores_valid(out, (bundle.tags.n_images, bundle.tags.n_tags))
 
@@ -105,7 +106,7 @@ def test_untagged_image_and_unused_tag(tmp_path_factory, seed, data):
     dense[image] = 0.0
     dense[:, tag] = 0.0
     bundle = dataclasses.replace(bundle, tags=TagMatrix.from_dense(dense))
-    rc, out = run(tmp_path_factory, bundle, "pipeline", "--k", "2", *FAST_REFINE)
+    rc, out = run(tmp_path_factory, bundle, "pipeline", "--k", "2", *FAST_REFINE, *EVAL_N)
     assert rc == 0
     assert_scores_valid(out, dense.shape)
 

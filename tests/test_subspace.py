@@ -20,7 +20,13 @@ from tagrefinery.subspace import (
     spectral_cluster,
     ssc_solve,
 )
-from tagrefinery.tagmat import DatasetError, FeatureMatrix, SimilarityGraph, cosine_similarity_graph
+from tagrefinery.tagmat import (
+    DatasetError,
+    FeatureMatrix,
+    SimilarityGraph,
+    cosine_similarity_graph,
+    graph_laplacian,
+)
 from tagrefinery.testkit import (
     clustering_accuracy,
     gen_annotation_bundle,
@@ -288,7 +294,7 @@ class TestBitPins:
 
 
 class TestWorkingSet:
-    """Traced allocation peak of each cluster-stage call above its input, in n x n float64s.
+    """Traced allocation peak of each cluster-stage and graph call above its input, in n x n float64s.
 
     Measured at n = 1000, max_iters = 3. The first three bounds were set
     when the stage was cut to four n x n arrays, each between the peak after
@@ -312,7 +318,15 @@ class TestWorkingSet:
     - cosine_similarity_graph 2.30 (the cosines, built in place, and
       SimilarityGraph's copy) against 3.30 (cos + cos^T and its halves as
       new arrays).
-    affinity stays at 2.26: |Z| and SimilarityGraph's copy of it.
+
+    The last three were set when SimilarityGraph and GraphLaplacian came to
+    adopt the frozen array their builder hands over, each between the peak
+    after (one n x n buffer plus the blocked symmetry check's 0.26) and the
+    peak before (plus the constructor's copy):
+    - affinity 1.6 (|Z| summed with its transpose in place) against 2.26;
+    - cosine_similarity_graph 1.7 (the cosines) against 2.30;
+    - graph_laplacian 1.6 (0 - W with the degrees added to its diagonal)
+      against 2.26 (np.diag(d), np.diag(d) - W, then the copy).
     """
 
     @pytest.fixture(scope="class")
@@ -333,7 +347,8 @@ class TestWorkingSet:
             rep = traced("ssc_solve", ssc_solve, images, SscConfig(max_iters=3))
             aff = traced("affinity", affinity, rep)
             traced("spectral_cluster", spectral_cluster, aff, 5, seed=0)
-            traced("cosine_similarity_graph", cosine_similarity_graph, images)
+            graph = traced("cosine_similarity_graph", cosine_similarity_graph, images)
+            traced("graph_laplacian", graph_laplacian, graph)
         finally:
             tracemalloc.stop()
         return out
@@ -341,7 +356,9 @@ class TestWorkingSet:
     @pytest.mark.parametrize("name, bound",
                              [("ssc_solve", 4.6), ("affinity", 2.5), ("spectral_cluster", 2.5),
                               ("ssc_solve", 4.35), ("spectral_cluster", 1.6),
-                              ("cosine_similarity_graph", 2.8)])
+                              ("cosine_similarity_graph", 2.8),
+                              ("affinity", 1.6), ("cosine_similarity_graph", 1.7),
+                              ("graph_laplacian", 1.6)])
     def test_peak_above_input(self, peaks, name, bound):
         assert peaks[name] <= bound
 

@@ -161,6 +161,38 @@ class TestSimilarityGraph:
             SimilarityGraph(w)
 
 
+class TestOwnership:
+    """SimilarityGraph and GraphLaplacian adopt a frozen float64 array that owns its data, as
+    the builders hand over, and copy anything else."""
+
+    CASES = [(SimilarityGraph, "weights", [[0.0, 0.5], [0.5, 0.0]]),
+             (GraphLaplacian, "matrix", [[0.5, -0.5], [-0.5, 0.5]])]
+
+    @pytest.mark.parametrize("cls, field, value", CASES, ids=["graph", "laplacian"])
+    def test_writable_array_is_copied(self, cls, field, value):
+        arr = np.array(value)
+        held = getattr(cls(arr), field)
+        assert arr.flags.writeable and not held.flags.writeable
+        assert not np.shares_memory(arr, held)
+        arr[0, 1] = arr[1, 0] = 0.25
+        np.testing.assert_array_equal(held, value)
+
+    @pytest.mark.parametrize("cls, field, value", CASES, ids=["graph", "laplacian"])
+    def test_frozen_array_is_adopted(self, cls, field, value):
+        arr = tagmat._freeze(np.array(value))
+        assert np.shares_memory(getattr(cls(arr), field), arr)
+
+    @pytest.mark.parametrize("cls, field, value", CASES, ids=["graph", "laplacian"])
+    def test_read_only_view_is_copied(self, cls, field, value):
+        base = np.zeros((3, 3))
+        base[:2, :2] = value
+        view = base[:2, :2]
+        view.setflags(write=False)
+        held = getattr(cls(view), field)
+        assert not np.shares_memory(held, base)
+        np.testing.assert_array_equal(held, value)
+
+
 class TestAddTranspose:
     """_add_transpose(a) is a + a.T bit for bit, computed in a's own buffer."""
 
@@ -240,6 +272,19 @@ class TestGraphLaplacian:
         assert lap.matrix[0, 1] == -0.5
         assert lap.matrix[0, 2] == -0.2
         assert lap.matrix[1, 2] == 0.0
+
+    def test_matches_diag_formula_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        w = rng.random((7, 7))
+        w[w < 0.4] = 0.0
+        w += w.T
+        w[w == 0.0] = -0.0  # zero weights of both signs
+        w[6] = w[:, 6] = 0.0  # an isolated node
+        w[5] = w[:, 5] = -0.0  # and one with weights of -0 only
+        np.fill_diagonal(w, [0.0, -0.0] * 3 + [-0.0])
+        want = np.diag(w.sum(axis=1)) - w
+        np.fill_diagonal(want, np.diagonal(want) - want.sum(axis=1))
+        assert graph_laplacian(SimilarityGraph(w)).matrix.tobytes() == want.tobytes()
 
     def test_zero_row_sums_and_psd(self):
         rng = np.random.default_rng(2)
