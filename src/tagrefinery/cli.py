@@ -228,9 +228,8 @@ def _build_configs(cfg: dict) -> tuple:
     for key in _SYNTH_POSITIVE.get(kind, ()):
         if synth[key] < 1:
             problems.append(f"synth.{key}: must be a positive integer, got {synth[key]!r}")
-    seeds = {"synth.seed": synth["seed"], "synth.noise_seed": synth["noise_seed"],
-             "refine.seed": cfg["refine"]["seed"], "tune.split_seed": tune["split_seed"]}
-    for key, seed in seeds.items():
+    for key, seed in (("synth.seed", synth["seed"]), ("synth.noise_seed", synth["noise_seed"]),
+                      ("tune.split_seed", tune["split_seed"])):
         if seed < 0:
             problems.append(f"{key}: must be a non-negative integer, got {seed!r}")
     for key in ("missing_rate", "inaccurate_rate"):
@@ -317,17 +316,21 @@ def _val_rows(run: _Run) -> np.ndarray:
     return np.sort(np.random.default_rng(t["split_seed"]).permutation(n_images)[:n_val])
 
 
-def _check_bundle(run: _Run) -> None:
-    """Reject, before any stage runs, bundle values that a stage of this command cannot use.
+def _check_bundle(run: _Run, stages: tuple) -> None:
+    """The one owner of every check before the first stage that depends on the stages that run.
 
-    Fits need a rank within both feature dimensions and nonzero feature rows (cosine graphs);
-    clustering and cosine sharing need nonzero image rows; evaluation an annotated ground
-    truth and cut-offs within the tag count, and tune an annotated image in its validation split.
+    Tune, and eval without refine, need a ground_truth entry; fits need a rank within both feature
+    dimensions and nonzero feature rows (cosine graphs); clustering and cosine sharing need nonzero
+    image rows; evaluation an annotated ground truth and cut-offs within the tag count; tune an
+    annotated image in its validation split; clustering at a fixed k (auto_k off) k <= images.
     """
-    stages, args = run.args.stages, run.args
+    args, cfg, truth = run.args, run.cfg, run.bundle.ground_truth
+    n_images, n_tags = run.bundle.tags.matrix.shape
+    if truth is None and (_tune in stages or (_eval in stages and _refine not in stages)):
+        raise DatasetError(f"ground_truth: {args.command} needs a manifest with a ground_truth entry")
     fits = _tune in stages or (_refine in stages and not getattr(args, "apply", False))
     if fits:
-        key, ranks = ("tune.rank_grid", run.cfg["tune"]["rank_grid"]) if _tune in stages \
+        key, ranks = ("tune.rank_grid", cfg["tune"]["rank_grid"]) if _tune in stages \
             else ("refine.rank", [run.refine.rank])
         dims = (run.bundle.image_features.dim, run.bundle.tag_features.dim)
         for rank in ranks:
@@ -342,21 +345,21 @@ def _check_bundle(run: _Run) -> None:
                 _unit_rows(getattr(run.bundle, key).data)
             except DatasetError as exc:
                 raise DatasetError(f"{key}: {exc}") from None
-    truth = run.bundle.ground_truth
     evaluates = _eval in stages and not getattr(args, "skip_eval", False) and truth is not None
-    if (_tune in stages or evaluates) and truth is not None and truth.nnz == 0:
+    if (_tune in stages or evaluates) and truth.nnz == 0:
         raise DatasetError("ground_truth: all rows are empty; nothing to evaluate")
-    n_tags = run.bundle.tags.n_tags
-    for key, n, checked in (("eval_n", max(run.cfg["eval_n"]), evaluates),
-                            ("tune.n", run.cfg["tune"]["n"], _tune in stages)):
+    for key, n, checked in (("eval_n", max(cfg["eval_n"]), evaluates),
+                            ("tune.n", cfg["tune"]["n"], _tune in stages)):
         if checked and n > n_tags:
             raise DatasetError(f"{key}: {n} exceeds the number of tags {n_tags}")
     if _tune in stages:
         val_rows = _val_rows(run)
         if truth.matrix[val_rows].nnz == 0:
             raise DatasetError(f"tune.val_fraction: the validation split of {val_rows.size} images "
-                               f"(tune.split_seed={run.cfg['tune']['split_seed']}) has no ground-truth "
+                               f"(tune.split_seed={cfg['tune']['split_seed']}) has no ground-truth "
                                "tags; nothing to evaluate")
+    if _cluster in stages and not cfg["auto_k"] and cfg["k"] > n_images:
+        raise DatasetError(f"k: {cfg['k']} exceeds the number of images {n_images}")
 
 
 def _synth(run: _Run) -> None:
@@ -658,17 +661,11 @@ def main(argv=None) -> int:
         stages = args.stages
         if getattr(args, "completed", None):
             stages = stages[2:]  # tune --completed stands in for cluster and share
-        if args.command != "synth":
+        if _synth not in stages:
             if not cfg["manifest"]:
                 raise DatasetError("manifest: no dataset manifest given (config key or --manifest)")
             run.bundle = load_dataset(cfg["manifest"])
-            if run.bundle.ground_truth is None and args.command in ("eval", "tune"):
-                raise DatasetError(f"ground_truth: {args.command} needs a manifest with a "
-                                   "ground_truth entry")
-            _check_bundle(run)
-            n_images = run.bundle.tags.n_images
-            if _cluster in stages and not cfg["auto_k"] and cfg["k"] > n_images:
-                raise DatasetError(f"k: {cfg['k']} exceeds the number of images {n_images}")
+            _check_bundle(run, stages)
         _check_output_dir(cfg["output_dir"])
         for stage in stages:
             try:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tagmat import DatasetError, TagMatrix, top_n_tags
+from .tagmat import DatasetError, TagMatrix, _check_seed, top_n_tags
 
 
 @dataclass(frozen=True)
@@ -39,6 +39,7 @@ class NoiseSpec:
             raise DatasetError(f"missing_rate must be in [0, 1], got {self.missing_rate}")
         if not 0.0 <= self.inaccurate_rate <= 1.0:
             raise DatasetError(f"inaccurate_rate must be in [0, 1], got {self.inaccurate_rate}")
+        _check_seed(self.seed)
 
 
 def _require_binary(truth: TagMatrix, what: str) -> None:

@@ -61,6 +61,8 @@ class RefineConfig:
             problems.append(f"mu must satisfy 0 <= mu < 1, got {self.mu}")
         if self.outer_iters < 1:
             problems.append(f"outer_iters must be >= 1, got {self.outer_iters}")
+        if self.seed < 0:
+            problems.append(f"seed must be a non-negative integer, got {self.seed}")
         if self.obj_tol < 0:
             problems.append(f"obj_tol must be >= 0, got {self.obj_tol}")
         if problems:

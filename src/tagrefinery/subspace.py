@@ -19,7 +19,8 @@ import numpy as np
 import scipy.linalg
 
 from .tagmat import (
-    DatasetError, FeatureMatrix, SimilarityGraph, _add_transpose, _block_rows, _freeze, _unit_rows,
+    DatasetError, FeatureMatrix, SimilarityGraph, _add_transpose, _block_rows, _check_seed, _freeze,
+    _unit_rows,
 )
 
 
@@ -333,6 +334,7 @@ def spectral_cluster(aff: SimilarityGraph, k: int, seed: int = 0) -> ClusterAssi
         raise DatasetError(f"k must be >= 1, got {k}")
     if k > n:
         raise DatasetError(f"k={k} exceeds the number of images {n}")
+    _check_seed(seed)
     if k == 1:
         return ClusterAssignment(labels=np.zeros(n, dtype=np.int64), k=1)
     embedding = _spectral_embedding(aff.weights, k)

@@ -27,6 +27,12 @@ class DatasetError(ValueError):
     """Bad input: a file, a shape or a value, configuration included."""
 
 
+def _check_seed(seed: int) -> None:
+    """Refuse, where it enters, a seed that np.random.default_rng would reject."""
+    if seed < 0:
+        raise DatasetError(f"seed must be a non-negative integer, got {seed}")
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
@@ -349,10 +355,10 @@ def top_n_tags(scores, n: int) -> np.ndarray:
     count returns every column in ranked order.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise DatasetError(f"n must be >= 1, got {n}")
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2:
-        raise ValueError("expected a 2-D score matrix")
+        raise DatasetError(f"expected a 2-D score matrix, got shape {scores.shape}")
     return np.argsort(-scores, axis=1, kind="stable")[:, :n]
 
 

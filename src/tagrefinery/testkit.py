@@ -16,7 +16,9 @@ import numpy as np
 
 from .metrics import NoiseSpec, inject_noise
 from .subspace import ClusterAssignment, SelfRepresentation
-from .tagmat import DatasetBundle, DatasetError, FeatureMatrix, TagMatrix, _freeze, _unit_rows, top_n_tags
+from .tagmat import (
+    DatasetBundle, DatasetError, FeatureMatrix, TagMatrix, _check_seed, _freeze, _unit_rows, top_n_tags,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -54,6 +56,7 @@ def gen_union_of_subspaces(
         raise DatasetError("n_per_subspace must be >= 1")
     if noise_sigma < 0:
         raise DatasetError("noise_sigma must be >= 0")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     points, labels, bases = _cluster_points(rng, np.zeros((k, dim_ambient)), dim_subspace,
                                             n_per_subspace, 1.0, noise_sigma)
@@ -171,6 +174,7 @@ def gen_planted_annotation(
         raise DatasetError(f"rank {r} exceeds min feature dim {min(f_i, f_t)}")
     if not 0.0 < density <= 1.0:
         raise DatasetError(f"density must be in (0, 1], got {density}")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     v = np.abs(rng.standard_normal((n_images, f_i)))
     t = np.abs(rng.standard_normal((n_tags, f_t)))
@@ -237,6 +241,7 @@ def gen_annotation_bundle(
         raise DatasetError(
             f"need 1 <= dim_subspace < image_dim, got {dim_subspace} / {image_dim}"
         )
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     n_images = n_clusters * images_per_cluster
 

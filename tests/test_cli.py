@@ -278,7 +278,7 @@ class TestExitCodes:
         (["synth", "--set", "synth.noise_seed=-1"], "synth.noise_seed"),
         (["synth", "--set", "synth.name=sub/x"], "synth.name"),
         (["synth", "--set", "synth.name="], "synth.name", "synth.name-empty"),
-        (["pipeline", "--manifest", "missing.manifest", "--set", "refine.seed=-1"], "refine.seed"),
+        (["pipeline", "--manifest", "missing.manifest", "--set", "refine.seed=-1"], "refine", "refine.seed"),
         (["tune", "--manifest", "missing.manifest", "--set", "tune.split_seed=-1"], "tune.split_seed"),
     ]
 
@@ -296,6 +296,7 @@ class TestExitCodes:
         ("sharing.max_added_per_image=-1", "sharing: max_added_per_image must be >= 0, got -1"),
         ("sharing.min_confidence=2", "sharing: min_confidence must be in [0, 1.1], got 2"),
         ("refine.lambda2=-1", "refine: lambda2 must be >= 0, got -1"),
+        ("refine.seed=-1", "refine: seed must be a non-negative integer, got -1"),
     ]
 
     @pytest.mark.parametrize("assignment, message", STAGE_FIELDS,
@@ -420,18 +421,39 @@ class TestExitCodes:
         assert caplog.records[-1].getMessage() == f"{key}: {self.UNUSABLE_REASONS[key]}"
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv", [["eval", "--predictions", "p.mtx"], ["tune", "--set", "k=2"]],
-                             ids=["eval", "tune"])
-    def test_manifest_without_ground_truth_exits_two_naming_the_key(self, tmp_path, caplog, argv):
+    @staticmethod
+    def without_ground_truth(tmp_path):
+        """The bundle's manifest with its ground_truth line removed."""
         manifest = pathlib.Path(make_bundle(tmp_path))
         stripped = manifest.with_name("stripped.manifest")
         stripped.write_text("".join(line for line in manifest.read_text().splitlines(keepends=True)
                                     if not line.startswith("ground_truth")))
+        return str(stripped)
+
+    @pytest.mark.parametrize("argv", [["eval", "--predictions", "p.mtx"], ["tune", "--set", "k=2"],
+                                      ["tune", "--completed", "c.mtx"]],
+                             ids=["eval", "tune", "tune-completed"])
+    def test_manifest_without_ground_truth_exits_two_naming_the_key(self, tmp_path, caplog, argv):
+        stripped = self.without_ground_truth(tmp_path)
         out = tmp_path / "out"
-        assert main([argv[0], "--manifest", str(stripped), "--output-dir", str(out), *argv[1:]]) == 2
+        assert main([argv[0], "--manifest", stripped, "--output-dir", str(out), *argv[1:]]) == 2
         assert caplog.records[-1].getMessage() == (
             f"ground_truth: {argv[0]} needs a manifest with a ground_truth entry")
         assert not out.exists()
+
+    def test_pipeline_without_ground_truth_refines_and_skips_eval(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["pipeline", "--manifest", self.without_ground_truth(tmp_path), "--output-dir",
+                     str(out), "--k", "2", "--set", "refine.outer_iters=2"]) == 0
+        assert (out / "refined.mtx").exists()
+        assert not list(out.glob("eval_at_*"))
+
+    def test_tune_completed_ignores_k_since_cluster_does_not_run(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["tune", "--manifest", make_bundle(tmp_path), "--output-dir", str(out),
+                     "--completed", str(tmp_path / "data" / "synthetic_tags.mtx"), "--set", "k=10000",
+                     "--set", "tune.mu_grid=[0.4]", "--set", "refine.outer_iters=2"]) == 0
+        assert (out / "tune_best.json").exists()
 
     def test_apply_scores_a_zero_image_row(self, tmp_path):
         manifest, bundle = self.spoil(tmp_path, "image_features")

@@ -11,6 +11,9 @@ from hypothesis.extra import numpy as hnp
 
 from oracles import tags_from_dense
 from tagrefinery import tagmat
+from tagrefinery.metrics import NoiseSpec
+from tagrefinery.refine import RefineConfig, refine
+from tagrefinery.subspace import spectral_cluster
 from tagrefinery.tagmat import (
     DatasetBundle,
     DatasetError,
@@ -29,6 +32,7 @@ from tagrefinery.tagmat import (
     write_dense_matrix,
     write_sparse_matrix,
 )
+from tagrefinery.testkit import gen_annotation_bundle, gen_planted_annotation, gen_union_of_subspaces
 
 
 def small_bundle(n_images=3, n_tags=4, seed=0):
@@ -319,6 +323,35 @@ class TestTopNTags:
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
             top_n_tags(np.zeros((1, 2)), 0)
+
+
+def _fit_seeded(seed):
+    bundle = small_bundle()
+    features = (bundle.image_features, bundle.tag_features)
+    laplacians = [graph_laplacian(cosine_similarity_graph(f)) for f in features]
+    return refine(bundle.tags, *features, *laplacians, RefineConfig(rank=2, seed=seed))
+
+
+SEED_MESSAGE = "seed must be a non-negative integer, got -1"
+# Library entry point -> (a call with one bad seed or cut-off, the DatasetError message naming it).
+BAD_LIBRARY_VALUES = {
+    "refine": (lambda: _fit_seeded(-1), SEED_MESSAGE),
+    "NoiseSpec": (lambda: NoiseSpec(0.1, 0.1, seed=-1), SEED_MESSAGE),
+    "spectral_cluster": (lambda: spectral_cluster(cosine_similarity_graph(small_bundle().image_features),
+                                                  2, seed=-1), SEED_MESSAGE),
+    "gen_union_of_subspaces": (lambda: gen_union_of_subspaces(2, 1, 3, 2, seed=-1), SEED_MESSAGE),
+    "gen_planted_annotation": (lambda: gen_planted_annotation(4, 3, 2, 2, 1, seed=-1), SEED_MESSAGE),
+    "gen_annotation_bundle": (lambda: gen_annotation_bundle(seed=-1), SEED_MESSAGE),
+    "top_n_tags-n": (lambda: top_n_tags(np.zeros((1, 2)), 0), "n must be >= 1, got 0"),
+    "top_n_tags-1d": (lambda: top_n_tags(np.zeros(2), 1), "expected a 2-D score matrix, got shape (2,)"),
+}
+
+
+@pytest.mark.parametrize("call, message", BAD_LIBRARY_VALUES.values(), ids=BAD_LIBRARY_VALUES.keys())
+def test_bad_seed_or_cutoff_raises_dataset_error_naming_it(call, message):
+    with pytest.raises(DatasetError) as err:
+        call()
+    assert str(err.value) == message
 
 
 class TestBundleAndManifest:
