@@ -409,7 +409,11 @@ def _synth(run: _Run) -> None:
 
 
 def _cluster(run: _Run) -> None:
-    """SSC affinity, then spectral clustering; SSC non-convergence makes the run exit 1."""
+    """SSC affinity, then spectral clustering; SSC non-convergence makes the run exit 1.
+
+    z.mtx is written as soon as the affinity is built and Z is dropped, so
+    spectral clustering holds only the affinity and its Laplacian n x n.
+    """
     rep = subspace.ssc_solve(run.bundle.image_features, run.ssc)
     log.info(
         "ssc: %d iterations, converged=%s, residuals: recon=%.3e rowsum=%.3e gap=%.3e",
@@ -417,6 +421,16 @@ def _cluster(run: _Run) -> None:
         rep.residuals.rowsum_max, rep.residuals.gap_max,
     )
     run.affinity = subspace.affinity(rep)
+    write_dense_matrix(run.out("z.mtx"), rep.z)
+    diagnostics = {
+        "converged": rep.converged,
+        "iterations": rep.n_iters,
+        "objective": rep.objective,
+        "recon_rel": rep.residuals.recon_rel,
+        "rowsum_max": rep.residuals.rowsum_max,
+        "gap_max": rep.residuals.gap_max,
+    }
+    del rep
     k = run.cfg["k"]
     if run.cfg["auto_k"]:
         k = subspace.eigengap_k(run.affinity, run.cfg["auto_k_max"])
@@ -425,23 +439,13 @@ def _cluster(run: _Run) -> None:
     for note in run.assignment.notes:
         log.warning("spectral clustering: %s", note)
 
-    write_dense_matrix(run.out("z.mtx"), rep.z)
     write_dense_matrix(run.out("affinity.mtx"), run.affinity.weights)
     write_id_list(run.out("labels.txt"), run.assignment.labels)
     _write_json(
         run.out("ssc_diagnostics.json"),
-        {
-            "converged": rep.converged,
-            "iterations": rep.n_iters,
-            "objective": rep.objective,
-            "recon_rel": rep.residuals.recon_rel,
-            "rowsum_max": rep.residuals.rowsum_max,
-            "gap_max": rep.residuals.gap_max,
-            "k": int(k),
-            "cluster_sizes": [int(s) for s in run.assignment.cluster_sizes()],
-        },
+        {**diagnostics, "k": int(k), "cluster_sizes": [int(s) for s in run.assignment.cluster_sizes()]},
     )
-    if not rep.converged:
+    if not diagnostics["converged"]:
         log.error("ssc did not converge within %d iterations; artifacts preserved in %s",
                   run.ssc.max_iters, run.cfg["output_dir"])
         run.exit_code = 1

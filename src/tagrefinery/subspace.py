@@ -6,9 +6,11 @@ Solves the sparse self-representation problem
     s.t.      X = Z X + E,  diag(Z) = 0,  Z 1 = 1,
 
 with rows of X as images, via an augmented-Lagrangian splitting with an
-adaptively growing penalty. The affinity |Z| + |Z^T| then feeds spectral
-clustering on the symmetric normalized Laplacian with a deterministic,
-seeded k-means.
+adaptively growing penalty. Besides the inverse of the Z-update matrix, the
+loop keeps one n x n array, A = Z + y2/rho, from which both the thresholded
+copy J and the dual y2 follow, and sweeps it one row block at a time. The
+affinity |Z| + |Z^T| then feeds spectral clustering on the symmetric
+normalized Laplacian with a deterministic, seeded k-means.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 import scipy.linalg
 
 from .tagmat import (
-    DatasetError, FeatureMatrix, SimilarityGraph, _add_transpose, _block_rows, _check_seed, _freeze,
+    DatasetError, FeatureMatrix, SimilarityGraph, _add_transpose, _check_seed, _freeze,
     _unit_rows,
 )
 
@@ -97,9 +99,28 @@ class ClusterAssignment:
         return np.bincount(self.labels, minlength=self.k)
 
 
-def _threshold_rows(n: int) -> int:
-    """Rows per soft-threshold block: its |a| temporary is 1/16 of a _BLOCK_BYTES row block."""
-    return max(1, _block_rows(n) // 16)
+def _sweep_rows(n: int) -> int:
+    """Rows per block of the solver's sweep: a quarter of n.
+
+    Its two row-block buffers then hold half an n x n array. Each block's
+    GEMM repacks all of M^-1, so fewer rows cost time: at n = 1000, 131-row
+    blocks made an iteration about 7 % slower than 262-row ones.
+    """
+    return max(1, n // 4)
+
+
+def _threshold(a: np.ndarray, thresh: float, out: np.ndarray, start: int) -> np.ndarray:
+    """Row block of J from the rows of A that start at row start: out = sign(a) max(|a| - thresh, 0).
+
+    J's diagonal entries in the block are set to 0. copysign gives each
+    thresholded zero the sign of its entry of A, the rule z.mtx has always
+    followed.
+    """
+    np.abs(a, out=out)
+    np.subtract(out, thresh, out=out)
+    np.copysign(np.maximum(out, 0.0, out=out), a, out=out)
+    np.fill_diagonal(out[:, start:], 0.0)
+    return out
 
 
 def ssc_solve(images: FeatureMatrix, config: SscConfig = SscConfig()) -> SelfRepresentation:
@@ -108,7 +129,7 @@ def ssc_solve(images: FeatureMatrix, config: SscConfig = SscConfig()) -> SelfRep
     Rows are normalized to unit length first; as in cosine_similarity_graph, a
     zero-norm row raises DatasetError("zero-norm feature row(s) at indices [...]").
     Splitting: Z carries the reconstruction and row-sum constraints (its
-    matrix X X^T + I + 1 1^T is inverted once: one GEMM per Z update), a
+    matrix M = X X^T + I + 1 1^T is inverted once: one GEMM per Z update), a
     copy J the L1 norm (soft threshold, diagonal projected to zero every
     iteration), E the reconstruction error in closed form. Dual ascent on
     all three couplings; penalty rho grows by _PENALTY_GROWTH up to
@@ -120,12 +141,27 @@ def ssc_solve(images: FeatureMatrix, config: SscConfig = SscConfig()) -> SelfRep
     where the loop stops. On a 500-image bundle that point sits 1.5 % above
     the optimal objective, with about ten times its nonzeros per row.
 
-    The loop holds four n x n float64 arrays: M^-1, two iterate buffers (the
-    Z right-hand side, Z, then Z - J; and J, with y2/rho in between) and the
-    dual y2. The soft threshold runs in place a few rows at a time, so its
-    |a| temporary is at most about 64 KB. The set-up holds two: M, which LAPACK
-    factors in its own buffer, and the identity that M^-1 overwrites. Traced
-    at n = 1000 (max_iters = 3), the call peaks at 4.25 n x n above its input.
+    The loop keeps one n x n state, A = Z + y2/rho, the point J thresholds.
+    Since J = soft_{1/rho}(A) with a zero diagonal, the dual step gives y2 +
+    rho (Z - J) = rho (A - J) exactly, so both J and y2 follow from A: the
+    next right-hand side's J - y2/rho' is J - c (A - J) with c = rho/rho'.
+    Every term is row-separable, so each iteration sweeps _sweep_rows(n)
+    rows at a time: J from A, the right-hand side, Z = rhs M^-1, the new
+    A = Z + c (A - J) in place, then the new J, summing Z X, Z 1, J X, J 1
+    and max |Z - J| block by block. E, the duals y1 and y3 and rho then
+    update as a whole. The sweep holds two row blocks (the right-hand side
+    then the new J; the old J then Z), and c (A - J) is held in A's own
+    rows. At the end J is formed in A's buffer.
+
+    The set-up holds two n x n arrays: M, which LAPACK factors in its own
+    buffer, and the identity that M^-1 overwrites. M^-1 = I - U (I + U^T
+    U)^-1 U^T with U = [X, 1] (Woodbury) would let the loop drop M^-1 too,
+    making each Z update O(n^2 d) rather than the n^3 GEMM. It is not done
+    here, because perfbench's cluster-1000 workload takes this n^3 loop as at
+    least 90 % of its job. Traced at n = 1000, d = 40 (max_iters = 3), the
+    call peaks at 2.83 n x n above its input: M^-1, A, two blocks of 250 rows
+    and the n x d arrays. With Z, J and y2 as three n x n arrays it peaked
+    at 4.25.
 
     Non-convergence within max_iters is not an error: the last iterate is
     returned with converged=False and the residuals achieved.
@@ -147,60 +183,70 @@ def ssc_solve(images: FeatureMatrix, config: SscConfig = SscConfig()) -> SelfRep
     # Fortran-ordered identity is overwritten by M^-1: no copy for LAPACK.
     factor = scipy.linalg.cho_factor(m.T, overwrite_a=True)
     m_inv = scipy.linalg.cho_solve(factor, np.eye(n).T, overwrite_b=True)
-    del m, factor  # n x n freed before the loop allocates its iterates
+    del m, factor  # n x n freed before the loop allocates its state
 
-    z = np.empty((n, n))       # Z right-hand side, Z, then Z - J (swapped with j)
-    j = np.zeros((n, n))       # J, with y2 / rho in between
+    a = np.zeros((n, n))       # A = Z + y2 / rho; J at the end
+    rows = _sweep_rows(n)
+    rhs = np.empty((rows, n))  # Z right-hand side, then the new J
+    buf = np.empty_like(rhs)   # old J, then Z, then Z - J
+    zx, jx = np.empty_like(x), np.empty_like(x)
+    z_ones, j_ones = np.empty(n), np.empty(n)
     e = np.zeros_like(x)
     y1 = np.zeros_like(x)      # dual of X = Z X + E
-    y2 = np.zeros((n, n))      # dual of Z = J
     y3 = np.zeros(n)           # dual of Z 1 = 1
     rho = _PENALTY_INIT
-    step = _threshold_rows(n)
+    thresh = 1.0 / rho         # J's threshold; A = 0 makes J = 0 and y2 = 0 whatever c is
+    c = 1.0
 
     residuals = SscResiduals(np.inf, np.inf, np.inf)
     converged = False
     it = 0
     for it in range(1, config.max_iters + 1):
-        np.matmul(x - e + y1 / rho, x.T, out=z)
-        z += j
-        z -= np.divide(y2, rho, out=j)
-        z += (1.0 - y3 / rho)[:, None]
-        z, j = np.matmul(z, m_inv, out=j), z  # Z = rhs M^-1 in J's buffer, whose value is in rhs
+        p = x - e + y1 / rho
+        col = 1.0 - y3 / rho
+        gap_max = 0.0
+        for start in range(0, n, rows):
+            stop = min(start + rows, n)
+            a_b, r_b, j_b = a[start:stop], rhs[: stop - start], buf[: stop - start]
+            np.matmul(p[start:stop], x.T, out=r_b)
+            r_b += _threshold(a_b, thresh, j_b, start)
+            a_b -= j_b
+            a_b *= c                  # y2 / rho for this iteration's rho
+            r_b -= a_b
+            r_b += col[start:stop, None]
+            z_b = np.matmul(r_b, m_inv, out=j_b)  # Z in the old J's rows, freeing the rhs
+            a_b += z_b                # A = Z + y2 / rho
+            j_b = _threshold(a_b, 1.0 / rho, r_b, start)
+            np.matmul(z_b, x, out=zx[start:stop])
+            np.matmul(z_b, ones, out=z_ones[start:stop])
+            np.matmul(j_b, x, out=jx[start:stop])
+            np.matmul(j_b, ones, out=j_ones[start:stop])
+            d = np.subtract(z_b, j_b, out=z_b)
+            # max |d| without an |d| array; starting from +0.0 never yields an all-zero -0.0.
+            gap_max = max(gap_max, float(d.max()), float(-d.min()))
 
-        # J = sign(a) max(|a| - 1/rho, 0) at a = z + y2/rho; copysign keeps signed zeros.
-        np.add(z, np.divide(y2, rho, out=j), out=j)
-        for start in range(0, n, step):
-            a = j[start : start + step]
-            t = np.abs(a)
-            np.subtract(t, 1.0 / rho, out=t)
-            np.copysign(np.maximum(t, 0.0, out=t), a, out=a)
-        np.fill_diagonal(j, 0.0)
-
-        zx = z @ x
-        z_ones = z @ ones
         e = (y1 + rho * (x - zx)) / (2.0 * config.mu + rho)
-
         y1 += rho * (x - zx - e)
-        d = np.subtract(z, j, out=z)
-        # max |d| without an |d| array; + 0.0 turns an all-zero -0.0 into the 0.0 abs gives.
-        gap_max = max(float(d.max()), float(-d.min())) + 0.0
-        d *= rho
-        y2 += d
         y3 += rho * (z_ones - 1.0)
-        rho = min(rho * _PENALTY_GROWTH, _PENALTY_MAX)
+        thresh = 1.0 / rho
+        new_rho = min(rho * _PENALTY_GROWTH, _PENALTY_MAX)
+        c, rho = rho / new_rho, new_rho
 
         # Feasibility is reported for the returned iterate J.
         residuals = SscResiduals(
-            recon_rel=float(np.linalg.norm(x - j @ x - e) / x_norm),
-            rowsum_max=float(np.abs(j @ ones - 1.0).max()),
+            recon_rel=float(np.linalg.norm(x - jx - e) / x_norm),
+            rowsum_max=float(np.abs(j_ones - 1.0).max()),
             gap_max=gap_max,
         )
         if max(residuals.recon_rel, residuals.rowsum_max, residuals.gap_max) <= config.tol:
             converged = True
             break
 
-    del z, d, y2, m_inv  # only J is left n x n when |J| is taken
+    del m_inv  # only A, which becomes J, is left n x n when |J| is taken
+    for start in range(0, n, rows):
+        a_b = a[start : start + rows]
+        a_b[...] = _threshold(a_b, thresh, buf[: len(a_b)], start)
+    j = a
     objective = float(np.abs(j).sum() + config.mu * (e ** 2).sum())
     j.setflags(write=False)
     e.setflags(write=False)

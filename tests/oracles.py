@@ -258,8 +258,11 @@ def ssc_reference(x, mu, max_iters, tol, rho=1.0, growth=1.1, rho_max=1e8):
 #
 # Verbatim copies of the GEMM-inverse self-representation loop, the affinity
 # and the normalized Laplacian as they stood before the stage was cut to four
-# n x n arrays. The package must reproduce their output bit for bit: a change
-# to its memory layout may not change a single float operation.
+# n x n arrays. ssc_pinned stays the record of that loop's arithmetic: since
+# the solver came to carry one n x n state (A = Z + y2/rho), it reproduces
+# ssc_pinned's z and e to roundoff (1e-12) and its iteration count, nonzero
+# pattern and clustering exactly. The affinity and the Laplacian must still be
+# reproduced bit for bit.
 # ---------------------------------------------------------------------------
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from oracles import clamped_tags
-from tagrefinery import cli
+from tagrefinery import cli, tagmat
 from tagrefinery.cli import DEFAULT_CONFIG, main, resolve_config
 from tagrefinery.tagmat import (
     DatasetError,
@@ -525,6 +525,32 @@ class TestClusterCommand:
         assert rc == 0
         with open(out / "ssc_diagnostics.json", encoding="utf-8") as fh:
             assert json.load(fh)["k"] == 5
+
+    def test_stage_drops_z_before_spectral_clustering(self, tmp_path, monkeypatch):
+        # Traced from the SSC call, so the loaded bundle is not counted. With 16-row
+        # sweep blocks and tagmat blocks of 8 rows, SSC peaks at 2.77 n x n (M^-1, its
+        # state, row blocks, n x d arrays) and spectral clustering at 2.13 (affinity and
+        # Laplacian); Z kept alive beside them would make that 3.20.
+        data_dir = tmp_path / "data"
+        assert main(["synth", "--output-dir", str(data_dir), "--set", "synth.images_per_cluster=80"]) == 0
+        n = 400
+        solve = cli.subspace.ssc_solve
+
+        def traced_solve(*args, **kwargs):
+            tracemalloc.start()
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(cli.subspace, "ssc_solve", traced_solve)
+        monkeypatch.setattr(cli.subspace, "_sweep_rows", lambda n: 16)
+        monkeypatch.setattr(tagmat, "_BLOCK_BYTES", 8 * n * 8)
+        try:
+            rc = main(["cluster", "--manifest", str(data_dir / "synthetic.manifest"),
+                       "--output-dir", str(tmp_path / "out")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak <= 3.0 * 8 * n * n
 
 
 class TestPipeline:
