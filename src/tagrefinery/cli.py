@@ -47,6 +47,7 @@ from .tagmat import (
     FeatureMatrix,
     SimilarityGraph,
     TagMatrix,
+    _config_problems,
     _read_input,
     _unit_rows,
     cosine_similarity_graph,
@@ -63,47 +64,91 @@ from .testkit import _bundle, gen_annotation_bundle, gen_planted_annotation, gen
 
 log = logging.getLogger("tagrefinery")
 
-# Config section -> stage config class; the class defaults are the section defaults.
-_STAGE_SECTIONS = (("ssc", SscConfig), ("sharing", SharingConfig), ("refine", RefineConfig))
 # The synth keys of the bundle kind, with gen_annotation_bundle's defaults.
 _BUNDLE_DEFAULTS = {name: param.default for name, param
                     in inspect.signature(gen_annotation_bundle).parameters.items() if name != "noise"}
-# Synth kind -> the keys it reads that must be positive integers.
-_SYNTH_POSITIVE = {
-    "bundle": ("n_clusters", "images_per_cluster", "tags_per_cluster", "dim_subspace", "tag_dim"),
-    "planted": ("n_clusters", "images_per_cluster", "n_tags", "image_dim", "tag_dim", "rank"),
-    "subspaces": ("n_clusters", "images_per_cluster", "dim_subspace", "tag_dim"),
-}
 
-DEFAULT_CONFIG: dict = {
-    "manifest": None,
-    "output_dir": "out",
-    "k": 5,
-    "auto_k": False,
-    "auto_k_max": 10,
-    "eval_n": [2, 5, 10],
-    "threads": 1,
-    **{section: dataclasses.asdict(cls()) for section, cls in _STAGE_SECTIONS},
-    "synth": {
-        "kind": "bundle",
-        **_BUNDLE_DEFAULTS,
-        "rank": 3,
-        "density": 0.2,
-        "missing_rate": 0.3,
-        "inaccurate_rate": 0.3,
-        "noise_seed": 0,
-        "name": "synthetic",
-    },
-    "tune": {
-        "lambda1_grid": [0.01, 0.1],
-        "lambda2_grid": [0.0, 0.01],
-        "mu_grid": [0.0, 0.2, 0.4, 0.6, 0.8],
-        "rank_grid": [8],
-        "val_fraction": 0.5,
-        "split_seed": 0,
-        "n": 5,
-    },
-}
+
+def _key(default, like: tuple = (), **bound):
+    """A config key: its default (a list is copied per use) and its bound, or like=(class, field)'s."""
+    if like:
+        bound = next(f.metadata for f in dataclasses.fields(like[0]) if f.name == like[1])
+    if isinstance(default, list):
+        return dataclasses.field(default_factory=default.copy, metadata=bound)
+    return dataclasses.field(default=default, metadata=bound)
+
+
+@dataclasses.dataclass(frozen=True)
+class _TopConfig:
+    """The top-level keys, outside every section. Field metadata holds each key's bound."""
+
+    manifest: str | None = None
+    output_dir: str = "out"
+    k: int = _key(5, ge=1)
+    auto_k: bool = False
+    auto_k_max: int = _key(10, ge=1)
+    eval_n: list[int] = _key([2, 5, 10], ge=1)
+    threads: int = _key(1, ge=1)
+
+    def _cross_field(self) -> list[tuple[str, str]]:
+        return [] if self.output_dir else [("output_dir", "must name a directory, got ''")]
+
+
+@dataclasses.dataclass(frozen=True)
+class _SynthConfig:
+    """The synth section: every kind's keys. Field metadata holds each key's bound, whatever the kind."""
+
+    kind: str = dataclasses.field(default="bundle", metadata={"in": ("bundle", "planted", "subspaces")})
+    n_clusters: int = _key(_BUNDLE_DEFAULTS["n_clusters"], ge=1)
+    images_per_cluster: int = _key(_BUNDLE_DEFAULTS["images_per_cluster"], ge=1)
+    n_tags: int = _key(_BUNDLE_DEFAULTS["n_tags"], ge=1)
+    tags_per_cluster: int = _key(_BUNDLE_DEFAULTS["tags_per_cluster"], ge=1)
+    dim_subspace: int = _key(_BUNDLE_DEFAULTS["dim_subspace"], ge=1)
+    image_dim: int = _key(_BUNDLE_DEFAULTS["image_dim"], ge=1)
+    tag_dim: int = _key(_BUNDLE_DEFAULTS["tag_dim"], ge=1)
+    tag_presence: float = _key(_BUNDLE_DEFAULTS["tag_presence"], ge=0, le=1)
+    cluster_spread: float = _BUNDLE_DEFAULTS["cluster_spread"]
+    image_noise: float = _key(_BUNDLE_DEFAULTS["image_noise"], ge=0)
+    seed: int = _key(_BUNDLE_DEFAULTS["seed"], ge=0)
+    rank: int = _key(3, ge=1)
+    density: float = _key(0.2, gt=0, lt=1)
+    missing_rate: float = _key(0.3, like=(NoiseSpec, "missing_rate"))
+    inaccurate_rate: float = _key(0.3, like=(NoiseSpec, "inaccurate_rate"))
+    noise_seed: int = _key(0, like=(NoiseSpec, "seed"))
+    name: str = "synthetic"
+
+    def _cross_field(self) -> list[tuple[str, str]]:
+        """The name's form, then the checks of the kind's generator that tie keys together."""
+        vocabulary, dims = self.n_clusters * self.tags_per_cluster, min(self.image_dim, self.tag_dim)
+        checks = [("name", not self.name or os.path.dirname(self.name),
+                   "be a non-empty file name, not a path"),
+                  ("n_tags", self.kind == "bundle" and self.n_tags < vocabulary,
+                   f"be at least synth.n_clusters x synth.tags_per_cluster = {vocabulary}"),
+                  ("image_dim", self.kind != "planted" and self.image_dim <= self.dim_subspace,
+                   f"exceed synth.dim_subspace = {self.dim_subspace}"),
+                  ("rank", self.kind == "planted" and self.rank > dims,
+                   f"be at most min(synth.image_dim, synth.tag_dim) = {dims}")]
+        return [(key, f"must {must}, got {getattr(self, key)!r}") for key, bad, must in checks if bad]
+
+
+@dataclasses.dataclass(frozen=True)
+class _TuneConfig:
+    """The tune section. Field metadata holds each key's bound; a grid takes its RefineConfig field's."""
+
+    lambda1_grid: list[float] = _key([0.01, 0.1], like=(RefineConfig, "lambda1"))
+    lambda2_grid: list[float] = _key([0.0, 0.01], like=(RefineConfig, "lambda2"))
+    mu_grid: list[float] = _key([0.0, 0.2, 0.4, 0.6, 0.8], like=(RefineConfig, "mu"))
+    rank_grid: list[int] = _key([8], like=(RefineConfig, "rank"))
+    val_fraction: float = _key(0.5, gt=0, le=1)
+    split_seed: int = _key(0, ge=0)
+    n: int = _key(5, ge=1)
+
+
+# Config section -> its class; the class defaults are the section defaults.
+_SECTIONS = (("ssc", SscConfig), ("sharing", SharingConfig), ("refine", RefineConfig),
+             ("synth", _SynthConfig), ("tune", _TuneConfig))
+DEFAULT_CONFIG: dict = {**dataclasses.asdict(_TopConfig()),
+                        **{section: dataclasses.asdict(cls()) for section, cls in _SECTIONS}}
 
 
 def _merge_section(base: dict, override: dict, prefix: str) -> None:
@@ -191,71 +236,15 @@ def resolve_config(args: argparse.Namespace) -> dict:
 
 
 def _build_configs(cfg: dict) -> tuple:
-    """Turn the type-checked config into validated (ssc, sharing, refine) configs; check the rest."""
-    problems = []
-    configs = []
-    for section, cls in _STAGE_SECTIONS:
-        stage_cfg = cls(**cfg[section])
-        try:
-            stage_cfg.validate()
-        except ValueError as exc:
-            problems.append(f"{section}: {exc}")
-            stage_cfg = None
-        configs.append(stage_cfg)
-    for key in ("k", "threads", "auto_k_max"):
-        if cfg[key] < 1:
-            problems.append(f"{key}: must be a positive integer, got {cfg[key]!r}")
-    if not cfg["output_dir"]:
-        problems.append("output_dir: must name a directory, got ''")
-    if not cfg["eval_n"] or not all(n >= 1 for n in cfg["eval_n"]):
-        problems.append(f"eval_n: must be a non-empty list of positive integers, got {cfg['eval_n']!r}")
-    tune, refine_base = cfg["tune"], configs[2] or RefineConfig()
-    for key in ("lambda1_grid", "lambda2_grid", "mu_grid", "rank_grid"):
-        if not tune[key]:
-            problems.append(f"tune.{key}: must be a non-empty list")
-        for value in tune[key]:  # each value must make a valid refine config
-            try:
-                dataclasses.replace(refine_base, **{key.removesuffix("_grid"): value}).validate()
-            except ValueError as exc:
-                problems.append(f"tune.{key}: {exc}")
-    if tune["n"] < 1:
-        problems.append(f"tune.n: must be a positive integer, got {tune['n']!r}")
-    if not 0 < tune["val_fraction"] <= 1:
-        problems.append(f"tune.val_fraction: must be in (0, 1], got {tune['val_fraction']!r}")
-    synth, kind = cfg["synth"], cfg["synth"]["kind"]
-    if kind not in _SYNTH_POSITIVE:
-        problems.append(f"synth.kind: expected 'bundle', 'planted' or 'subspaces', got {kind!r}")
-    for key in _SYNTH_POSITIVE.get(kind, ()):
-        if synth[key] < 1:
-            problems.append(f"synth.{key}: must be a positive integer, got {synth[key]!r}")
-    for key, seed in (("synth.seed", synth["seed"]), ("synth.noise_seed", synth["noise_seed"]),
-                      ("tune.split_seed", tune["split_seed"])):
-        if seed < 0:
-            problems.append(f"{key}: must be a non-negative integer, got {seed!r}")
-    for key in ("missing_rate", "inaccurate_rate"):
-        if not 0 <= synth[key] <= 1:
-            problems.append(f"synth.{key}: must be in [0, 1], got {synth[key]!r}")
-    if not synth["name"] or os.path.dirname(synth["name"]):
-        problems.append(f"synth.name: must be a non-empty file name, not a path, got {synth['name']!r}")
-    if kind == "bundle" and synth["n_tags"] < synth["n_clusters"] * synth["tags_per_cluster"]:
-        problems.append(f"synth.n_tags: must be at least synth.n_clusters x synth.tags_per_cluster = "
-                        f"{synth['n_clusters'] * synth['tags_per_cluster']}, got {synth['n_tags']!r}")
-    if kind in ("bundle", "subspaces"):
-        if synth["image_dim"] <= synth["dim_subspace"]:
-            problems.append(f"synth.image_dim: must exceed synth.dim_subspace = {synth['dim_subspace']!r}, "
-                            f"got {synth['image_dim']!r}")
-        if synth["image_noise"] < 0:
-            problems.append(f"synth.image_noise: must be non-negative, got {synth['image_noise']!r}")
-    if kind == "planted":
-        if not 0 < synth["density"] < 1:
-            problems.append("synth.density: planted bundles need 0 < density < 1 so the tag matrix is "
-                            f"binary and noise can be injected, got {synth['density']!r}")
-        if synth["rank"] > min(synth["image_dim"], synth["tag_dim"]):
-            problems.append(f"synth.rank: must be at most min(synth.image_dim, synth.tag_dim) = "
-                            f"{min(synth['image_dim'], synth['tag_dim'])}, got {synth['rank']!r}")
+    """The (ssc, sharing, refine) configs of the type-checked config; a problem reads `section.key: …`."""
+    top = _TopConfig(**{f.name: cfg[f.name] for f in dataclasses.fields(_TopConfig)})
+    configs = {section: cls(**cfg[section]) for section, cls in _SECTIONS}
+    problems = [f"{key}: {reason}" for key, reason in _config_problems(top)]
+    problems += [f"{section}.{key}: {reason}" for section, config in configs.items()
+                 for key, reason in _config_problems(config)]
     if problems:
         raise DatasetError("; ".join(problems))
-    return tuple(configs)
+    return configs["ssc"], configs["sharing"], configs["refine"]
 
 
 def _check_output_dir(path: str) -> None:

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tagmat import DatasetError, TagMatrix, _check_seed, top_n_tags
+from .tagmat import DatasetError, TagMatrix, _check_config, top_n_tags
 
 
 @dataclass(frozen=True)
@@ -28,18 +28,14 @@ class EvalReport:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Controlled annotation corruption: delete true entries, add spurious ones."""
+    """Controlled corruption: delete true annotations, add spurious ones. Field metadata holds the bounds."""
 
-    missing_rate: float
-    inaccurate_rate: float
-    seed: int = 0
+    missing_rate: float = field(metadata={"ge": 0, "le": 1})
+    inaccurate_rate: float = field(metadata={"ge": 0, "le": 1})
+    seed: int = field(default=0, metadata={"ge": 0})
 
     def __post_init__(self):
-        if not 0.0 <= self.missing_rate <= 1.0:
-            raise DatasetError(f"missing_rate must be in [0, 1], got {self.missing_rate}")
-        if not 0.0 <= self.inaccurate_rate <= 1.0:
-            raise DatasetError(f"inaccurate_rate must be in [0, 1], got {self.inaccurate_rate}")
-        _check_seed(self.seed)
+        _check_config(self)
 
 
 def _require_binary(truth: TagMatrix, what: str) -> None:

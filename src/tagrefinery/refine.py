@@ -28,45 +28,34 @@ from __future__ import annotations
 
 import logging
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
 from .tagmat import DatasetError, FeatureMatrix, GraphLaplacian, TagMatrix, read_dense_matrix, write_dense_matrix
+from .tagmat import _check_config
 
 
 @dataclass(frozen=True)
 class RefineConfig:
-    rank: int = 8
-    lambda1: float = 0.1
-    lambda2: float = 0.01
-    mu: float = 0.4
-    outer_iters: int = 30
-    seed: int = 0
-    # Relative objective-change threshold for stopping the outer loop early.
-    obj_tol: float = 1e-6
+    """Knobs for the fit: the model's rank, lambda1, lambda2 and mu (see the module docstring), then the
+    outer loop's cap, start seed and relative objective-change stop. Field metadata holds the bounds;
+    validate(f_i, f_t) also checks the rank against the feature dimensions f_i and f_t.
+    """
+
+    rank: int = field(default=8, metadata={"ge": 1})
+    lambda1: float = field(default=0.1, metadata={"ge": 0})
+    lambda2: float = field(default=0.01, metadata={"ge": 0})
+    mu: float = field(default=0.4, metadata={"ge": 0, "lt": 1})
+    outer_iters: int = field(default=30, metadata={"ge": 1})
+    seed: int = field(default=0, metadata={"ge": 0})
+    obj_tol: float = field(default=1e-6, metadata={"ge": 0})
 
     def validate(self, f_i: int | None = None, f_t: int | None = None) -> None:
-        problems = []
-        if self.rank < 1:
-            problems.append(f"rank must be >= 1, got {self.rank}")
+        _check_config(self)
         if f_i is not None and f_t is not None and self.rank > min(f_i, f_t):
-            problems.append(
-                f"rank {self.rank} exceeds min feature dimension {min(f_i, f_t)}"
-            )
-        problems += [f"{name} must be >= 0, got {value}"
-                     for name, value in (("lambda1", self.lambda1), ("lambda2", self.lambda2)) if value < 0]
-        if not 0.0 <= self.mu < 1.0:
-            problems.append(f"mu must satisfy 0 <= mu < 1, got {self.mu}")
-        if self.outer_iters < 1:
-            problems.append(f"outer_iters must be >= 1, got {self.outer_iters}")
-        if self.seed < 0:
-            problems.append(f"seed must be a non-negative integer, got {self.seed}")
-        if self.obj_tol < 0:
-            problems.append(f"obj_tol must be >= 0, got {self.obj_tol}")
-        if problems:
-            raise DatasetError("; ".join(problems))
+            raise DatasetError(f"rank {self.rank} exceeds min feature dimension {min(f_i, f_t)}")
 
 
 @dataclass(frozen=True)

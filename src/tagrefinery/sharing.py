@@ -11,17 +11,17 @@ annotation confidence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .subspace import ClusterAssignment
-from .tagmat import DatasetError, SimilarityGraph, TagMatrix, top_n_tags
+from .tagmat import DatasetError, SimilarityGraph, TagMatrix, _check_config, top_n_tags
 
 
 @dataclass(frozen=True)
 class SharingConfig:
-    """Voting weights and admission thresholds for tag sharing.
+    """Voting weights and admission thresholds for tag sharing; field metadata holds the bounds.
 
     neighbor_source is read by the pipeline to decide which similarity
     graph to slice per cluster: "affinity" reuses the self-representation
@@ -32,30 +32,21 @@ class SharingConfig:
     clear of roundoff at 1, so that "share no tags" can be configured.
     """
 
-    n_neighbors: int = 5
-    w_local: float = 0.5
-    w_cooc: float = 0.3
-    w_freq: float = 0.2
-    max_added_per_image: int = 10
-    min_confidence: float = 0.2
-    neighbor_source: str = "affinity"
+    n_neighbors: int = field(default=5, metadata={"ge": 1})
+    w_local: float = field(default=0.5, metadata={"ge": 0})
+    w_cooc: float = field(default=0.3, metadata={"ge": 0})
+    w_freq: float = field(default=0.2, metadata={"ge": 0})
+    max_added_per_image: int = field(default=10, metadata={"ge": 0})
+    min_confidence: float = field(default=0.2, metadata={"ge": 0, "le": 1.1})
+    neighbor_source: str = field(default="affinity", metadata={"in": ("affinity", "cosine")})
 
     def validate(self) -> None:
-        problems = []
-        if self.n_neighbors < 1:
-            problems.append(f"n_neighbors must be >= 1, got {self.n_neighbors}")
-        weights = {"w_local": self.w_local, "w_cooc": self.w_cooc, "w_freq": self.w_freq}
-        problems += [f"{name} must be >= 0, got {w}" for name, w in weights.items() if w < 0]
-        if not any(weights.values()):
-            problems.append("at least one component weight must be positive")
-        if self.max_added_per_image < 0:
-            problems.append(f"max_added_per_image must be >= 0, got {self.max_added_per_image}")
-        if not 0.0 <= self.min_confidence <= 1.1:
-            problems.append(f"min_confidence must be in [0, 1.1], got {self.min_confidence}")
-        if self.neighbor_source not in ("affinity", "cosine"):
-            problems.append(f"neighbor_source must be 'affinity' or 'cosine', got {self.neighbor_source!r}")
-        if problems:
-            raise DatasetError("; ".join(problems))
+        _check_config(self)
+
+    def _cross_field(self) -> list[tuple[str, str]]:
+        if self.w_local or self.w_cooc or self.w_freq:
+            return []
+        return [("w_local", f"must be positive while w_cooc and w_freq are 0, got {self.w_local}")]
 
 
 def _minmax(a: np.ndarray) -> np.ndarray:

@@ -15,13 +15,13 @@ normalized Laplacian with a deterministic, seeded k-means.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
 from .tagmat import (
-    DatasetError, FeatureMatrix, SimilarityGraph, _add_transpose, _check_seed, _freeze,
+    DatasetError, FeatureMatrix, SimilarityGraph, _add_transpose, _check_config, _check_seed, _freeze,
     _unit_rows,
 )
 
@@ -37,23 +37,15 @@ class SscConfig:
     """Knobs for the self-representation solver.
 
     mu is the quadratic error penalty of the objective; max_iters and tol
-    (on the constraint residuals) stop the augmented-Lagrangian loop.
+    (on the constraint residuals) stop the augmented-Lagrangian loop. Field metadata holds the bounds.
     """
 
-    mu: float = 10.0
-    max_iters: int = 4000
-    tol: float = 1e-5
+    mu: float = field(default=10.0, metadata={"gt": 0})
+    max_iters: int = field(default=4000, metadata={"ge": 1})
+    tol: float = field(default=1e-5, metadata={"gt": 0})
 
     def validate(self) -> None:
-        problems = []
-        if not self.mu > 0:
-            problems.append(f"mu must be > 0, got {self.mu}")
-        if not self.tol > 0:
-            problems.append(f"tol must be > 0, got {self.tol}")
-        if self.max_iters < 1:
-            problems.append(f"max_iters must be >= 1, got {self.max_iters}")
-        if problems:
-            raise DatasetError("; ".join(problems))
+        _check_config(self)
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.io
@@ -31,6 +32,47 @@ def _check_seed(seed: int) -> None:
     """Refuse, where it enters, a seed that np.random.default_rng would reject."""
     if seed < 0:
         raise DatasetError(f"seed must be a non-negative integer, got {seed}")
+
+
+# Config bounds, as field metadata: "in" lists the choices, and "gt", "ge", "lt" and "le" end a range.
+_BOUND_TESTS = {"in": lambda value, choices: value in choices,
+                "gt": operator.gt, "ge": operator.ge, "lt": operator.lt, "le": operator.le}
+_BOUND_ENDS = {"gt": ("(", ">"), "ge": ("[", ">="), "lt": (")", "<"), "le": ("]", "<=")}  # bracket, symbol
+
+
+def _config_problems(config) -> list[tuple[str, str]]:
+    """(field, reason) for each value of a config dataclass outside its field's bound, in field order,
+    else its _cross_field() pairs. Reasons read "must be in [0, 1), got 1.2" or, for an int bounded by
+    ge 1 (ge 0), "a positive (non-negative) integer". Each item of a bounded list is checked; [] fails."""
+    problems = []
+    for field in fields(config):
+        bound, value, show = field.metadata, getattr(config, field.name), str
+        ends = [key for key in _BOUND_ENDS if key in bound]
+        if "in" in bound:
+            *head, last = map(repr, bound["in"])
+            phrase, show = f"{', '.join(head)} or {last}", repr
+        elif len(ends) == 2:
+            low, high = ends
+            phrase = f"in {_BOUND_ENDS[low][0]}{bound[low]}, {bound[high]}{_BOUND_ENDS[high][0]}"
+        elif ends == ["ge"] and bound["ge"] in (0, 1) and field.type in (int, "int", list[int], "list[int]"):
+            phrase = ("a non-negative integer", "a positive integer")[bound["ge"]]
+        elif ends:
+            phrase = f"{_BOUND_ENDS[ends[0]][1]} {bound[ends[0]]}"
+        else:
+            continue
+        if isinstance(value, list) and not value:
+            problems.append((field.name, "must be a non-empty list, got []"))
+        for item in value if isinstance(value, list) else [value]:
+            if not all(_BOUND_TESTS[key](item, limit) for key, limit in bound.items()):
+                problems.append((field.name, f"must be {phrase}, got {show(item)}"))
+    return problems or getattr(config, "_cross_field", list)()
+
+
+def _check_config(config) -> None:
+    """Raise one DatasetError naming each problem of the config ("mu must be > 0, got 0")."""
+    problems = _config_problems(config)
+    if problems:
+        raise DatasetError("; ".join(f"{name} {reason}" for name, reason in problems))
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

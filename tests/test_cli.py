@@ -1,6 +1,9 @@
 """Command-line interface tests: subcommands, config handling, exit codes."""
 
+import copy
+import dataclasses
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -56,6 +59,41 @@ def wrong_kind(default) -> str:
     if isinstance(default, float):
         return "true"
     return "7"  # str keys, and manifest
+
+
+def bounded_keys():
+    """(dotted key, bound, default) for every config key whose field metadata declares a bound."""
+    for section, cls in [("", cli._TopConfig), *cli._SECTIONS]:
+        defaults = DEFAULT_CONFIG[section] if section else DEFAULT_CONFIG
+        for field in dataclasses.fields(cls):
+            if field.metadata:
+                yield f"{section}.{field.name}".lstrip("."), field.metadata, defaults[field.name]
+
+
+def beyond_bound(bound, default):
+    """(id suffix, value, offending item) just outside each end of a bound: an int one step, a float
+    one ulp beyond a closed end, the end itself if open; an unknown choice; for a list, also []."""
+    listed = isinstance(default, list)
+    integer = isinstance(default[0] if listed else default, int)
+    cases = [("", "x")] if "in" in bound else []
+    for end, suffix, step in (("gt", "", 0), ("ge", "", -1), ("lt", "-high", 0), ("le", "-high", 1)):
+        if end in bound:
+            limit = bound[end]
+            beyond = limit + step if integer or not step else math.nextafter(limit, step * math.inf)
+            cases.append((suffix, beyond))
+    cases = [(suffix, [item] if listed else item, item) for suffix, item in cases]
+    return cases + [("-empty", [], [])] * listed
+
+
+def at_bound(bound, default):
+    """(id suffix, value) at each end of a bound, one ulp inside an open end; each choice."""
+    listed = isinstance(default, list)
+    cases = [(f"-{choice}", choice) for choice in bound.get("in", ())]
+    for end, suffix, step in (("gt", "", 1), ("ge", "", 0), ("lt", "-high", -1), ("le", "-high", 0)):
+        if end in bound:
+            limit = bound[end]
+            cases.append((suffix, math.nextafter(limit, step * math.inf) if step else limit))
+    return [(suffix, [value] if listed else value) for suffix, value in cases]
 
 
 def make_bundle(tmp_path, extra=()):
@@ -263,6 +301,7 @@ class TestExitCodes:
          "synth.rank-zero"),
         (["synth", "--set", "synth.missing_rate=2"], "synth.missing_rate"),
         (["synth", "--set", "synth.inaccurate_rate=-0.5"], "synth.inaccurate_rate"),
+        (["synth", "--set", "synth.tag_presence=-3"], "synth.tag_presence"),
         (["synth", "--set", "synth.kind=subspaces", "--set", "synth.n_clusters=1"],
          "synth.inaccurate_rate", "synth.inaccurate_rate-no-empty-cells"),
         (["synth", "--set", "synth.n_tags=10"], "synth.n_tags"),
@@ -278,7 +317,7 @@ class TestExitCodes:
         (["synth", "--set", "synth.noise_seed=-1"], "synth.noise_seed"),
         (["synth", "--set", "synth.name=sub/x"], "synth.name"),
         (["synth", "--set", "synth.name="], "synth.name", "synth.name-empty"),
-        (["pipeline", "--manifest", "missing.manifest", "--set", "refine.seed=-1"], "refine", "refine.seed"),
+        (["pipeline", "--manifest", "missing.manifest", "--set", "refine.seed=-1"], "refine.seed"),
         (["tune", "--manifest", "missing.manifest", "--set", "tune.split_seed=-1"], "tune.split_seed"),
     ]
 
@@ -290,23 +329,60 @@ class TestExitCodes:
         assert caplog.records[-1].getMessage().startswith(f"{key}: ")
         assert not out.exists()
 
-    # A stage-config value out of range: the message names the field and gives the value.
-    STAGE_FIELDS = [
-        ("sharing.w_cooc=-1", "sharing: w_cooc must be >= 0, got -1"),
-        ("sharing.max_added_per_image=-1", "sharing: max_added_per_image must be >= 0, got -1"),
-        ("sharing.min_confidence=2", "sharing: min_confidence must be in [0, 1.1], got 2"),
-        ("refine.lambda2=-1", "refine: lambda2 must be >= 0, got -1"),
-        ("refine.seed=-1", "refine: seed must be a non-negative integer, got -1"),
+    # Every value just beyond an end of a bound that a section class declares in its field metadata:
+    # (test id, dotted key, the value, the item the message names).
+    OUT_OF_BOUNDS = [
+        (f"{key}{suffix}", key, value, item)
+        for key, bound, default in bounded_keys()
+        for suffix, value, item in beyond_bound(bound, default)
+    ]
+    # Exact messages of some rows; every row pins the leading "section.key: " and the closing "got v".
+    EXACT = {
+        "sharing.w_cooc": "sharing.w_cooc: must be >= 0, got -5e-324",
+        "sharing.max_added_per_image": "sharing.max_added_per_image: must be a non-negative integer, got -1",
+        "sharing.min_confidence-high": "sharing.min_confidence: must be in [0, 1.1], got 1.1000000000000003",
+        "sharing.neighbor_source": "sharing.neighbor_source: must be 'affinity' or 'cosine', got 'x'",
+        "refine.lambda2": "refine.lambda2: must be >= 0, got -5e-324",
+        "refine.seed": "refine.seed: must be a non-negative integer, got -1",
+        "refine.mu-high": "refine.mu: must be in [0, 1), got 1",
+        "ssc.mu": "ssc.mu: must be > 0, got 0",
+        "tune.val_fraction": "tune.val_fraction: must be in (0, 1], got 0",
+        "tune.rank_grid": "tune.rank_grid: must be a positive integer, got 0",
+        "eval_n-empty": "eval_n: must be a non-empty list, got []",
+        "synth.kind": "synth.kind: must be 'bundle', 'planted' or 'subspaces', got 'x'",
+    }
+
+    @pytest.mark.parametrize("case_id, key, value, item", OUT_OF_BOUNDS,
+                             ids=[row[0] for row in OUT_OF_BOUNDS])
+    def test_stage_value_out_of_range_names_field_and_value(
+        self, tmp_path, caplog, case_id, key, value, item
+    ):
+        out = tmp_path / "out"
+        assert main(["synth", "--output-dir", str(out), "--set", f"{key}={json.dumps(value)}"]) == 2
+        message = caplog.records[-1].getMessage()
+        assert message.startswith(f"{key}: ") and message.endswith(f", got {item!r}")
+        assert message == self.EXACT.get(case_id, message)
+        assert not out.exists()
+
+    def test_exact_messages_name_table_rows(self):
+        assert set(self.EXACT) <= {row[0] for row in self.OUT_OF_BOUNDS}
+
+    # Every value at an end of a declared bound, or one step inside an open end, and every choice.
+    AT_BOUNDS = [
+        (f"{key}{suffix}", key, value)
+        for key, bound, default in bounded_keys()
+        for suffix, value in at_bound(bound, default)
     ]
 
-    @pytest.mark.parametrize("assignment, message", STAGE_FIELDS,
-                             ids=[row[0].split("=")[0] for row in STAGE_FIELDS])
-    def test_stage_value_out_of_range_names_field_and_value(self, tmp_path, caplog, assignment, message):
-        out = tmp_path / "out"
-        assert main(["pipeline", "--manifest", "missing.manifest", "--output-dir", str(out),
-                     "--set", assignment]) == 2
-        assert caplog.records[-1].getMessage() == message
-        assert not out.exists()
+    @pytest.mark.parametrize("key, value", [row[1:] for row in AT_BOUNDS], ids=[row[0] for row in AT_BOUNDS])
+    def test_value_at_bound_passes(self, key, value):
+        cfg = copy.deepcopy(DEFAULT_CONFIG)
+        # A planted bundle of rank 1 lets every synth key reach its bound: the bundle kind ties n_tags
+        # and image_dim to other keys, and the planted kind ties rank to image_dim and tag_dim.
+        cfg["synth"].update(kind="planted", rank=1)
+        *section, name = key.split(".")
+        (cfg[section[0]] if section else cfg)[name] = value
+        cli._build_configs(cfg)
 
     RANK_TOO_BIG = [
         (["pipeline", "--k", "2"], "refine.rank"),

@@ -70,7 +70,7 @@ def bundle_instance(tag_features=None):
 
 class TestConfig:
     def test_mu_bound_named(self):
-        with pytest.raises(DatasetError, match=r"0 <= mu < 1"):
+        with pytest.raises(DatasetError, match=r"^mu must be in \[0, 1\), got 1\.2$"):
             RefineConfig(mu=1.2).validate()
 
     def test_rank_vs_feature_dims(self):

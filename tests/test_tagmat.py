@@ -1,5 +1,6 @@
 """Data model, graph construction, ranking, and file format tests."""
 
+from dataclasses import dataclass, field
 from unittest import mock
 
 import numpy as np
@@ -352,6 +353,84 @@ def test_bad_seed_or_cutoff_raises_dataset_error_naming_it(call, message):
     with pytest.raises(DatasetError) as err:
         call()
     assert str(err.value) == message
+
+
+@dataclass(frozen=True)
+class Bounded:
+    """One field per phrase form of the config bound checker, each default within its bound."""
+
+    closed: float = field(default=0.5, metadata={"ge": 0, "le": 1})
+    closed_open: float = field(default=0.5, metadata={"ge": 0, "lt": 1})
+    open_closed: float = field(default=0.5, metadata={"gt": 0, "le": 1})
+    above: float = field(default=1.0, metadata={"gt": 0})
+    at_least: float = field(default=1.0, metadata={"ge": 0.5})
+    count: int = field(default=1, metadata={"ge": 1})
+    index: int = field(default=0, metadata={"ge": 0})
+    pair_count: int = field(default=2, metadata={"ge": 2})
+    choice: str = field(default="a", metadata={"in": ("a", "b", "c")})
+    toggle: str = field(default="on", metadata={"in": ("on", "off")})
+    grid: list[int] = field(default_factory=lambda: [1], metadata={"ge": 1})
+    free: float = -7.0
+
+
+# Bounded field -> (a value outside its bound, the reason the checker gives).
+BOUND_PHRASES = {
+    "closed": (1.5, "must be in [0, 1], got 1.5"),
+    "closed_open": (1, "must be in [0, 1), got 1"),
+    "open_closed": (0.0, "must be in (0, 1], got 0.0"),
+    "above": (float("nan"), "must be > 0, got nan"),
+    "at_least": (0.25, "must be >= 0.5, got 0.25"),
+    "count": (0, "must be a positive integer, got 0"),
+    "index": (-1, "must be a non-negative integer, got -1"),
+    "pair_count": (1, "must be >= 2, got 1"),
+    "choice": ("d", "must be 'a', 'b' or 'c', got 'd'"),
+    "toggle": ("", "must be 'on' or 'off', got ''"),
+    "grid": ([1, 0, 2], "must be a positive integer, got 0"),
+}
+
+
+class TestConfigProblems:
+    @pytest.mark.parametrize("name, value, reason", [(name, *row) for name, row in BOUND_PHRASES.items()],
+                             ids=BOUND_PHRASES.keys())
+    def test_phrase_of_each_bound_form(self, name, value, reason):
+        assert tagmat._config_problems(Bounded(**{name: value})) == [(name, reason)]
+
+    def test_values_within_bounds_have_no_problem(self):
+        assert tagmat._config_problems(Bounded()) == []
+        assert tagmat._config_problems(Bounded(closed=0, closed_open=0, open_closed=1, count=5)) == []
+
+    def test_empty_list_and_each_bad_item_are_named(self):
+        assert tagmat._config_problems(Bounded(grid=[])) == [("grid", "must be a non-empty list, got []")]
+        assert tagmat._config_problems(Bounded(grid=[0, 1, -1])) == [
+            ("grid", "must be a positive integer, got 0"), ("grid", "must be a positive integer, got -1")]
+
+    def test_every_bad_field_is_named_in_field_order(self):
+        values = {name: value for name, (value, _) in reversed(BOUND_PHRASES.items())}
+        problems = tagmat._config_problems(Bounded(**values))
+        assert problems == [(name, reason) for name, (_, reason) in BOUND_PHRASES.items()]
+
+    def test_check_config_raises_one_error_naming_every_bad_field(self):
+        with pytest.raises(DatasetError) as err:
+            tagmat._check_config(Bounded(closed=2, count=0, choice="d"))
+        assert str(err.value) == ("closed must be in [0, 1], got 2; count must be a positive integer, got 0; "
+                                  "choice must be 'a', 'b' or 'c', got 'd'")
+
+    def test_noise_spec_names_both_rates(self):
+        with pytest.raises(DatasetError) as err:
+            NoiseSpec(1.5, -0.2)
+        assert str(err.value) == ("missing_rate must be in [0, 1], got 1.5; "
+                                  "inaccurate_rate must be in [0, 1], got -0.2")
+
+    def test_cross_field_problems_follow_only_once_every_value_is_in_bounds(self):
+        @dataclass(frozen=True)
+        class Tied(Bounded):
+            def _cross_field(self):
+                return [("closed", "must not exceed open_closed")] if self.closed > self.open_closed else []
+
+        assert tagmat._config_problems(Tied(closed=0.9)) == [("closed", "must not exceed open_closed")]
+        assert tagmat._config_problems(Tied(closed=0.9, count=0)) == [
+            ("count", "must be a positive integer, got 0")]
+        assert tagmat._config_problems(Tied()) == []
 
 
 class TestBundleAndManifest:
