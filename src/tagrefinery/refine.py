@@ -31,7 +31,6 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .tagmat import DatasetError, FeatureMatrix, GraphLaplacian, TagMatrix, read_dense_matrix, write_dense_matrix
 from .tagmat import _check_config
@@ -153,6 +152,8 @@ class _Instance:
             h[:, k] = normal(unit).ravel()
             unit.flat[k] = 0.0
         rhs = 2.0 * self.rows.T @ (self.o @ b)
+        import scipy.linalg  # here, so a command that fits nothing never loads scipy's LAPACK
+
         try:
             return scipy.linalg.solve(h, rhs.ravel(), assume_a="pos").reshape(f, r)
         except np.linalg.LinAlgError as exc:

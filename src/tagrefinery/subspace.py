@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .tagmat import (
     DatasetError, FeatureMatrix, SimilarityGraph, _add_transpose, _check_config, _check_seed, _freeze,
@@ -115,6 +114,31 @@ def _threshold(a: np.ndarray, thresh: float, out: np.ndarray, start: int) -> np.
     return out
 
 
+def _z_update_inverse(x: np.ndarray) -> np.ndarray:
+    """Inverse of the Z-update matrix M = X X^T + I + 1 1^T, with numpy alone.
+
+    With U = [X, 1], M = I + U U^T, so M^-1 = I - U (I + U^T U)^-1 U^T
+    (Woodbury): a (d+1) x (d+1) solve and one GEMM into the single n x n
+    buffer, n^2 (d+1) flops, less than one loop iteration's two n^2 d
+    GEMMs. When d + 1 >= n that Gram would be the larger matrix, so M itself
+    is inverted; no n x n array there is larger than X. M is SPD with
+    eigenvalues >= 1, so either form is well conditioned.
+    """
+    n, d = x.shape
+    if d + 1 >= n:
+        m = x @ x.T
+        m.flat[:: n + 1] += 1.0
+        m += 1.0
+        return np.linalg.inv(m)
+    u = np.column_stack((x, np.ones(n)))
+    gram = u.T @ u
+    gram.flat[:: d + 2] += 1.0
+    m_inv = u @ np.linalg.solve(gram, u.T)
+    np.negative(m_inv, out=m_inv)
+    m_inv.flat[:: n + 1] += 1.0  # -x + 1, which is exactly 1 - x
+    return m_inv
+
+
 def ssc_solve(images: FeatureMatrix, config: SscConfig = SscConfig()) -> SelfRepresentation:
     """Run the self-representation solver on the given images.
 
@@ -145,15 +169,15 @@ def ssc_solve(images: FeatureMatrix, config: SscConfig = SscConfig()) -> SelfRep
     then the new J; the old J then Z), and c (A - J) is held in A's own
     rows. At the end J is formed in A's buffer.
 
-    The set-up holds two n x n arrays: M, which LAPACK factors in its own
-    buffer, and the identity that M^-1 overwrites. M^-1 = I - U (I + U^T
-    U)^-1 U^T with U = [X, 1] (Woodbury) would let the loop drop M^-1 too,
-    making each Z update O(n^2 d) rather than the n^3 GEMM. It is not done
-    here, because perfbench's cluster-1000 workload takes this n^3 loop as at
-    least 90 % of its job. Traced at n = 1000, d = 40 (max_iters = 3), the
-    call peaks at 2.83 n x n above its input: M^-1, A, two blocks of 250 rows
-    and the n x d arrays. With Z, J and y2 as three n x n arrays it peaked
-    at 4.25.
+    The set-up builds M^-1 in one n x n buffer (_z_update_inverse: the
+    Woodbury identity, with numpy alone). The same identity applied inside
+    the loop, z = rhs - (rhs U)(I + U^T U)^-1 U^T with U = [X, 1], would
+    make each Z update O(n^2 d) rather than the n^3 GEMM and drop M^-1. The
+    loop keeps the GEMM, because perfbench's cluster-1000 workload takes
+    this n^3 loop as at least 90 % of its job. Traced at n = 1000, d = 40
+    (max_iters = 3), the call peaks at 2.83 n x n above its input: M^-1, A,
+    two blocks of 250 rows and the n x d arrays. With Z, J and y2 as three
+    n x n arrays it peaked at 4.25.
 
     Non-convergence within max_iters is not an error: the last iterate is
     returned with converged=False and the residuals achieved.
@@ -167,15 +191,7 @@ def ssc_solve(images: FeatureMatrix, config: SscConfig = SscConfig()) -> SelfRep
 
     x_norm = np.linalg.norm(x)
     ones = np.ones(n)
-    # Z-update matrix M = X X^T + I + 1 1^T: SPD with eigenvalues >= 1, so inverted once, safely.
-    m = x @ x.T
-    m.flat[:: n + 1] += 1.0
-    m += 1.0
-    # m is symmetric, so its Fortran view m.T is factored in m's own buffer, and the
-    # Fortran-ordered identity is overwritten by M^-1: no copy for LAPACK.
-    factor = scipy.linalg.cho_factor(m.T, overwrite_a=True)
-    m_inv = scipy.linalg.cho_solve(factor, np.eye(n).T, overwrite_b=True)
-    del m, factor  # n x n freed before the loop allocates its state
+    m_inv = _z_update_inverse(x)
 
     a = np.zeros((n, n))       # A = Z + y2 / rho; J at the end
     rows = _sweep_rows(n)
@@ -269,7 +285,7 @@ def _normalized_laplacian(weights: np.ndarray) -> np.ndarray:
     L with its transpose in place, so no second n x n array is made (spectral
     clustering traces at 1.15 n x n above its input at n = 1000). The result
     is exactly symmetric: its transpose is the same matrix in Fortran order,
-    which scipy.linalg.eigh can overwrite without a copy.
+    which _laplacian_eigh hands to scipy.linalg.eigh to overwrite without a copy.
     """
     n = weights.shape[0]
     deg = weights.sum(axis=1)
@@ -285,10 +301,22 @@ def _normalized_laplacian(weights: np.ndarray) -> np.ndarray:
     return nlap
 
 
+def _laplacian_eigh(weights: np.ndarray, k: int, eigvals_only: bool = False):
+    """The k smallest eigenvalues (and vectors, unless eigvals_only) of the normalized Laplacian.
+
+    scipy.linalg is imported here, so its LAPACK runtime loads only once a
+    command first needs an eigensolver, not at import.
+    """
+    import scipy.linalg
+
+    nlap = _normalized_laplacian(weights)
+    return scipy.linalg.eigh(nlap.T, eigvals_only=eigvals_only, subset_by_index=(0, k - 1),
+                             overwrite_a=True)
+
+
 def _spectral_embedding(weights: np.ndarray, k: int) -> np.ndarray:
     """Row-normalized k smallest eigenvectors of the symmetric normalized Laplacian."""
-    nlap = _normalized_laplacian(weights)
-    _, vecs = scipy.linalg.eigh(nlap.T, subset_by_index=(0, k - 1), overwrite_a=True)
+    _, vecs = _laplacian_eigh(weights, k)
     norms = np.linalg.norm(vecs, axis=1)
     keep = norms > 0
     vecs[keep] /= norms[keep, None]
@@ -389,8 +417,6 @@ def eigengap_k(aff: SimilarityGraph, k_max: int) -> int:
     k_max = min(k_max, n - 1)
     if k_max < 1:
         return 1
-    nlap = _normalized_laplacian(aff.weights)
-    vals = scipy.linalg.eigh(nlap.T, eigvals_only=True, subset_by_index=(0, k_max),
-                             overwrite_a=True)
+    vals = _laplacian_eigh(aff.weights, k_max + 1, eigvals_only=True)
     gaps = np.diff(vals)
     return int(np.argmax(gaps)) + 1

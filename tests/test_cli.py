@@ -223,6 +223,33 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     assert child.stdout.strip() == "False"
 
 
+def test_scipy_linalg_loads_only_once_a_command_needs_it(tmp_path):
+    """Import, refine --apply and eval leave scipy.linalg and its LAPACK unloaded; cluster loads it."""
+    manifest = make_bundle(tmp_path)
+    bundle = load_dataset(manifest)
+    p, q = tmp_path / "p.mtx", tmp_path / "q.mtx"
+    write_dense_matrix(p, np.ones((bundle.image_features.dim, 2)))
+    write_dense_matrix(q, np.ones((bundle.tag_features.dim, 2)))
+    code = """
+import sys
+from tagrefinery.cli import main
+manifest, p, q, out = sys.argv[1:]
+seen = ['scipy.linalg' in sys.modules]
+for argv in (['refine', '--manifest', manifest, '--output-dir', out + '/applied', '--apply',
+              '--import-factors', p, q],
+             ['eval', '--manifest', manifest, '--predictions', out + '/applied/refined_scores.mtx',
+              '--output-dir', out + '/eval'],
+             ['cluster', '--manifest', manifest, '--output-dir', out + '/cluster', '--k', '2']):
+    assert main(argv) == 0, argv
+    seen.append('scipy.linalg' in sys.modules)
+print(seen)
+"""
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    child = subprocess.run([sys.executable, "-c", code, manifest, str(p), str(q), str(tmp_path)], env=env,
+                           capture_output=True, text=True, check=True, timeout=120)
+    assert child.stdout.strip() == "[False, False, False, True]"
+
+
 class TestExitCodes:
     def test_unknown_command_exits_two(self):
         with pytest.raises(SystemExit) as exc:

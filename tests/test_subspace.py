@@ -278,10 +278,13 @@ class TestBitPins:
         (lambda: gen_annotation_bundle()[0].image_features, 5, 5),
         # 420 rows: the solver's sweep of 100-row blocks leaves a short last block.
         (lambda: gen_union_of_subspaces(4, 5, 30, 105, noise_sigma=0.01, seed=2).points, 4, 4000),
+        # 24 images of 40 features: d + 1 >= n, so the set-up inverts M itself rather than by Woodbury.
+        (lambda: gen_union_of_subspaces(3, 3, 40, 8, noise_sigma=0.01, seed=2).points, 3, 4000),
     ]
 
     @pytest.mark.parametrize("features, k, max_iters", CASES,
-                             ids=["default-bundle", "union-of-subspaces", "capped-at-5", "n-420"])
+                             ids=["default-bundle", "union-of-subspaces", "capped-at-5", "n-420",
+                                  "wide-features"])
     def test_cluster_stage_matches_pinned_bits(self, features, k, max_iters):
         images = features()
         n = images.n_rows
