@@ -5,7 +5,7 @@ reads the file its flag names, or the artifact the earlier stage writes.
 All inputs and outputs go through the manifest + Matrix Market formats; a bad
 input file is reported starting with its flag (or manifest key) and path.
 Configuration comes from one JSON file plus repeatable --set overrides
-(flags win); every value must have the kind of its DEFAULT_CONFIG default.
+(flags win); every value must have the kind its key's field declares.
 Every run writes the fully resolved configuration next to its outputs so
 it can be replayed bit-for-bit. Logs go to stderr, machine artifacts to
 files only; the output directory is made on the first write.
@@ -36,7 +36,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import subspace
-from .metrics import NoiseSpec, ap_ar_at_n, save_report
+from .metrics import NoiseSpec, ap_ar_at_n, inject_noise, save_report
 from .refine import FactorPair, RefineConfig, apply_factors, save_factors
 from .refine import refine as run_refine
 from .sharing import SharingConfig, share_tags
@@ -161,7 +161,7 @@ def _merge_section(base: dict, override: dict, prefix: str) -> None:
                 raise DatasetError(f"config key {path!r} must be a section/object")
             _merge_section(base[key], value, f"{path}.")
         else:
-            base[key] = value  # the type rule checks it once everything is merged
+            base[key] = value  # _build_configs checks it once everything is merged
 
 
 def _apply_override(cfg: dict, assignment: str) -> None:
@@ -178,45 +178,8 @@ def _apply_override(cfg: dict, assignment: str) -> None:
     _merge_section(cfg, value, "")
 
 
-# The type rule, by the type of a key's default: the types a value may have,
-# then the names of one and of many for error messages. bool is a subclass of
-# int, so _matches accepts it only where the default is a bool; a float must be
-# finite, since NaN and inf pass no range check and JSON cannot hold them.
-_KINDS = {
-    bool: ((bool,), "true or false", "booleans"),
-    int: ((int,), "an integer", "integers"),
-    float: ((int, float), "a finite number", "finite numbers"),
-    str: ((str,), "a string", "strings"),
-    type(None): ((str, type(None)), "a string", "strings"),  # manifest: unset or a path
-}
-
-
-def _matches(value, default) -> bool:
-    if isinstance(default, list):
-        return isinstance(value, list) and all(_matches(v, default[0]) for v in value)
-    accepted = _KINDS[type(default)][0]
-    return (isinstance(value, accepted) and (isinstance(default, bool) or not isinstance(value, bool))
-            and (not isinstance(value, float) or np.isfinite(value)))
-
-
-def _type_problems(cfg: dict, defaults: dict, prefix: str) -> list[str]:
-    """Check every leaf of cfg against the type rule; one message per mistyped key."""
-    problems = []
-    for key, default in defaults.items():
-        path, value = f"{prefix}{key}", cfg[key]
-        if isinstance(default, dict):
-            problems += _type_problems(value, default, f"{path}.")
-        elif not _matches(value, default):
-            if isinstance(default, list):
-                kind = f"a list of {_KINDS[type(default[0])][2]}"
-            else:
-                kind = _KINDS[type(default)][1]
-            problems.append(f"{path}: expected {kind}, got {json.dumps(value)}")
-    return problems
-
-
 def resolve_config(args: argparse.Namespace) -> dict:
-    """Defaults <- config file <- --set overrides <- dedicated flags, then type-checked."""
+    """Defaults <- config file <- --set overrides <- dedicated flags; _build_configs checks the values."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if getattr(args, "config", None):
         loaded = _read_input("--config", args.config,
@@ -229,14 +192,12 @@ def resolve_config(args: argparse.Namespace) -> dict:
     for key in ("manifest", "output_dir", "threads", "k"):
         if getattr(args, key, None) is not None:
             cfg[key] = getattr(args, key)
-    problems = _type_problems(cfg, DEFAULT_CONFIG, "")
-    if problems:
-        raise DatasetError("; ".join(problems))
     return cfg
 
 
 def _build_configs(cfg: dict) -> tuple:
-    """The (ssc, sharing, refine) configs of the type-checked config; a problem reads `section.key: …`."""
+    """The (ssc, sharing, refine) configs of the resolved config, once every key's kind, bound and cross-field
+    checks pass; a problem reads `section.key: …`."""
     top = _TopConfig(**{f.name: cfg[f.name] for f in dataclasses.fields(_TopConfig)})
     configs = {section: cls(**cfg[section]) for section, cls in _SECTIONS}
     problems = [f"{key}: {reason}" for key, reason in _config_problems(top)]
@@ -354,11 +315,13 @@ def _check_bundle(run: _Run, stages: tuple) -> None:
 def _synth(run: _Run) -> None:
     """A synthetic bundle of kind synth.kind, written as a manifest plus its files."""
     s = run.cfg["synth"]
-    noise = NoiseSpec(s["missing_rate"], s["inaccurate_rate"], seed=s["noise_seed"])
     labels = None
+    # _build_configs refuses every other value these generators reject. The image features still overflow
+    # to inf when the larger of the keys that scale them (the bundle's two, else image_noise) is huge.
+    scale = max(("cluster_spread", "image_noise")[s["kind"] != "bundle":], key=lambda key: abs(s[key]))
     try:
         if s["kind"] == "bundle":
-            bundle, labels = gen_annotation_bundle(**{key: s[key] for key in _BUNDLE_DEFAULTS}, noise=noise)
+            bundle, labels = gen_annotation_bundle(**{key: s[key] for key in _BUNDLE_DEFAULTS})
         elif s["kind"] == "planted":
             inst = gen_planted_annotation(
                 n_images=s["n_clusters"] * s["images_per_cluster"],
@@ -369,7 +332,7 @@ def _synth(run: _Run) -> None:
                 density=s["density"],
                 seed=s["seed"],
             )
-            bundle = _bundle(inst.o_star, inst.v, inst.t, noise, "tag_{:04d}")
+            bundle = _bundle(inst.o_star, inst.v, inst.t, None, "tag_{:04d}")
         else:  # subspaces
             inst = gen_union_of_subspaces(
                 k=s["n_clusters"],
@@ -384,11 +347,15 @@ def _synth(run: _Run) -> None:
             onehot = np.zeros((inst.points.n_rows, s["n_clusters"]))
             onehot[np.arange(inst.points.n_rows), labels] = 1.0
             tag_features = FeatureMatrix(rng.standard_normal((s["n_clusters"], s["tag_dim"])))
-            bundle = _bundle(TagMatrix.from_dense(onehot), inst.points, tag_features, noise, "cluster_{}")
+            bundle = _bundle(TagMatrix.from_dense(onehot), inst.points, tag_features, None, "cluster_{}")
     except DatasetError as exc:
-        # inject_noise: too few empty cells for the spurious entries. _build_configs already
-        # refuses every other value these generators reject.
+        raise DatasetError(f"synth.{scale}: {exc}") from None
+    try:
+        tags = inject_noise(bundle.ground_truth, NoiseSpec(s["missing_rate"], s["inaccurate_rate"],
+                                                           seed=s["noise_seed"]))
+    except DatasetError as exc:  # too few empty cells for the spurious entries
         raise DatasetError(f"synth.inaccurate_rate: {exc}") from None
+    bundle = dataclasses.replace(bundle, tags=tags)
 
     manifest = save_dataset(bundle, run.cfg["output_dir"], name=s["name"])
     if labels is not None:

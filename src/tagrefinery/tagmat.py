@@ -8,7 +8,9 @@ bundle format (Matrix Market files + id lists).
 from __future__ import annotations
 
 import functools
+import json
 import math
+import numbers
 import operator
 import os
 from dataclasses import dataclass, fields
@@ -34,6 +36,17 @@ def _check_seed(seed: int) -> None:
         raise DatasetError(f"seed must be a non-negative integer, got {seed}")
 
 
+# Config kinds, by a field's declared type: the test of a value, then the names of one and of many; a
+# list[...] field takes a list of its item kind. bool is an Integral, so it passes only where bool is
+# declared. A number must be finite, since NaN and inf pass no bound and JSON cannot hold them.
+_KINDS = {
+    "bool": (lambda v: isinstance(v, bool), "true or false", "booleans"),
+    "int": (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool), "an integer", "integers"),
+    "float": (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)
+              and (isinstance(v, numbers.Integral) or math.isfinite(v)), "a finite number", "finite numbers"),
+    "str": (lambda v: isinstance(v, str), "a string", "strings"),
+    "str | None": (lambda v: v is None or isinstance(v, str), "a string", "strings"),
+}
 # Config bounds, as field metadata: "in" lists the choices, and "gt", "ge", "lt" and "le" end a range.
 _BOUND_TESTS = {"in": lambda value, choices: value in choices,
                 "gt": operator.gt, "ge": operator.ge, "lt": operator.lt, "le": operator.le}
@@ -41,12 +54,20 @@ _BOUND_ENDS = {"gt": ("(", ">"), "ge": ("[", ">="), "lt": (")", "<"), "le": ("]"
 
 
 def _config_problems(config) -> list[tuple[str, str]]:
-    """(field, reason) for each value of a config dataclass outside its field's bound, in field order,
-    else its _cross_field() pairs. Reasons read "must be in [0, 1), got 1.2" or, for an int bounded by
-    ge 1 (ge 0), "a positive (non-negative) integer". Each item of a bounded list is checked; [] fails."""
+    """(field, reason) for each value of a config dataclass not of its declared type's kind, or else outside
+    its field's bound, in field order; if there are none, its _cross_field() pairs. Reasons read "expected
+    an integer, got 3.5", "must be in [0, 1), got 1.2" or, for an int bounded by ge 1 (ge 0), "must be a
+    positive (non-negative) integer, got 0". Each item of a bounded list is checked; [] fails."""
     problems = []
     for field in fields(config):
         bound, value, show = field.metadata, getattr(config, field.name), str
+        kind = field.type.__name__ if type(field.type) is type else str(field.type)  # "int", "list[int]"
+        listed = kind.startswith("list[")
+        is_kind, one, many = _KINDS[kind[5:-1] if listed else kind]
+        if not (isinstance(value, list) and all(map(is_kind, value)) if listed else is_kind(value)):
+            shown = json.dumps(value, default=repr)  # NaN, -Infinity, "5", null
+            problems.append((field.name, f"expected {f'a list of {many}' if listed else one}, got {shown}"))
+            continue
         ends = [key for key in _BOUND_ENDS if key in bound]
         if "in" in bound:
             *head, last = map(repr, bound["in"])
@@ -54,7 +75,7 @@ def _config_problems(config) -> list[tuple[str, str]]:
         elif len(ends) == 2:
             low, high = ends
             phrase = f"in {_BOUND_ENDS[low][0]}{bound[low]}, {bound[high]}{_BOUND_ENDS[high][0]}"
-        elif ends == ["ge"] and bound["ge"] in (0, 1) and field.type in (int, "int", list[int], "list[int]"):
+        elif ends == ["ge"] and bound["ge"] in (0, 1) and kind in ("int", "list[int]"):
             phrase = ("a non-negative integer", "a positive integer")[bound["ge"]]
         elif ends:
             phrase = f"{_BOUND_ENDS[ends[0]][1]} {bound[ends[0]]}"
@@ -340,12 +361,23 @@ def _fits_tags(tags: TagMatrix, key: str, value):
 
 
 def _unit_rows(x: np.ndarray) -> np.ndarray:
-    """x with each row scaled to unit length; zero rows raise DatasetError naming (up to 5 of) them."""
-    norms = np.linalg.norm(x, axis=1)
-    zero = np.flatnonzero(norms == 0.0)
+    """x with each row scaled to unit length; zero rows raise DatasetError naming (up to 5 of) them.
+
+    The norm squares the entries, so a finite row of huge (tiny) entries gets norm inf (0). Only such a
+    row is first divided by its largest |entry|; every other row is x / norm, bit for bit.
+    """
+    with np.errstate(over="ignore"):  # handled below
+        norms = np.linalg.norm(x, axis=1)
+    odd = (norms == 0.0) | (norms == np.inf)
+    peaks = np.abs(x[odd]).max(axis=1, initial=0.0)
+    zero = np.flatnonzero(odd)[peaks == 0.0]
     if zero.size:
         raise DatasetError(f"zero-norm feature row(s) at indices {zero[:5].tolist()}")
-    return x / norms[:, None]
+    norms[odd] = 1.0
+    unit = x / norms[:, None]
+    scaled = x[odd] / peaks[:, None]
+    unit[odd] = scaled / np.linalg.norm(scaled, axis=1)[:, None]
+    return unit
 
 
 def cosine_similarity_graph(features: FeatureMatrix) -> SimilarityGraph:

@@ -1020,6 +1020,29 @@ class TestSynthKinds:
         ])
         assert rc == 2
 
+    # Image features that overflow to inf name the key that scales them, not synth.inaccurate_rate.
+    OVERFLOWING = [
+        (["--set", "synth.cluster_spread=1e308"], "synth.cluster_spread"),
+        (["--set", "synth.cluster_spread=-1e308"], "synth.cluster_spread"),
+        (["--set", "synth.image_noise=1e308"], "synth.image_noise"),
+        (["--set", "synth.kind=subspaces", "--set", "synth.image_noise=1e308"], "synth.image_noise"),
+    ]
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    @pytest.mark.parametrize("argv, key", OVERFLOWING, ids=["spread", "negative-spread", "noise", "subspaces"])
+    def test_overflowing_features_exit_two_naming_their_scale(self, tmp_path, caplog, argv, key):
+        out = tmp_path / "out"
+        assert main(["synth", "--output-dir", str(out), *argv]) == 2
+        assert caplog.records[-1].getMessage() == f"{key}: feature matrix contains non-finite values"
+        assert not out.exists()
+
+    def test_huge_cluster_spread_gives_unit_image_rows(self, tmp_path):
+        out = tmp_path / "s"
+        argv = ["--set", "synth.cluster_spread=1e300", "--set", "synth.image_noise=0"]
+        assert main(["synth", "--output-dir", str(out), *argv]) == 0
+        norms = np.linalg.norm(load_dataset(out / "synthetic.manifest").image_features.data, axis=1)
+        np.testing.assert_allclose(norms, 1.0, rtol=1e-12)
+
 
 class TestTune:
     def test_tiny_grid_writes_results(self, tmp_path):

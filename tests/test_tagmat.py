@@ -1,6 +1,7 @@
 """Data model, graph construction, ranking, and file format tests."""
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from unittest import mock
 
 import numpy as np
@@ -14,7 +15,8 @@ from oracles import tags_from_dense
 from tagrefinery import tagmat
 from tagrefinery.metrics import NoiseSpec
 from tagrefinery.refine import RefineConfig, refine
-from tagrefinery.subspace import spectral_cluster
+from tagrefinery.sharing import SharingConfig
+from tagrefinery.subspace import SscConfig, spectral_cluster, ssc_solve
 from tagrefinery.tagmat import (
     DatasetBundle,
     DatasetError,
@@ -224,6 +226,19 @@ class TestUnitRows:
         with pytest.raises(DatasetError, match=r"^zero-norm feature row\(s\) at indices \[1, 2, 3, 4, 5\]$"):
             tagmat._unit_rows(x)
 
+    def test_rows_whose_norm_overflows_or_underflows_are_scaled(self):
+        huge, tiny = np.array([[1e200, 1e200, 0.0]]), np.array([[1e-170, 1e-170, 0.0]])
+        want = tagmat._unit_rows(np.array([[1.0, 1.0, 0.0]]))
+        for row in (huge, tiny):  # their squares overflow to inf or underflow to 0
+            np.testing.assert_array_equal(tagmat._unit_rows(row), want)
+        g = cosine_similarity_graph(FeatureMatrix(np.vstack([huge, [[1.0, 0.0, 0.0]]])))
+        assert g.weights[0, 1] == pytest.approx(np.sqrt(0.5), rel=1e-15)
+        images = np.random.default_rng(0).standard_normal((6, 3))
+        images[0] = [1.0, 1.0, 0.0]
+        plain = ssc_solve(FeatureMatrix(images), SscConfig(max_iters=5))
+        images[0] = huge
+        np.testing.assert_array_equal(ssc_solve(FeatureMatrix(images), SscConfig(max_iters=5)).z, plain.z)
+
 
 class TestCosineGraph:
     def test_orthogonal_rows(self):
@@ -378,7 +393,7 @@ BOUND_PHRASES = {
     "closed": (1.5, "must be in [0, 1], got 1.5"),
     "closed_open": (1, "must be in [0, 1), got 1"),
     "open_closed": (0.0, "must be in (0, 1], got 0.0"),
-    "above": (float("nan"), "must be > 0, got nan"),
+    "above": (0.0, "must be > 0, got 0.0"),
     "at_least": (0.25, "must be >= 0.5, got 0.25"),
     "count": (0, "must be a positive integer, got 0"),
     "index": (-1, "must be a non-negative integer, got -1"),
@@ -406,8 +421,10 @@ class TestConfigProblems:
 
     def test_every_bad_field_is_named_in_field_order(self):
         values = {name: value for name, (value, _) in reversed(BOUND_PHRASES.items())}
+        values["free"] = float("nan")
         problems = tagmat._config_problems(Bounded(**values))
-        assert problems == [(name, reason) for name, (_, reason) in BOUND_PHRASES.items()]
+        assert problems == [(name, reason) for name, (_, reason) in BOUND_PHRASES.items()] + [
+            ("free", "expected a finite number, got NaN")]
 
     def test_check_config_raises_one_error_naming_every_bad_field(self):
         with pytest.raises(DatasetError) as err:
@@ -431,6 +448,54 @@ class TestConfigProblems:
         assert tagmat._config_problems(Tied(closed=0.9, count=0)) == [
             ("count", "must be a positive integer, got 0")]
         assert tagmat._config_problems(Tied()) == []
+
+
+# Config class -> the values of its fields without a default.
+KIND_CONFIGS = {SscConfig: {}, SharingConfig: {}, RefineConfig: {},
+                NoiseSpec: {"missing_rate": 0.1, "inaccurate_rate": 0.1}, Bounded: {}}
+
+
+def validated(cls, **values):
+    """A cls of values over its defaults, validated as a library caller does (NoiseSpec as it is built)."""
+    config = cls(**KIND_CONFIGS[cls] | values)
+    getattr(config, "validate", lambda: tagmat._check_config(config))()
+    return config
+
+
+# Declared type -> what the reason expects, and each value of a wrong kind with how the reason shows it.
+WRONG_KINDS = {
+    "int": ("an integer", [("5", '"5"'), (None, "null"), (True, "true"), (3.5, "3.5"), (math.nan, "NaN"),
+                           (math.inf, "Infinity"), (-math.inf, "-Infinity"), ([1], "[1]")]),
+    "float": ("a finite number", [("0.1", '"0.1"'), (None, "null"), (False, "false"), (math.nan, "NaN"),
+                                  (math.inf, "Infinity"), (-math.inf, "-Infinity"), ([0.5], "[0.5]")]),
+    "str": ("a string", [(5, "5"), (None, "null"), (True, "true"), (["x"], '["x"]')]),
+    "list[int]": ("a list of integers", [(1, "1"), (None, "null"), ("1", '"1"'), ([True], "[true]"),
+                                         ([1.5], "[1.5]"), ([1, math.nan], "[1, NaN]")]),
+}
+KIND_CASES = [
+    (cls, f.name, value, f"{f.name} expected {expected}, got {shown}")
+    for cls in KIND_CONFIGS for f in fields(cls) if cls is not Bounded or f.name == "grid"
+    for expected, values in [WRONG_KINDS[f.type if isinstance(f.type, str) else str(f.type)]]
+    for value, shown in values
+]
+
+
+class TestConfigKinds:
+    @pytest.mark.parametrize("cls, name, value, message", KIND_CASES,
+                             ids=[f"{cls.__name__}.{message}" for cls, _, _, message in KIND_CASES])
+    def test_wrong_kind_raises_dataset_error_naming_the_field(self, cls, name, value, message):
+        with pytest.raises(DatasetError) as err:
+            validated(cls, **{name: value})
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("cls", KIND_CONFIGS, ids=lambda cls: cls.__name__)
+    def test_numpy_scalars_pass(self, cls):
+        defaults = validated(cls)
+        scalars = {f.name: np.int64(value) if isinstance(value, int) else np.float64(value)
+                   for f in fields(cls) for value in [getattr(defaults, f.name)]
+                   if isinstance(value, (int, float)) and not isinstance(value, bool)}
+        assert scalars
+        validated(cls, **scalars)
 
 
 class TestBundleAndManifest:
