@@ -48,6 +48,7 @@ from .tagmat import (
     SimilarityGraph,
     TagMatrix,
     _config_problems,
+    _matrix,
     _read_input,
     _unit_rows,
     cosine_similarity_graph,
@@ -436,12 +437,6 @@ def _share(run: _Run) -> None:
     write_sparse_matrix(run.out("completed.mtx"), run.completed)
 
 
-def _finite(arr: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
-        raise DatasetError("contains non-finite entries")
-    return arr
-
-
 def _refine(run: _Run) -> None:
     """Refine share's tags (run alone: --tags-in, else the bundle's); --apply only scores factors.
 
@@ -453,9 +448,11 @@ def _refine(run: _Run) -> None:
     if getattr(args, "import_factors", None):  # P's rank is free under --apply, Q's follows P's
         p_path, q_path = args.import_factors
         p = _read_input("--import-factors", p_path, read_dense_matrix,
-                        (bundle.image_features.dim, None if apply else run.refine.rank), _finite)
+                        (bundle.image_features.dim, None if apply else run.refine.rank),
+                        lambda arr: _matrix(arr, "factor P"))
         init = FactorPair(p, _read_input("--import-factors", q_path, read_dense_matrix,
-                                         (bundle.tag_features.dim, p.shape[1]), _finite))
+                                         (bundle.tag_features.dim, p.shape[1]),
+                                         lambda arr: _matrix(arr, "factor Q")))
     if apply:  # no fit: no Laplacians; --tags-in is ignored, the bundle is loaded as always
         if init is None:
             raise DatasetError("--apply requires --import-factors P.mtx Q.mtx")
@@ -482,7 +479,7 @@ def _eval(run: _Run) -> None:
     truth = run.bundle.ground_truth
     if run.scores is None:
         run.scores = _read_input("--predictions", run.args.predictions, read_dense_matrix,
-                                 run.bundle.tags.matrix.shape, _finite)
+                                 run.bundle.tags.matrix.shape, lambda arr: _matrix(arr, "prediction matrix"))
     elif truth is None or run.args.skip_eval:
         return  # pipeline evaluates only a bundle with ground truth
     for n in run.cfg["eval_n"]:

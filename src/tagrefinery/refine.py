@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .tagmat import DatasetError, FeatureMatrix, GraphLaplacian, TagMatrix, read_dense_matrix, write_dense_matrix
-from .tagmat import _check_config
+from .tagmat import _check_config, _matrix
 
 
 @dataclass(frozen=True)
@@ -59,20 +59,15 @@ class RefineConfig:
 
 @dataclass(frozen=True)
 class FactorPair:
-    """Low-rank factors: p maps image features, q maps tag features."""
+    """Low-rank factors of one rank, each held by _matrix: p maps image features, q maps tag features."""
 
     p: np.ndarray
     q: np.ndarray
 
     def __post_init__(self):
-        p = np.array(self.p, dtype=np.float64)
-        q = np.array(self.q, dtype=np.float64)
-        if p.ndim != 2 or q.ndim != 2 or p.shape[1] != q.shape[1]:
+        p, q = _matrix(self.p, "factor P"), _matrix(self.q, "factor Q")
+        if p.shape[1] != q.shape[1]:
             raise DatasetError(f"factor shapes {p.shape} / {q.shape} are inconsistent")
-        if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
-            raise DatasetError("factors contain non-finite entries")
-        p.setflags(write=False)
-        q.setflags(write=False)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
 

@@ -78,8 +78,11 @@ class ClusterAssignment:
     notes: tuple[str, ...] = ()
 
     def __post_init__(self):
-        labels = np.array(self.labels, dtype=np.int64)
-        labels.setflags(write=False)
+        labels = np.asarray(self.labels)
+        if labels.ndim != 1 or labels.size and labels.dtype.kind not in "iu":
+            raise DatasetError(f"cluster labels must be a 1-D integer array, got {labels.dtype} "
+                               f"of shape {labels.shape}")
+        labels = _freeze(np.array(labels, dtype=np.int64))
         object.__setattr__(self, "labels", labels)
         if self.k < 1:
             raise DatasetError(f"k must be >= 1, got {self.k}")
@@ -176,8 +179,7 @@ def ssc_solve(images: FeatureMatrix, config: SscConfig = SscConfig()) -> SelfRep
     loop keeps the GEMM, because perfbench's cluster-1000 workload takes
     this n^3 loop as at least 90 % of its job. Traced at n = 1000, d = 40
     (max_iters = 3), the call peaks at 2.83 n x n above its input: M^-1, A,
-    two blocks of 250 rows and the n x d arrays. With Z, J and y2 as three
-    n x n arrays it peaked at 4.25.
+    two blocks of 250 rows and the n x d arrays.
 
     Non-convergence within max_iters is not an error: the last iterate is
     returned with converged=False and the residuals achieved.

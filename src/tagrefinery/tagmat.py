@@ -101,25 +101,37 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _adopt(x) -> np.ndarray:
-    """x itself if it is a read-only float64 ndarray that owns its data, else a float64 copy."""
-    if type(x) is np.ndarray and x.dtype == np.float64 and x.flags.owndata and not x.flags.writeable:
-        return x
-    return np.array(x, dtype=np.float64)
-
-
 def _block_rows(n_cols: int) -> int:
     """Rows per block of about _BLOCK_BYTES of an n_cols-wide float64 array (at least 1)."""
     return max(1, _BLOCK_BYTES // (8 * max(n_cols, 1)))
 
 
 def _asymmetry(a: np.ndarray) -> float:
-    """max |a - a^T| of a square array (0 when empty), one row block at a time; NaN propagates."""
+    """max |a - a^T| of a non-empty square array, one row block at a time."""
     n = a.shape[0]
     step = _block_rows(n)
-    block_max = [np.abs(a[s : s + step] - a[:, s : s + step].T).max(initial=0.0)
-                 for s in range(0, n, step)]
-    return float(np.max(block_max, initial=0.0))
+    return float(max(np.abs(a[s : s + step] - a[:, s : s + step].T).max() for s in range(0, n, step)))
+
+
+def _matrix(x, what: str, symmetric: bool = False) -> np.ndarray:
+    """The package's one rule for a dense matrix it takes in: x as a frozen float64 array.
+
+    x itself is kept if it is a read-only float64 ndarray that owns its data, as the builders hand
+    over; anything else is copied, so a caller's writable array is never frozen or aliased. The array
+    must be 2-D, at least 1x1 and finite, and, if symmetric, square and symmetric within
+    SYMMETRY_TOL; else a DatasetError starts with what ("Laplacian contains non-finite values").
+    """
+    if not (type(x) is np.ndarray and x.dtype == np.float64 and x.flags.owndata and not x.flags.writeable):
+        x = np.array(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise DatasetError(f"{what} must be 2-D, got shape {x.shape}")
+    if x.shape[0] < 1 or x.shape[1] < 1:
+        raise DatasetError(f"{what} must be at least 1x1, got {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise DatasetError(f"{what} contains non-finite values")
+    if symmetric and (x.shape[0] != x.shape[1] or _asymmetry(x) > SYMMETRY_TOL):
+        raise DatasetError(f"{what} is not symmetric")
+    return _freeze(x)
 
 
 def _add_transpose(a: np.ndarray) -> np.ndarray:
@@ -247,14 +259,7 @@ class FeatureMatrix:
     data: np.ndarray
 
     def __post_init__(self):
-        d = np.array(self.data, dtype=np.float64)
-        if d.ndim != 2:
-            raise DatasetError(f"feature matrix must be 2-D, got shape {d.shape}")
-        if d.shape[0] < 1 or d.shape[1] < 1:
-            raise DatasetError(f"feature matrix must be at least 1x1, got {d.shape}")
-        if not np.all(np.isfinite(d)):
-            raise DatasetError("feature matrix contains non-finite values")
-        object.__setattr__(self, "data", _freeze(d))
+        object.__setattr__(self, "data", _matrix(self.data, "feature matrix"))
 
     @property
     def n_rows(self) -> int:
@@ -267,28 +272,17 @@ class FeatureMatrix:
 
 @dataclass(frozen=True)
 class SimilarityGraph:
-    """Symmetric nonnegative weight matrix with zero diagonal.
-
-    Keeps the array it is given if that is read-only float64 and owns its
-    data, as the graph builders hand over; copies anything else, so a
-    caller's writable array is never frozen or aliased.
-    """
+    """Symmetric nonnegative weight matrix with zero diagonal, checked and held by _matrix."""
 
     weights: np.ndarray
 
     def __post_init__(self):
-        w = _adopt(self.weights)
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise DatasetError(f"similarity graph must be square, got shape {w.shape}")
-        if not np.all(np.isfinite(w)):
-            raise DatasetError("similarity graph contains non-finite weights")
-        if _asymmetry(w) > SYMMETRY_TOL:
-            raise DatasetError("similarity graph is not symmetric")
-        if np.abs(np.diagonal(w)).max(initial=0.0) != 0.0:
+        w = _matrix(self.weights, "similarity graph", symmetric=True)
+        if np.abs(np.diagonal(w)).max() != 0.0:
             raise DatasetError("similarity graph must have a zero diagonal")
-        if w.size and w.min() < 0.0:
+        if w.min() < 0.0:
             raise DatasetError("similarity graph weights must be nonnegative")
-        object.__setattr__(self, "weights", _freeze(w))
+        object.__setattr__(self, "weights", w)
 
     @property
     def size(self) -> int:
@@ -297,24 +291,15 @@ class SimilarityGraph:
 
 @dataclass(frozen=True)
 class GraphLaplacian:
-    """L = diag(W @ 1) - W for a similarity graph W; symmetric PSD, L @ 1 = 0.
-
-    Keeps the array it is given if that is read-only float64 and owns its
-    data, as graph_laplacian hands over; copies anything else, so a caller's
-    writable array is never frozen or aliased.
-    """
+    """L = diag(W @ 1) - W for a similarity graph W; symmetric PSD, L @ 1 = 0; checked and held by _matrix."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _adopt(self.matrix)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DatasetError(f"Laplacian must be square, got shape {m.shape}")
-        if _asymmetry(m) > SYMMETRY_TOL:
-            raise DatasetError("Laplacian is not symmetric")
-        if np.abs(m.sum(axis=1)).max(initial=0.0) > LAPLACIAN_ROWSUM_TOL:
+        m = _matrix(self.matrix, "Laplacian", symmetric=True)
+        if np.abs(m.sum(axis=1)).max() > LAPLACIAN_ROWSUM_TOL:
             raise DatasetError("Laplacian row sums are not zero")
-        object.__setattr__(self, "matrix", _freeze(m))
+        object.__setattr__(self, "matrix", m)
 
     @property
     def size(self) -> int:

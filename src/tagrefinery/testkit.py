@@ -17,7 +17,8 @@ import numpy as np
 from .metrics import NoiseSpec, inject_noise
 from .subspace import ClusterAssignment, SelfRepresentation
 from .tagmat import (
-    DatasetBundle, DatasetError, FeatureMatrix, TagMatrix, _check_seed, _freeze, _unit_rows, top_n_tags,
+    DatasetBundle, DatasetError, FeatureMatrix, TagMatrix, _check_seed, _freeze, _matrix, _unit_rows,
+    top_n_tags,
 )
 
 logger = logging.getLogger(__name__)
@@ -71,18 +72,21 @@ def gen_union_of_subspaces(
 def _cluster_points(rng, centers, dim_subspace, n_per_cluster, spread, noise):
     """Unit rows, labels and bases: per center, a random basis, spread-scaled mixes of it, then noise.
 
-    Each cluster draws its basis, coefficients and (if noise > 0) noise from rng in that order.
+    Each cluster draws its basis, coefficients and (if noise > 0) noise from rng in that order. A huge
+    spread or noise overflows to inf or NaN, which raises "feature matrix contains non-finite values".
     """
     blocks, bases = [], []
     for center in centers:
         basis = np.linalg.qr(rng.standard_normal((center.size, dim_subspace)))[0]
-        pts = center + spread * rng.standard_normal((n_per_cluster, dim_subspace)) @ basis.T
-        if noise > 0:
-            pts = pts + noise * rng.standard_normal(pts.shape)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            pts = center + spread * rng.standard_normal((n_per_cluster, dim_subspace)) @ basis.T
+            if noise > 0:
+                pts = pts + noise * rng.standard_normal(pts.shape)
         blocks.append(pts)
         bases.append(_freeze(basis))
     labels = _freeze(np.repeat(np.arange(len(centers)), n_per_cluster))
-    return _unit_rows(np.vstack(blocks)), labels, tuple(bases)
+    points = _freeze(np.vstack(blocks))  # frozen, so _matrix checks it without a copy
+    return _unit_rows(_matrix(points, "feature matrix")), labels, tuple(bases)
 
 
 def subspace_preserving_rate(rep, labels) -> float:

@@ -1036,6 +1036,18 @@ class TestSynthKinds:
         assert caplog.records[-1].getMessage() == f"{key}: feature matrix contains non-finite values"
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, key", OVERFLOWING, ids=["spread", "negative-spread", "noise", "subspaces"])
+    def test_overflowing_features_print_only_log_lines(self, tmp_path, argv, key):
+        """No raw numpy warning reaches stderr ahead of the error: every line starts with a log level."""
+        env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+        child = subprocess.run([sys.executable, "-m", "tagrefinery.cli", "synth", "--output-dir",
+                                str(tmp_path / "out"), *argv], env=env, capture_output=True, text=True,
+                               timeout=60)
+        assert child.returncode == 2
+        lines = child.stderr.splitlines()
+        assert lines[-1] == f"ERROR {key}: feature matrix contains non-finite values"
+        assert all(line.startswith(("INFO ", "WARNING ", "ERROR ")) for line in lines), lines
+
     def test_huge_cluster_spread_gives_unit_image_rows(self, tmp_path):
         out = tmp_path / "s"
         argv = ["--set", "synth.cluster_spread=1e300", "--set", "synth.image_noise=0"]
@@ -1164,6 +1176,12 @@ INPUT_ROWS = [
                    id=f"{flag.replace(' ', '-')}-non-finite")
       for flag, shape in [("--import-factors P", (30, 3)), ("--import-factors Q", (16, 3)),
                           ("--predictions", (12, 12))]],
+    pytest.param("--import-factors", FLAG_FILES["--import-factors P"][0], None,
+                 lambda path: write_dense_matrix(path, np.zeros((30, 0))),
+                 "factor P must be at least 1x1, got (30, 0)", id="--import-factors-P-empty"),
+    pytest.param("--predictions", FLAG_FILES["--predictions"][0], None,
+                 lambda path: write_dense_matrix(path, np.full((12, 12), -np.inf)),
+                 "prediction matrix contains non-finite values", id="--predictions-minus-inf"),
     pytest.param("--affinity", FLAG_FILES["--affinity"][0], None,
                  lambda path: write_dense_matrix(path, np.triu(np.ones((12, 12)), 1)),
                  "not symmetric", id="--affinity-asymmetric"),

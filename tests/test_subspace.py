@@ -401,3 +401,17 @@ class TestClusterAssignment:
     def test_sizes(self):
         a = ClusterAssignment(labels=np.array([0, 1, 1, 2]), k=3)
         np.testing.assert_array_equal(a.cluster_sizes(), [1, 2, 1])
+
+    @pytest.mark.parametrize("labels, dtype, shape", [
+        ([0.5, 1.7], "float64", (2,)),
+        ([np.nan, 0], "float64", (2,)),
+        ([[0, 1]], "int64", (1, 2)),
+        (np.array([True, False]), "bool", (2,)),
+    ], ids=["fractions", "nan", "2-D", "bool"])
+    def test_labels_must_be_a_1d_integer_array(self, labels, dtype, shape):
+        with pytest.raises(DatasetError) as exc:
+            ClusterAssignment(labels=labels, k=2)
+        assert str(exc.value) == f"cluster labels must be a 1-D integer array, got {dtype} of shape {shape}"
+
+    def test_empty_labels_allowed(self):
+        assert ClusterAssignment(labels=[], k=1).labels.dtype == np.int64

@@ -14,7 +14,7 @@ from hypothesis.extra import numpy as hnp
 from oracles import tags_from_dense
 from tagrefinery import tagmat
 from tagrefinery.metrics import NoiseSpec
-from tagrefinery.refine import RefineConfig, refine
+from tagrefinery.refine import FactorPair, RefineConfig, refine
 from tagrefinery.sharing import SharingConfig
 from tagrefinery.subspace import SscConfig, spectral_cluster, ssc_solve
 from tagrefinery.tagmat import (
@@ -168,14 +168,61 @@ class TestSimilarityGraph:
             SimilarityGraph(w)
 
 
+def with_entries(value, shape=(2, 2)):
+    """A zero array of shape whose off-diagonal entries (0, 1) and (1, 0) are value."""
+    arr = np.zeros(shape)
+    arr[0, 1] = arr[1, 0] = value
+    return arr
+
+
+def partner(x):
+    """A valid factor of x's rank (its last dimension, at least 1)."""
+    return np.zeros((3, max(1, np.shape(x)[-1])))
+
+
+# Each dense matrix type, built from one array x (a zero 2 x 2 one is valid for all), with the name
+# its errors start with and whether it must be square.
+DENSE_TYPES = [
+    pytest.param(FeatureMatrix, "feature matrix", False, id="FeatureMatrix"),
+    pytest.param(SimilarityGraph, "similarity graph", True, id="SimilarityGraph"),
+    pytest.param(GraphLaplacian, "Laplacian", True, id="GraphLaplacian"),
+    pytest.param(lambda x: FactorPair(x, partner(x)), "factor P", False, id="FactorPair.p"),
+    pytest.param(lambda x: FactorPair(partner(x), x), "factor Q", False, id="FactorPair.q"),
+]
+# Bad array -> the error it must give, and whether only a square type refuses it.
+BAD_ARRAYS = [
+    pytest.param(with_entries(np.nan), "contains non-finite values", False, id="nan"),
+    pytest.param(with_entries(np.inf), "contains non-finite values", False, id="+inf"),
+    pytest.param(with_entries(-np.inf), "contains non-finite values", False, id="-inf"),
+    pytest.param(np.zeros(2), "must be 2-D, got shape (2,)", False, id="1-D"),
+    pytest.param(np.zeros((2, 0)), "must be at least 1x1, got (2, 0)", False, id="n-by-0"),
+    pytest.param(np.zeros((0, 0)), "must be at least 1x1, got (0, 0)", False, id="0-by-0"),
+    pytest.param(np.zeros((2, 3)), "is not symmetric", True, id="non-square"),
+]
+
+
+@pytest.mark.parametrize("arr, reason, square_only", BAD_ARRAYS)
+@pytest.mark.parametrize("make, what, square", DENSE_TYPES)
+def test_every_dense_type_refuses_a_bad_array_by_one_rule(make, what, square, arr, reason, square_only):
+    make(np.zeros((2, 2)))
+    if square_only and not square:
+        make(arr)
+    else:
+        with pytest.raises(DatasetError) as exc:
+            make(arr)
+        assert str(exc.value) == f"{what} {reason}"
+
+
 class TestOwnership:
-    """SimilarityGraph and GraphLaplacian adopt a frozen float64 array that owns its data, as
-    the builders hand over, and copy anything else."""
+    """Every dense matrix type adopts a frozen float64 array that owns its data, as the builders
+    hand over, and copies anything else."""
 
     CASES = [(SimilarityGraph, "weights", [[0.0, 0.5], [0.5, 0.0]]),
-             (GraphLaplacian, "matrix", [[0.5, -0.5], [-0.5, 0.5]])]
+             (GraphLaplacian, "matrix", [[0.5, -0.5], [-0.5, 0.5]]),
+             (FeatureMatrix, "data", [[0.0, 0.5], [0.5, 0.0]])]
+    IDS = ["graph", "laplacian", "features"]
 
-    @pytest.mark.parametrize("cls, field, value", CASES, ids=["graph", "laplacian"])
+    @pytest.mark.parametrize("cls, field, value", CASES, ids=IDS)
     def test_writable_array_is_copied(self, cls, field, value):
         arr = np.array(value)
         held = getattr(cls(arr), field)
@@ -184,12 +231,12 @@ class TestOwnership:
         arr[0, 1] = arr[1, 0] = 0.25
         np.testing.assert_array_equal(held, value)
 
-    @pytest.mark.parametrize("cls, field, value", CASES, ids=["graph", "laplacian"])
+    @pytest.mark.parametrize("cls, field, value", CASES, ids=IDS)
     def test_frozen_array_is_adopted(self, cls, field, value):
         arr = tagmat._freeze(np.array(value))
         assert np.shares_memory(getattr(cls(arr), field), arr)
 
-    @pytest.mark.parametrize("cls, field, value", CASES, ids=["graph", "laplacian"])
+    @pytest.mark.parametrize("cls, field, value", CASES, ids=IDS)
     def test_read_only_view_is_copied(self, cls, field, value):
         base = np.zeros((3, 3))
         base[:2, :2] = value
