@@ -1,11 +1,11 @@
-"""Command line: every subcommand is the list of stages it runs (build_parser).
+"""Command line stages: every subcommand is the list of stages it runs (config.build_parser).
 
 A stage uses what an earlier stage of the same command made; run alone, it
 reads the file its flag names, or the artifact the earlier stage writes.
 All inputs and outputs go through the manifest + Matrix Market formats; a bad
 input file is reported starting with its flag (or manifest key) and path.
 Configuration comes from one JSON file plus repeatable --set overrides
-(flags win); every value must have the kind its key's field declares.
+(flags win), resolved and checked by tagrefinery.config before any stage runs.
 Every run writes the fully resolved configuration next to its outputs so
 it can be replayed bit-for-bit. Logs go to stderr, machine artifacts to
 files only; the output directory is made on the first write.
@@ -21,10 +21,8 @@ warning and still exits 0.
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
 import dataclasses
-import inspect
 import itertools
 import json
 import logging
@@ -36,20 +34,19 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import subspace
-from .metrics import NoiseSpec, ap_ar_at_n, inject_noise, save_report
-from .refine import FactorPair, RefineConfig, apply_factors, save_factors
+from .config import _BUNDLE_KEYS, DatasetError, NoiseSpec, RefineConfig, SharingConfig, SscConfig, _read_input
+from .config import DEFAULT_CONFIG, build_parser, load_command, resolve_config  # the last three stay public here
+from .metrics import ap_ar_at_n, inject_noise, save_report
+from .refine import FactorPair, apply_factors, save_factors
 from .refine import refine as run_refine
-from .sharing import SharingConfig, share_tags
-from .subspace import ClusterAssignment, SscConfig
+from .sharing import share_tags
+from .subspace import ClusterAssignment
 from .tagmat import (
     DatasetBundle,
-    DatasetError,
     FeatureMatrix,
     SimilarityGraph,
     TagMatrix,
-    _config_problems,
     _matrix,
-    _read_input,
     _unit_rows,
     cosine_similarity_graph,
     graph_laplacian,
@@ -64,149 +61,6 @@ from .tagmat import (
 from .testkit import _bundle, gen_annotation_bundle, gen_planted_annotation, gen_union_of_subspaces
 
 log = logging.getLogger("tagrefinery")
-
-# The synth keys of the bundle kind, with gen_annotation_bundle's defaults.
-_BUNDLE_DEFAULTS = {name: param.default for name, param
-                    in inspect.signature(gen_annotation_bundle).parameters.items() if name != "noise"}
-
-
-def _key(default, like: tuple = (), **bound):
-    """A config key: its default (a list is copied per use) and its bound, or like=(class, field)'s."""
-    if like:
-        bound = next(f.metadata for f in dataclasses.fields(like[0]) if f.name == like[1])
-    if isinstance(default, list):
-        return dataclasses.field(default_factory=default.copy, metadata=bound)
-    return dataclasses.field(default=default, metadata=bound)
-
-
-@dataclasses.dataclass(frozen=True)
-class _TopConfig:
-    """The top-level keys, outside every section. Field metadata holds each key's bound."""
-
-    manifest: str | None = None
-    output_dir: str = "out"
-    k: int = _key(5, ge=1)
-    auto_k: bool = False
-    auto_k_max: int = _key(10, ge=1)
-    eval_n: list[int] = _key([2, 5, 10], ge=1)
-    threads: int = _key(1, ge=1)
-
-    def _cross_field(self) -> list[tuple[str, str]]:
-        return [] if self.output_dir else [("output_dir", "must name a directory, got ''")]
-
-
-@dataclasses.dataclass(frozen=True)
-class _SynthConfig:
-    """The synth section: every kind's keys. Field metadata holds each key's bound, whatever the kind."""
-
-    kind: str = dataclasses.field(default="bundle", metadata={"in": ("bundle", "planted", "subspaces")})
-    n_clusters: int = _key(_BUNDLE_DEFAULTS["n_clusters"], ge=1)
-    images_per_cluster: int = _key(_BUNDLE_DEFAULTS["images_per_cluster"], ge=1)
-    n_tags: int = _key(_BUNDLE_DEFAULTS["n_tags"], ge=1)
-    tags_per_cluster: int = _key(_BUNDLE_DEFAULTS["tags_per_cluster"], ge=1)
-    dim_subspace: int = _key(_BUNDLE_DEFAULTS["dim_subspace"], ge=1)
-    image_dim: int = _key(_BUNDLE_DEFAULTS["image_dim"], ge=1)
-    tag_dim: int = _key(_BUNDLE_DEFAULTS["tag_dim"], ge=1)
-    tag_presence: float = _key(_BUNDLE_DEFAULTS["tag_presence"], ge=0, le=1)
-    cluster_spread: float = _BUNDLE_DEFAULTS["cluster_spread"]
-    image_noise: float = _key(_BUNDLE_DEFAULTS["image_noise"], ge=0)
-    seed: int = _key(_BUNDLE_DEFAULTS["seed"], ge=0)
-    rank: int = _key(3, ge=1)
-    density: float = _key(0.2, gt=0, lt=1)
-    missing_rate: float = _key(0.3, like=(NoiseSpec, "missing_rate"))
-    inaccurate_rate: float = _key(0.3, like=(NoiseSpec, "inaccurate_rate"))
-    noise_seed: int = _key(0, like=(NoiseSpec, "seed"))
-    name: str = "synthetic"
-
-    def _cross_field(self) -> list[tuple[str, str]]:
-        """The name's form, then the checks of the kind's generator that tie keys together."""
-        vocabulary, dims = self.n_clusters * self.tags_per_cluster, min(self.image_dim, self.tag_dim)
-        checks = [("name", not self.name or os.path.dirname(self.name),
-                   "be a non-empty file name, not a path"),
-                  ("n_tags", self.kind == "bundle" and self.n_tags < vocabulary,
-                   f"be at least synth.n_clusters x synth.tags_per_cluster = {vocabulary}"),
-                  ("image_dim", self.kind != "planted" and self.image_dim <= self.dim_subspace,
-                   f"exceed synth.dim_subspace = {self.dim_subspace}"),
-                  ("rank", self.kind == "planted" and self.rank > dims,
-                   f"be at most min(synth.image_dim, synth.tag_dim) = {dims}")]
-        return [(key, f"must {must}, got {getattr(self, key)!r}") for key, bad, must in checks if bad]
-
-
-@dataclasses.dataclass(frozen=True)
-class _TuneConfig:
-    """The tune section. Field metadata holds each key's bound; a grid takes its RefineConfig field's."""
-
-    lambda1_grid: list[float] = _key([0.01, 0.1], like=(RefineConfig, "lambda1"))
-    lambda2_grid: list[float] = _key([0.0, 0.01], like=(RefineConfig, "lambda2"))
-    mu_grid: list[float] = _key([0.0, 0.2, 0.4, 0.6, 0.8], like=(RefineConfig, "mu"))
-    rank_grid: list[int] = _key([8], like=(RefineConfig, "rank"))
-    val_fraction: float = _key(0.5, gt=0, le=1)
-    split_seed: int = _key(0, ge=0)
-    n: int = _key(5, ge=1)
-
-
-# Config section -> its class; the class defaults are the section defaults.
-_SECTIONS = (("ssc", SscConfig), ("sharing", SharingConfig), ("refine", RefineConfig),
-             ("synth", _SynthConfig), ("tune", _TuneConfig))
-DEFAULT_CONFIG: dict = {**dataclasses.asdict(_TopConfig()),
-                        **{section: dataclasses.asdict(cls()) for section, cls in _SECTIONS}}
-
-
-def _merge_section(base: dict, override: dict, prefix: str) -> None:
-    for key, value in override.items():
-        path = f"{prefix}{key}"
-        if key not in base:
-            raise DatasetError(f"unknown config key {path!r}")
-        if isinstance(base[key], dict):
-            if not isinstance(value, dict):
-                raise DatasetError(f"config key {path!r} must be a section/object")
-            _merge_section(base[key], value, f"{path}.")
-        else:
-            base[key] = value  # _build_configs checks it once everything is merged
-
-
-def _apply_override(cfg: dict, assignment: str) -> None:
-    """Merge one ``dotted.key=value`` flag as if it came from a config file."""
-    if "=" not in assignment:
-        raise DatasetError(f"override {assignment!r} is not of the form key=value")
-    dotted, raw = assignment.split("=", 1)
-    try:
-        value = json.loads(raw)
-    except json.JSONDecodeError:
-        value = raw
-    for part in reversed(dotted.strip().split(".")):
-        value = {part: value}
-    _merge_section(cfg, value, "")
-
-
-def resolve_config(args: argparse.Namespace) -> dict:
-    """Defaults <- config file <- --set overrides <- dedicated flags; _build_configs checks the values."""
-    cfg = copy.deepcopy(DEFAULT_CONFIG)
-    if getattr(args, "config", None):
-        loaded = _read_input("--config", args.config,
-                             lambda path: json.loads(pathlib.Path(path).read_text("utf-8")))
-        if not isinstance(loaded, dict):
-            raise DatasetError(f"--config: {args.config}: must hold a JSON object")
-        _merge_section(cfg, loaded, "")
-    for assignment in getattr(args, "set", None) or []:
-        _apply_override(cfg, assignment)
-    for key in ("manifest", "output_dir", "threads", "k"):
-        if getattr(args, key, None) is not None:
-            cfg[key] = getattr(args, key)
-    return cfg
-
-
-def _build_configs(cfg: dict) -> tuple:
-    """The (ssc, sharing, refine) configs of the resolved config, once every key's kind, bound and cross-field
-    checks pass; a problem reads `section.key: …`."""
-    top = _TopConfig(**{f.name: cfg[f.name] for f in dataclasses.fields(_TopConfig)})
-    configs = {section: cls(**cfg[section]) for section, cls in _SECTIONS}
-    problems = [f"{key}: {reason}" for key, reason in _config_problems(top)]
-    problems += [f"{section}.{key}: {reason}" for section, config in configs.items()
-                 for key, reason in _config_problems(config)]
-    if problems:
-        raise DatasetError("; ".join(problems))
-    return configs["ssc"], configs["sharing"], configs["refine"]
 
 
 def _check_output_dir(path: str) -> None:
@@ -277,11 +131,11 @@ def _check_bundle(run: _Run, stages: tuple) -> None:
     """
     args, cfg, truth = run.args, run.cfg, run.bundle.ground_truth
     n_images, n_tags = run.bundle.tags.matrix.shape
-    if truth is None and (_tune in stages or (_eval in stages and _refine not in stages)):
+    if truth is None and ("tune" in stages or ("eval" in stages and "refine" not in stages)):
         raise DatasetError(f"ground_truth: {args.command} needs a manifest with a ground_truth entry")
-    fits = _tune in stages or (_refine in stages and not getattr(args, "apply", False))
+    fits = "tune" in stages or ("refine" in stages and not getattr(args, "apply", False))
     if fits:
-        key, ranks = ("tune.rank_grid", cfg["tune"]["rank_grid"]) if _tune in stages \
+        key, ranks = ("tune.rank_grid", cfg["tune"]["rank_grid"]) if "tune" in stages \
             else ("refine.rank", [run.refine.rank])
         dims = (run.bundle.image_features.dim, run.bundle.tag_features.dim)
         for rank in ranks:
@@ -289,27 +143,27 @@ def _check_bundle(run: _Run, stages: tuple) -> None:
                 dataclasses.replace(run.refine, rank=rank).validate(*dims)
             except DatasetError as exc:
                 raise DatasetError(f"{key}: {exc}") from None
-    cosine = _share in stages and run.sharing.neighbor_source == "cosine"
-    for key, needed in (("image_features", fits or cosine or _cluster in stages), ("tag_features", fits)):
+    cosine = "share" in stages and run.sharing.neighbor_source == "cosine"
+    for key, needed in (("image_features", fits or cosine or "cluster" in stages), ("tag_features", fits)):
         if needed:
             try:
                 _unit_rows(getattr(run.bundle, key).data)
             except DatasetError as exc:
                 raise DatasetError(f"{key}: {exc}") from None
-    evaluates = _eval in stages and not getattr(args, "skip_eval", False) and truth is not None
-    if (_tune in stages or evaluates) and truth.nnz == 0:
+    evaluates = "eval" in stages and not getattr(args, "skip_eval", False) and truth is not None
+    if ("tune" in stages or evaluates) and truth.nnz == 0:
         raise DatasetError("ground_truth: all rows are empty; nothing to evaluate")
     for key, n, checked in (("eval_n", max(cfg["eval_n"]), evaluates),
-                            ("tune.n", cfg["tune"]["n"], _tune in stages)):
+                            ("tune.n", cfg["tune"]["n"], "tune" in stages)):
         if checked and n > n_tags:
             raise DatasetError(f"{key}: {n} exceeds the number of tags {n_tags}")
-    if _tune in stages:
+    if "tune" in stages:
         val_rows = _val_rows(run)
         if truth.matrix[val_rows].nnz == 0:
             raise DatasetError(f"tune.val_fraction: the validation split of {val_rows.size} images "
                                f"(tune.split_seed={cfg['tune']['split_seed']}) has no ground-truth "
                                "tags; nothing to evaluate")
-    if _cluster in stages and not cfg["auto_k"] and cfg["k"] > n_images:
+    if "cluster" in stages and not cfg["auto_k"] and cfg["k"] > n_images:
         raise DatasetError(f"k: {cfg['k']} exceeds the number of images {n_images}")
 
 
@@ -317,12 +171,12 @@ def _synth(run: _Run) -> None:
     """A synthetic bundle of kind synth.kind, written as a manifest plus its files."""
     s = run.cfg["synth"]
     labels = None
-    # _build_configs refuses every other value these generators reject. The image features still overflow
+    # config._build_configs refuses every other value these generators reject. The image features still overflow
     # to inf when the larger of the keys that scale them (the bundle's two, else image_noise) is huge.
     scale = max(("cluster_spread", "image_noise")[s["kind"] != "bundle":], key=lambda key: abs(s[key]))
     try:
         if s["kind"] == "bundle":
-            bundle, labels = gen_annotation_bundle(**{key: s[key] for key in _BUNDLE_DEFAULTS})
+            bundle, labels = gen_annotation_bundle(**{key: s[key] for key in _BUNDLE_KEYS})
         elif s["kind"] == "planted":
             inst = gen_planted_annotation(
                 n_images=s["n_clusters"] * s["images_per_cluster"],
@@ -527,98 +381,25 @@ def _tune(run: _Run) -> None:
     log.info("tune: best %s", best)
 
 
+
+
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
 
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON configuration file")
-    parser.add_argument(
-        "--set", action="append", metavar="KEY=VALUE",
-        help="override a config value by dotted path, e.g. --set refine.mu=0.7",
-    )
-    parser.add_argument("--manifest", help="dataset manifest path (overrides config)")
-    parser.add_argument("--output-dir", help="artifact directory (overrides config)")
-    parser.add_argument(
-        "--threads", type=int,
-        help="the threads config key, set as OMP/OPENBLAS/MKL_NUM_THREADS where unset; "
-             "numpy is loaded by then, so this does not pin BLAS: set them in the environment",
-    )
-    parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
+# Stage name, as each subcommand of config.build_parser lists it -> the stage.
+_STAGES = {"synth": _synth, "cluster": _cluster, "share": _share, "refine": _refine, "eval": _eval,
+           "tune": _tune}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="tagrefinery",
-        description="Complete and refine noisy image-tag annotation matrices.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("cluster", help="self-representation + spectral clustering of images")
-    _add_common(p)
-    p.add_argument("--k", type=int, help="number of clusters (overrides config)")
-    p.set_defaults(stages=(_cluster,))
-
-    p = sub.add_parser("share", help="densify tags by in-cluster neighbor voting")
-    _add_common(p)
-    p.add_argument("--labels", help="cluster labels file (default: <output-dir>/labels.txt)")
-    p.add_argument("--affinity", help="affinity matrix file (default: <output-dir>/affinity.mtx)")
-    p.set_defaults(stages=(_share,))
-
-    p = sub.add_parser("refine", help="low-rank refinement of a (completed) tag matrix")
-    _add_common(p)
-    p.add_argument("--tags-in", help="completed tag matrix to refine instead of the bundle's")
-    p.add_argument(
-        "--import-factors", nargs=2, metavar=("P.mtx", "Q.mtx"),
-        help="resume from saved factors",
-    )
-    p.add_argument(
-        "--apply", action="store_true",
-        help="only apply imported factors to the bundle's features (no solving)",
-    )
-    p.set_defaults(stages=(_refine,))
-
-    p = sub.add_parser("pipeline", help="cluster -> share -> refine -> eval")
-    _add_common(p)
-    p.add_argument("--k", type=int, help="number of clusters (overrides config)")
-    p.add_argument("--skip-eval", action="store_true", help="skip evaluation even with ground truth")
-    p.set_defaults(stages=(_cluster, _share, _refine, _eval))
-
-    p = sub.add_parser("eval", help="AP@N / AR@N of a prediction matrix against ground truth")
-    _add_common(p)
-    p.add_argument("--predictions", required=True, help="Matrix Market score or tag matrix")
-    p.set_defaults(stages=(_eval,))
-
-    p = sub.add_parser("synth", help="generate a synthetic bundle (manifest + files)")
-    _add_common(p)
-    p.set_defaults(stages=(_synth,))
-
-    p = sub.add_parser("tune", help="grid-search refine parameters against validation AP@N")
-    _add_common(p)
-    p.add_argument("--completed", help="reuse an existing completed matrix instead of re-sharing")
-    p.set_defaults(stages=(_cluster, _share, _tune))
-
-    return parser
-
-
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(levelname)s %(message)s",
-    )
+def run_stages(args: argparse.Namespace, cfg: dict, configs: tuple) -> int:
+    """Run the stages of a parsed command on its checked config (config.load_command); the exit code."""
+    run = _Run(args, cfg, *configs)
     try:
-        cfg = resolve_config(args)
-        run = _Run(args, cfg, *_build_configs(cfg))
-        # Best effort: only effective if numpy has not been imported yet in this process.
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(cfg["threads"]))
         stages = args.stages
         if getattr(args, "completed", None):
             stages = stages[2:]  # tune --completed stands in for cluster and share
-        if _synth not in stages:
+        if "synth" not in stages:
             if not cfg["manifest"]:
                 raise DatasetError("manifest: no dataset manifest given (config key or --manifest)")
             run.bundle = load_dataset(cfg["manifest"])
@@ -626,7 +407,7 @@ def main(argv=None) -> int:
         _check_output_dir(cfg["output_dir"])
         for stage in stages:
             try:
-                stage(run)
+                _STAGES[stage](run)
             except np.linalg.LinAlgError as exc:  # a ValueError: exit 1, earlier artifacts stay
                 log.error("numerical breakdown: %s", exc)
                 run.exit_code = 1
@@ -640,6 +421,13 @@ def main(argv=None) -> int:
     except OSError as exc:  # every read goes through _read_input, so this is a failed write
         log.error("output_dir: %s: %s", exc.filename or cfg["output_dir"], exc.strerror or exc)
         return 2
+
+
+def main(argv=None) -> int:
+    """Run one command line. numpy is loaded by now, so this pins no BLAS threads: the console entry
+    (tagrefinery.__main__) sets them from the threads key before numpy loads."""
+    command = load_command(argv)
+    return 2 if command is None else run_stages(*command)
 
 
 if __name__ == "__main__":

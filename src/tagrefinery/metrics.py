@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .tagmat import DatasetError, TagMatrix, _check_config, top_n_tags
+from .config import NoiseSpec
+from .tagmat import DatasetError, TagMatrix, top_n_tags
 
 
 @dataclass(frozen=True)
@@ -24,18 +25,6 @@ class EvalReport:
     per_image_precision: tuple[float, ...]
     per_image_recall: tuple[float, ...]
     included_images: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Controlled corruption: delete true annotations, add spurious ones. Field metadata holds the bounds."""
-
-    missing_rate: float = field(metadata={"ge": 0, "le": 1})
-    inaccurate_rate: float = field(metadata={"ge": 0, "le": 1})
-    seed: int = field(default=0, metadata={"ge": 0})
-
-    def __post_init__(self):
-        _check_config(self)
 
 
 def _require_binary(truth: TagMatrix, what: str) -> None:

@@ -28,33 +28,13 @@ from __future__ import annotations
 
 import logging
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .config import RefineConfig
 from .tagmat import DatasetError, FeatureMatrix, GraphLaplacian, TagMatrix, read_dense_matrix, write_dense_matrix
-from .tagmat import _check_config, _matrix
-
-
-@dataclass(frozen=True)
-class RefineConfig:
-    """Knobs for the fit: the model's rank, lambda1, lambda2 and mu (see the module docstring), then the
-    outer loop's cap, start seed and relative objective-change stop. Field metadata holds the bounds;
-    validate(f_i, f_t) also checks the rank against the feature dimensions f_i and f_t.
-    """
-
-    rank: int = field(default=8, metadata={"ge": 1})
-    lambda1: float = field(default=0.1, metadata={"ge": 0})
-    lambda2: float = field(default=0.01, metadata={"ge": 0})
-    mu: float = field(default=0.4, metadata={"ge": 0, "lt": 1})
-    outer_iters: int = field(default=30, metadata={"ge": 1})
-    seed: int = field(default=0, metadata={"ge": 0})
-    obj_tol: float = field(default=1e-6, metadata={"ge": 0})
-
-    def validate(self, f_i: int | None = None, f_t: int | None = None) -> None:
-        _check_config(self)
-        if f_i is not None and f_t is not None and self.rank > min(f_i, f_t):
-            raise DatasetError(f"rank {self.rank} exceeds min feature dimension {min(f_i, f_t)}")
+from .tagmat import _matrix
 
 
 @dataclass(frozen=True)

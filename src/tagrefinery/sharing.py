@@ -11,42 +11,11 @@ annotation confidence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
+from .config import SharingConfig
 from .subspace import ClusterAssignment
-from .tagmat import DatasetError, SimilarityGraph, TagMatrix, _check_config, top_n_tags
-
-
-@dataclass(frozen=True)
-class SharingConfig:
-    """Voting weights and admission thresholds for tag sharing; field metadata holds the bounds.
-
-    neighbor_source is read by the pipeline to decide which similarity
-    graph to slice per cluster: "affinity" reuses the self-representation
-    affinity, "cosine" recomputes cosine similarity over image features.
-
-    Vote scores are convex combinations of [0, 1] components, so any
-    min_confidence above 1 admits nothing. The range accepts up to 1.1,
-    clear of roundoff at 1, so that "share no tags" can be configured.
-    """
-
-    n_neighbors: int = field(default=5, metadata={"ge": 1})
-    w_local: float = field(default=0.5, metadata={"ge": 0})
-    w_cooc: float = field(default=0.3, metadata={"ge": 0})
-    w_freq: float = field(default=0.2, metadata={"ge": 0})
-    max_added_per_image: int = field(default=10, metadata={"ge": 0})
-    min_confidence: float = field(default=0.2, metadata={"ge": 0, "le": 1.1})
-    neighbor_source: str = field(default="affinity", metadata={"in": ("affinity", "cosine")})
-
-    def validate(self) -> None:
-        _check_config(self)
-
-    def _cross_field(self) -> list[tuple[str, str]]:
-        if self.w_local or self.w_cooc or self.w_freq:
-            return []
-        return [("w_local", f"must be positive while w_cooc and w_freq are 0, got {self.w_local}")]
+from .tagmat import DatasetError, SimilarityGraph, TagMatrix, top_n_tags
 
 
 def _minmax(a: np.ndarray) -> np.ndarray:

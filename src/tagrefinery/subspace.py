@@ -15,36 +15,18 @@ normalized Laplacian with a deterministic, seeded k-means.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .tagmat import (
-    DatasetError, FeatureMatrix, SimilarityGraph, _add_transpose, _check_config, _check_seed, _freeze,
-    _unit_rows,
-)
+from .config import SscConfig
+from .tagmat import DatasetError, FeatureMatrix, SimilarityGraph, _add_transpose, _check_seed, _freeze, _unit_rows
 
 
 # Penalty schedule of the augmented-Lagrangian loop: a solver detail, not a model parameter.
 _PENALTY_INIT = 1.0
 _PENALTY_GROWTH = 1.1
 _PENALTY_MAX = 1e8
-
-
-@dataclass(frozen=True)
-class SscConfig:
-    """Knobs for the self-representation solver.
-
-    mu is the quadratic error penalty of the objective; max_iters and tol
-    (on the constraint residuals) stop the augmented-Lagrangian loop. Field metadata holds the bounds.
-    """
-
-    mu: float = field(default=10.0, metadata={"gt": 0})
-    max_iters: int = field(default=4000, metadata={"ge": 1})
-    tol: float = field(default=1e-5, metadata={"gt": 0})
-
-    def validate(self) -> None:
-        _check_config(self)
 
 
 @dataclass(frozen=True)

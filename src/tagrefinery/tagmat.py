@@ -8,16 +8,15 @@ bundle format (Matrix Market files + id lists).
 from __future__ import annotations
 
 import functools
-import json
 import math
-import numbers
-import operator
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.io
 import scipy.sparse as sp
+
+from .config import DatasetError, _read_input
 
 SYMMETRY_TOL = 1e-12
 LAPLACIAN_ROWSUM_TOL = 1e-9
@@ -26,74 +25,10 @@ LAPLACIAN_ROWSUM_TOL = 1e-9
 _BLOCK_BYTES = 1 << 20
 
 
-class DatasetError(ValueError):
-    """Bad input: a file, a shape or a value, configuration included."""
-
-
 def _check_seed(seed: int) -> None:
     """Refuse, where it enters, a seed that np.random.default_rng would reject."""
     if seed < 0:
         raise DatasetError(f"seed must be a non-negative integer, got {seed}")
-
-
-# Config kinds, by a field's declared type: the test of a value, then the names of one and of many; a
-# list[...] field takes a list of its item kind. bool is an Integral, so it passes only where bool is
-# declared. A number must be finite, since NaN and inf pass no bound and JSON cannot hold them.
-_KINDS = {
-    "bool": (lambda v: isinstance(v, bool), "true or false", "booleans"),
-    "int": (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool), "an integer", "integers"),
-    "float": (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)
-              and (isinstance(v, numbers.Integral) or math.isfinite(v)), "a finite number", "finite numbers"),
-    "str": (lambda v: isinstance(v, str), "a string", "strings"),
-    "str | None": (lambda v: v is None or isinstance(v, str), "a string", "strings"),
-}
-# Config bounds, as field metadata: "in" lists the choices, and "gt", "ge", "lt" and "le" end a range.
-_BOUND_TESTS = {"in": lambda value, choices: value in choices,
-                "gt": operator.gt, "ge": operator.ge, "lt": operator.lt, "le": operator.le}
-_BOUND_ENDS = {"gt": ("(", ">"), "ge": ("[", ">="), "lt": (")", "<"), "le": ("]", "<=")}  # bracket, symbol
-
-
-def _config_problems(config) -> list[tuple[str, str]]:
-    """(field, reason) for each value of a config dataclass not of its declared type's kind, or else outside
-    its field's bound, in field order; if there are none, its _cross_field() pairs. Reasons read "expected
-    an integer, got 3.5", "must be in [0, 1), got 1.2" or, for an int bounded by ge 1 (ge 0), "must be a
-    positive (non-negative) integer, got 0". Each item of a bounded list is checked; [] fails."""
-    problems = []
-    for field in fields(config):
-        bound, value, show = field.metadata, getattr(config, field.name), str
-        kind = field.type.__name__ if type(field.type) is type else str(field.type)  # "int", "list[int]"
-        listed = kind.startswith("list[")
-        is_kind, one, many = _KINDS[kind[5:-1] if listed else kind]
-        if not (isinstance(value, list) and all(map(is_kind, value)) if listed else is_kind(value)):
-            shown = json.dumps(value, default=repr)  # NaN, -Infinity, "5", null
-            problems.append((field.name, f"expected {f'a list of {many}' if listed else one}, got {shown}"))
-            continue
-        ends = [key for key in _BOUND_ENDS if key in bound]
-        if "in" in bound:
-            *head, last = map(repr, bound["in"])
-            phrase, show = f"{', '.join(head)} or {last}", repr
-        elif len(ends) == 2:
-            low, high = ends
-            phrase = f"in {_BOUND_ENDS[low][0]}{bound[low]}, {bound[high]}{_BOUND_ENDS[high][0]}"
-        elif ends == ["ge"] and bound["ge"] in (0, 1) and kind in ("int", "list[int]"):
-            phrase = ("a non-negative integer", "a positive integer")[bound["ge"]]
-        elif ends:
-            phrase = f"{_BOUND_ENDS[ends[0]][1]} {bound[ends[0]]}"
-        else:
-            continue
-        if isinstance(value, list) and not value:
-            problems.append((field.name, "must be a non-empty list, got []"))
-        for item in value if isinstance(value, list) else [value]:
-            if not all(_BOUND_TESTS[key](item, limit) for key, limit in bound.items()):
-                problems.append((field.name, f"must be {phrase}, got {show(item)}"))
-    return problems or getattr(config, "_cross_field", list)()
-
-
-def _check_config(config) -> None:
-    """Raise one DatasetError naming each problem of the config ("mu must be > 0, got 0")."""
-    problems = _config_problems(config)
-    if problems:
-        raise DatasetError("; ".join(f"{name} {reason}" for name, reason in problems))
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -490,25 +425,6 @@ def parse_manifest(path) -> dict[str, str]:
     return entries
 
 
-def _read_input(field, path, read, shape=None, build=None):
-    """build(read(path)), where read(path) must have shape (None: any length) if one is given.
-
-    field is the flag or manifest key that names path. Any failure, a missing
-    or unreadable file too, raises one DatasetError starting "<field>: <path>: ".
-    """
-    try:
-        value = read(path)
-        if shape is not None:
-            got = getattr(value, "matrix", value).shape
-            if len(got) != len(shape) or any(want not in (None, g) for g, want in zip(got, shape)):
-                want = "x".join("*" if d is None else str(d) for d in shape)
-                raise DatasetError(f"has shape {'x'.join(map(str, got))}, expected {want}")
-        return value if build is None else build(value)
-    except (ValueError, OSError) as exc:
-        reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
-        raise DatasetError(f"{field}: {path}: {reason}") from None
-
-
 def load_dataset(manifest_path) -> DatasetBundle:
     """Load a dataset bundle from its manifest file.
 
@@ -520,9 +436,13 @@ def load_dataset(manifest_path) -> DatasetBundle:
     """
     entries = _read_input("manifest", manifest_path, parse_manifest)
     tags = _read_input("tags", entries["tags"], read_sparse_matrix)
+
+    def features(path):  # no one else holds the array read_dense_matrix makes, so FeatureMatrix keeps it
+        return FeatureMatrix(_freeze(read_dense_matrix(path)))
+
     reads = {
-        "image_features": lambda path: FeatureMatrix(read_dense_matrix(path)),
-        "tag_features": lambda path: FeatureMatrix(read_dense_matrix(path)),
+        "image_features": features,
+        "tag_features": features,
         "image_ids": read_id_list,
         "tag_names": read_id_list,
         "ground_truth": read_sparse_matrix,

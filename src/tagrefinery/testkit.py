@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import NoiseSpec, inject_noise
+from .config import NoiseSpec, _SynthConfig
+from .metrics import inject_noise
 from .subspace import ClusterAssignment, SelfRepresentation
 from .tagmat import (
     DatasetBundle, DatasetError, FeatureMatrix, TagMatrix, _check_seed, _freeze, _matrix, _unit_rows,
@@ -211,19 +212,22 @@ def gen_planted_annotation(
     )
 
 
+_SYNTH = _SynthConfig()  # the synth section's keys of the bundle kind hold gen_annotation_bundle's defaults
+
+
 def gen_annotation_bundle(
-    n_clusters: int = 5,
-    images_per_cluster: int = 40,
-    n_tags: int = 50,
-    tags_per_cluster: int = 8,
-    dim_subspace: int = 4,
-    image_dim: int = 30,
-    tag_dim: int = 16,
-    tag_presence: float = 0.9,
-    cluster_spread: float = 0.35,
-    image_noise: float = 0.02,
+    n_clusters: int = _SYNTH.n_clusters,
+    images_per_cluster: int = _SYNTH.images_per_cluster,
+    n_tags: int = _SYNTH.n_tags,
+    tags_per_cluster: int = _SYNTH.tags_per_cluster,
+    dim_subspace: int = _SYNTH.dim_subspace,
+    image_dim: int = _SYNTH.image_dim,
+    tag_dim: int = _SYNTH.tag_dim,
+    tag_presence: float = _SYNTH.tag_presence,
+    cluster_spread: float = _SYNTH.cluster_spread,
+    image_noise: float = _SYNTH.image_noise,
     noise: NoiseSpec | None = None,
-    seed: int = 0,
+    seed: int = _SYNTH.seed,
 ) -> tuple[DatasetBundle, np.ndarray]:
     """Full synthetic dataset: clustered images, cluster-themed tags, optional corruption.
 

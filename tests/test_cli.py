@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 from oracles import clamped_tags
-from tagrefinery import cli, tagmat
-from tagrefinery.cli import DEFAULT_CONFIG, main, resolve_config
+from tagrefinery import cli, config, tagmat
+from tagrefinery.cli import main
+from tagrefinery.config import DEFAULT_CONFIG, resolve_config
 from tagrefinery.tagmat import (
     DatasetError,
     TagMatrix,
@@ -63,7 +64,7 @@ def wrong_kind(default) -> str:
 
 def bounded_keys():
     """(dotted key, bound, default) for every config key whose field metadata declares a bound."""
-    for section, cls in [("", cli._TopConfig), *cli._SECTIONS]:
+    for section, cls in [("", config._TopConfig), *config._SECTIONS]:
         defaults = DEFAULT_CONFIG[section] if section else DEFAULT_CONFIG
         for field in dataclasses.fields(cls):
             if field.metadata:
@@ -250,6 +251,55 @@ print(seen)
     assert child.stdout.strip() == "[False, False, False, True]"
 
 
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def console(argv, code=None, **env_vars):
+    """`python -m tagrefinery argv` in a child (or code, run with argv), in our environment with env_vars set;
+    a None value unsets its variable."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), os.pardir, "src"), **env_vars)
+    env = {var: value for var, value in env.items() if value is not None}
+    head = ["-m", "tagrefinery"] if code is None else ["-c", code]
+    return subprocess.run([sys.executable, *head, *argv], env=env, capture_output=True, text=True, timeout=120)
+
+
+class TestConsoleEntry:
+    """`tagrefinery` and `python -m tagrefinery` set the BLAS thread variables to the threads key before
+    numpy loads."""
+
+    def test_threads_key_overwrites_every_blas_variable(self, tmp_path):
+        code = ("import os, runpy\n"
+                "try:\n"
+                "    runpy.run_module('tagrefinery', run_name='__main__', alter_sys=True)\n"
+                "finally:\n"
+                f"    print(*(os.environ.get(var) for var in {THREAD_VARS}))\n")
+        child = console(["synth", "--output-dir", str(tmp_path), *TINY, "--set", "threads=3"], code,
+                        OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS=None, MKL_NUM_THREADS=None)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.splitlines()[-1] == "3 3 3"
+
+    def test_pipeline_bytes_do_not_depend_on_the_thread_variables(self, tmp_path):
+        """On 300 images a multi-threaded BLAS changes SSC's and refine's roundoff, yet with the variables
+        unset every artifact has the bytes it has with them at 1: the threads key (1) pins them."""
+        assert main(["synth", "--output-dir", str(tmp_path / "data"), "--set", "synth.images_per_cluster=60"]) == 0
+        for label, value in (("unset", None), ("one", "1")):
+            child = console(["pipeline", "--manifest", str(tmp_path / "data" / "synthetic.manifest"),
+                             "--output-dir", str(tmp_path / label), "--set", "refine.outer_iters=3"],
+                            **dict.fromkeys(THREAD_VARS, value))
+            assert child.returncode == 0, child.stderr
+        names = sorted(path.name for path in (tmp_path / "one").iterdir())
+        assert names == sorted(path.name for path in (tmp_path / "unset").iterdir())
+        assert "refined_scores.mtx" in names
+        for name in set(names) - {"config.resolved.json"}:  # which names its own output_dir
+            assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "unset" / name).read_bytes(), name
+
+    def test_bad_config_exits_two_before_the_stages_load(self, tmp_path):
+        child = console(["synth", "--output-dir", str(tmp_path / "out"), "--threads", "0"])
+        assert child.returncode == 2
+        assert child.stderr.splitlines() == ["ERROR threads: must be a positive integer, got 0"]
+        assert not (tmp_path / "out").exists()
+
+
 class TestExitCodes:
     def test_unknown_command_exits_two(self):
         with pytest.raises(SystemExit) as exc:
@@ -409,7 +459,7 @@ class TestExitCodes:
         cfg["synth"].update(kind="planted", rank=1)
         *section, name = key.split(".")
         (cfg[section[0]] if section else cfg)[name] = value
-        cli._build_configs(cfg)
+        config._build_configs(cfg)
 
     RANK_TOO_BIG = [
         (["pipeline", "--k", "2"], "refine.rank"),
@@ -567,13 +617,6 @@ class TestExitCodes:
         assert main(["refine", "--manifest", manifest, "--output-dir", str(out), "--apply",
                      "--import-factors", str(p), str(q)]) == 0
         assert not read_dense_matrix(out / "refined_scores.mtx")[2].any()
-
-    def test_threads_key_sets_the_blas_budget(self, tmp_path, monkeypatch):
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            monkeypatch.setenv(var, "")  # so that undo removes what main sets
-            monkeypatch.delenv(var)
-        assert main(["synth", "--output-dir", str(tmp_path), *TINY, "--set", "threads=3"]) == 0
-        assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
 
     def test_refine_stopping_at_outer_cap_warns_and_exits_zero(self, tmp_path, caplog):
         manifest = make_bundle(tmp_path)
@@ -895,12 +938,12 @@ class TestRefineCommand:
 class TestShareCommand:
     @pytest.mark.parametrize("source", ["affinity", "cosine"])
     def test_share_drops_the_affinity_from_the_run(self, tmp_path, source):
-        args = cli.build_parser().parse_args([
+        args = config.build_parser().parse_args([
             "pipeline", "--manifest", make_bundle(tmp_path), "--output-dir", str(tmp_path / "out"),
             "--k", "2", "--set", f"sharing.neighbor_source={source}",
         ])
         cfg = resolve_config(args)
-        run = cli._Run(args, cfg, *cli._build_configs(cfg), bundle=load_dataset(cfg["manifest"]))
+        run = cli._Run(args, cfg, *config._build_configs(cfg), bundle=load_dataset(cfg["manifest"]))
         cli._cluster(run)
         assert run.affinity is not None
         cli._share(run)

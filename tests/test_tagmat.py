@@ -1,6 +1,7 @@
 """Data model, graph construction, ranking, and file format tests."""
 
 import math
+import tracemalloc
 from dataclasses import dataclass, field, fields
 from unittest import mock
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from oracles import tags_from_dense
+from tagrefinery import config as configuration
 from tagrefinery import tagmat
 from tagrefinery.metrics import NoiseSpec
 from tagrefinery.refine import FactorPair, RefineConfig, refine
@@ -455,27 +457,27 @@ class TestConfigProblems:
     @pytest.mark.parametrize("name, value, reason", [(name, *row) for name, row in BOUND_PHRASES.items()],
                              ids=BOUND_PHRASES.keys())
     def test_phrase_of_each_bound_form(self, name, value, reason):
-        assert tagmat._config_problems(Bounded(**{name: value})) == [(name, reason)]
+        assert configuration._config_problems(Bounded(**{name: value})) == [(name, reason)]
 
     def test_values_within_bounds_have_no_problem(self):
-        assert tagmat._config_problems(Bounded()) == []
-        assert tagmat._config_problems(Bounded(closed=0, closed_open=0, open_closed=1, count=5)) == []
+        assert configuration._config_problems(Bounded()) == []
+        assert configuration._config_problems(Bounded(closed=0, closed_open=0, open_closed=1, count=5)) == []
 
     def test_empty_list_and_each_bad_item_are_named(self):
-        assert tagmat._config_problems(Bounded(grid=[])) == [("grid", "must be a non-empty list, got []")]
-        assert tagmat._config_problems(Bounded(grid=[0, 1, -1])) == [
+        assert configuration._config_problems(Bounded(grid=[])) == [("grid", "must be a non-empty list, got []")]
+        assert configuration._config_problems(Bounded(grid=[0, 1, -1])) == [
             ("grid", "must be a positive integer, got 0"), ("grid", "must be a positive integer, got -1")]
 
     def test_every_bad_field_is_named_in_field_order(self):
         values = {name: value for name, (value, _) in reversed(BOUND_PHRASES.items())}
         values["free"] = float("nan")
-        problems = tagmat._config_problems(Bounded(**values))
+        problems = configuration._config_problems(Bounded(**values))
         assert problems == [(name, reason) for name, (_, reason) in BOUND_PHRASES.items()] + [
             ("free", "expected a finite number, got NaN")]
 
     def test_check_config_raises_one_error_naming_every_bad_field(self):
         with pytest.raises(DatasetError) as err:
-            tagmat._check_config(Bounded(closed=2, count=0, choice="d"))
+            configuration._check_config(Bounded(closed=2, count=0, choice="d"))
         assert str(err.value) == ("closed must be in [0, 1], got 2; count must be a positive integer, got 0; "
                                   "choice must be 'a', 'b' or 'c', got 'd'")
 
@@ -491,10 +493,10 @@ class TestConfigProblems:
             def _cross_field(self):
                 return [("closed", "must not exceed open_closed")] if self.closed > self.open_closed else []
 
-        assert tagmat._config_problems(Tied(closed=0.9)) == [("closed", "must not exceed open_closed")]
-        assert tagmat._config_problems(Tied(closed=0.9, count=0)) == [
+        assert configuration._config_problems(Tied(closed=0.9)) == [("closed", "must not exceed open_closed")]
+        assert configuration._config_problems(Tied(closed=0.9, count=0)) == [
             ("count", "must be a positive integer, got 0")]
-        assert tagmat._config_problems(Tied()) == []
+        assert configuration._config_problems(Tied()) == []
 
 
 # Config class -> the values of its fields without a default.
@@ -505,7 +507,7 @@ KIND_CONFIGS = {SscConfig: {}, SharingConfig: {}, RefineConfig: {},
 def validated(cls, **values):
     """A cls of values over its defaults, validated as a library caller does (NoiseSpec as it is built)."""
     config = cls(**KIND_CONFIGS[cls] | values)
-    getattr(config, "validate", lambda: tagmat._check_config(config))()
+    getattr(config, "validate", lambda: configuration._check_config(config))()
     return config
 
 
@@ -660,6 +662,25 @@ class TestBundleAndManifest:
         write_dense_matrix(tmp_path / "a.mtx", a)
         b = read_dense_matrix(tmp_path / "a.mtx")
         np.testing.assert_array_equal(a, b)
+        assert b.flags.writeable
+
+    def test_load_keeps_the_feature_array_it_reads(self, tmp_path):
+        """A 20,000 x 30 feature file (4.8 MB) is held once: FeatureMatrix adopts the array that was read, so the
+        load peaks at what it keeps plus far less than one more copy of the features."""
+        n, rng = 20_000, np.random.default_rng(0)
+        features = rng.standard_normal((n, 30))
+        manifest = save_dataset(DatasetBundle(
+            tags=TagMatrix.from_entries(n, 2, np.arange(n), np.arange(n) % 2, np.ones(n)),
+            image_features=FeatureMatrix(features), tag_features=FeatureMatrix(np.eye(2)),
+            image_ids=[f"img_{i:05d}" for i in range(n)], tag_names=["a", "b"]), tmp_path)
+        tracemalloc.start()
+        try:
+            loaded = load_dataset(manifest)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(loaded.image_features.data, features)
+        assert peak - held < features.nbytes / 2, (peak, held)
 
 
 class TestImmutability:
