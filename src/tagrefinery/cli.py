@@ -31,7 +31,6 @@ import pathlib
 import sys
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import subspace
 from .config import _BUNDLE_KEYS, DatasetError, NoiseSpec, RefineConfig, SharingConfig, SscConfig, _read_input
@@ -46,12 +45,13 @@ from .tagmat import (
     FeatureMatrix,
     SimilarityGraph,
     TagMatrix,
+    _held_csr,
     _matrix,
+    _read_frozen,
     _unit_rows,
     cosine_similarity_graph,
     graph_laplacian,
     load_dataset,
-    read_dense_matrix,
     read_sparse_matrix,
     save_dataset,
     write_dense_matrix,
@@ -277,7 +277,7 @@ def _share(run: _Run) -> None:
         if run.affinity is None:
             path = run.args.affinity or os.path.join(out_dir, "affinity.mtx")
             try:
-                run.affinity = _read_input("--affinity", path, read_dense_matrix,
+                run.affinity = _read_input("--affinity", path, _read_frozen,
                                            (n_images, n_images), SimilarityGraph)
             except DatasetError as exc:
                 if run.args.affinity:
@@ -301,10 +301,10 @@ def _refine(run: _Run) -> None:
     apply, init = getattr(args, "apply", False), None
     if getattr(args, "import_factors", None):  # P's rank is free under --apply, Q's follows P's
         p_path, q_path = args.import_factors
-        p = _read_input("--import-factors", p_path, read_dense_matrix,
+        p = _read_input("--import-factors", p_path, _read_frozen,
                         (bundle.image_features.dim, None if apply else run.refine.rank),
                         lambda arr: _matrix(arr, "factor P"))
-        init = FactorPair(p, _read_input("--import-factors", q_path, read_dense_matrix,
+        init = FactorPair(p, _read_input("--import-factors", q_path, _read_frozen,
                                          (bundle.tag_features.dim, p.shape[1]),
                                          lambda arr: _matrix(arr, "factor Q")))
     if apply:  # no fit: no Laplacians; --tags-in is ignored, the bundle is loaded as always
@@ -332,7 +332,7 @@ def _eval(run: _Run) -> None:
     """AP@N / AR@N of refine's scores, or run alone of --predictions, against the ground truth."""
     truth = run.bundle.ground_truth
     if run.scores is None:
-        run.scores = _read_input("--predictions", run.args.predictions, read_dense_matrix,
+        run.scores = _read_input("--predictions", run.args.predictions, _read_frozen,
                                  run.bundle.tags.matrix.shape, lambda arr: _matrix(arr, "prediction matrix"))
     elif truth is None or run.args.skip_eval:
         return  # pipeline evaluates only a bundle with ground truth
@@ -352,7 +352,7 @@ def _tune(run: _Run) -> None:
         run.completed = _read_input("--completed", run.args.completed, read_sparse_matrix,
                                     run.bundle.tags.matrix.shape)
     t, val_idx = run.cfg["tune"], _val_rows(run)
-    truth_val = TagMatrix(sp.csr_array(run.bundle.ground_truth.matrix[val_idx]))
+    truth_val = TagMatrix(_held_csr(run.bundle.ground_truth.matrix[val_idx]))
 
     rows = []
     best = None

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RefineConfig
-from .tagmat import DatasetError, FeatureMatrix, GraphLaplacian, TagMatrix, read_dense_matrix, write_dense_matrix
-from .tagmat import _matrix
+from .tagmat import DatasetError, FeatureMatrix, GraphLaplacian, TagMatrix, write_dense_matrix
+from .tagmat import _matrix, _read_frozen
 
 
 @dataclass(frozen=True)
@@ -292,4 +292,4 @@ def save_factors(factors: FactorPair, out_dir, prefix: str = "factors") -> tuple
 
 
 def load_factors(p_path, q_path) -> FactorPair:
-    return FactorPair(p=read_dense_matrix(p_path), q=read_dense_matrix(q_path))
+    return FactorPair(p=_read_frozen(p_path), q=_read_frozen(q_path))

@@ -31,8 +31,22 @@ def _check_seed(seed: int) -> None:
         raise DatasetError(f"seed must be a non-negative integer, got {seed}")
 
 
+def _frozen(arr) -> bool:
+    """The package's one hand-over test, that nothing can write arr: arr and every array down its .base
+    chain are read-only ndarrays (so a read-only view of a writable array, or of a foreign buffer, fails)."""
+    while isinstance(arr, np.ndarray):
+        if arr.flags.writeable:
+            return False
+        arr = arr.base
+    return arr is None
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
+    """arr, made read-only down its .base chain so that _frozen(arr) holds: how a builder hands it over."""
+    base = arr
+    while isinstance(base, np.ndarray):
+        base.setflags(write=False)
+        base = base.base
     return arr
 
 
@@ -48,25 +62,44 @@ def _asymmetry(a: np.ndarray) -> float:
     return float(max(np.abs(a[s : s + step] - a[:, s : s + step].T).max() for s in range(0, n, step)))
 
 
+def _check_shape(shape: tuple, what: str) -> None:
+    """The package's one shape rule for a matrix: 2-D and at least 1x1; else a DatasetError names what."""
+    if len(shape) != 2:
+        raise DatasetError(f"{what} must be 2-D, got shape {shape}")
+    if shape[0] < 1 or shape[1] < 1:
+        raise DatasetError(f"{what} must be at least 1x1, got {shape}")
+
+
+def _check_finite(values: np.ndarray, what: str) -> None:
+    """The package's one value rule for a matrix: its (stored) values are finite; else a DatasetError."""
+    if not np.all(np.isfinite(values)):
+        raise DatasetError(f"{what} contains non-finite values")
+
+
 def _matrix(x, what: str, symmetric: bool = False) -> np.ndarray:
     """The package's one rule for a dense matrix it takes in: x as a frozen float64 array.
 
-    x itself is kept if it is a read-only float64 ndarray that owns its data, as the builders hand
+    x itself is kept if it is a float64 ndarray that nothing can write (_frozen), as the builders hand
     over; anything else is copied, so a caller's writable array is never frozen or aliased. The array
-    must be 2-D, at least 1x1 and finite, and, if symmetric, square and symmetric within
+    must pass _check_shape and _check_finite and, if symmetric, be square and symmetric within
     SYMMETRY_TOL; else a DatasetError starts with what ("Laplacian contains non-finite values").
     """
-    if not (type(x) is np.ndarray and x.dtype == np.float64 and x.flags.owndata and not x.flags.writeable):
+    if not (type(x) is np.ndarray and x.dtype == np.float64 and _frozen(x)):
         x = np.array(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise DatasetError(f"{what} must be 2-D, got shape {x.shape}")
-    if x.shape[0] < 1 or x.shape[1] < 1:
-        raise DatasetError(f"{what} must be at least 1x1, got {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise DatasetError(f"{what} contains non-finite values")
+    _check_shape(x.shape, what)
+    _check_finite(x, what)
     if symmetric and (x.shape[0] != x.shape[1] or _asymmetry(x) > SYMMETRY_TOL):
         raise DatasetError(f"{what} is not symmetric")
     return _freeze(x)
+
+
+def _held_csr(m: sp.csr_array) -> sp.csr_array:
+    """m, a CSR no one else holds, made canonical, without stored zeros and frozen, as builders hand it over."""
+    m.sum_duplicates()
+    m.eliminate_zeros()
+    for buf in (m.data, m.indices, m.indptr):
+        _freeze(buf)
+    return m
 
 
 def _add_transpose(a: np.ndarray) -> np.ndarray:
@@ -93,7 +126,12 @@ class TagMatrix:
 
     Rows are images, columns are tags. Absent entries mean confidence 0.
     Stored compressed-row; explicit zeros are dropped and duplicate
-    coordinates are summed before range validation. Immutable once built.
+    coordinates are summed before range validation. As _matrix does for the
+    dense types, it keeps the buffers of a float64, canonical csr_array that
+    stores no zeros and that nothing can write (_frozen), as the builders
+    hand over (_held_csr), in a csr_array of its own; anything else is
+    copied, so a caller's matrix is never aliased, frozen or edited. Shape
+    and finiteness follow _matrix's rules. Immutable once built.
     """
 
     matrix: sp.csr_array
@@ -102,23 +140,17 @@ class TagMatrix:
         m = self.matrix
         if not sp.issparse(m):
             raise DatasetError("TagMatrix requires a scipy sparse matrix")
-        if m.ndim != 2:
-            raise DatasetError(f"tag matrix must be 2-D, got shape {m.shape}")
-        m = sp.csr_array(m, dtype=np.float64)
-        if m.shape[0] < 1 or m.shape[1] < 1:
-            raise DatasetError(f"tag matrix must be at least 1x1, got {m.shape}")
-        m.sum_duplicates()
-        m.eliminate_zeros()
-        if m.nnz:
-            if not np.all(np.isfinite(m.data)):
-                raise DatasetError("tag matrix contains non-finite confidences")
-            if m.data.min() < 0.0 or m.data.max() > 1.0:
-                raise DatasetError(
-                    "tag confidences must lie in [0, 1], got range "
-                    f"[{m.data.min():.6g}, {m.data.max():.6g}]"
-                )
-        for buf in (m.data, m.indices, m.indptr):
-            buf.setflags(write=False)
+        _check_shape(m.shape, "tag matrix")
+        kept = (type(m) is sp.csr_array and m.dtype == np.float64
+                and all(map(_frozen, (m.data, m.indices, m.indptr)))
+                and m.has_canonical_format and np.count_nonzero(m.data) == m.data.size)
+        m = sp.csr_array(m) if kept else _held_csr(sp.csr_array(m, dtype=np.float64, copy=True))
+        _check_finite(m.data, "tag matrix")
+        if m.nnz and (m.data.min() < 0.0 or m.data.max() > 1.0):
+            raise DatasetError(
+                "tag confidences must lie in [0, 1], got range "
+                f"[{m.data.min():.6g}, {m.data.max():.6g}]"
+            )
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -147,7 +179,7 @@ class TagMatrix:
         coo = sp.coo_array(
             (np.asarray(vals, dtype=np.float64), (rows, cols)), shape=(n_images, n_tags)
         )
-        return cls(sp.csr_array(coo))
+        return cls(_held_csr(sp.csr_array(coo)))
 
     def toarray(self) -> np.ndarray:
         return self.matrix.toarray()
@@ -161,11 +193,10 @@ def _csr_from_dense(arr) -> sp.csr_array:
     """CSR of a 2-D array, filled one row block (about _BLOCK_BYTES) at a time.
 
     Gives the arrays and index dtype of sp.csr_array(arr) without int64
-    coordinates. NaN is kept, so TagMatrix rejects it.
+    coordinates. NaN is kept, so TagMatrix rejects it. Handed over frozen (_held_csr).
     """
     arr = np.asarray(arr, dtype=np.float64)
-    if arr.ndim != 2:
-        raise DatasetError(f"tag matrix must be 2-D, got shape {arr.shape}")
+    _check_shape(arr.shape, "tag matrix")
     n_rows, n_cols = arr.shape
     step = _block_rows(n_cols)
     counts = np.empty(n_rows, dtype=np.int64)
@@ -184,7 +215,7 @@ def _csr_from_dense(arr) -> sp.csr_array:
         mask = (block != 0.0).ravel()
         np.compress(mask, block.ravel(), out=data[lo:hi])
         np.remainder(np.flatnonzero(mask), n_cols, out=indices[lo:hi], casting="unsafe")
-    return sp.csr_array((data, indices, indptr), shape=(n_rows, n_cols))
+    return _held_csr(sp.csr_array((data, indices, indptr), shape=(n_rows, n_cols)))
 
 
 @dataclass(frozen=True)
@@ -305,11 +336,12 @@ def cosine_similarity_graph(features: FeatureMatrix) -> SimilarityGraph:
 
     As in ssc_solve, a zero-norm row raises DatasetError("zero-norm feature
     row(s) at indices [...]"). The diagonal is zero. Built in one n x n
-    buffer, which SimilarityGraph keeps.
+    buffer, which SimilarityGraph keeps. numpy forms unit @ unit.T with
+    BLAS syrk and mirrors its triangle, so the product is exactly
+    symmetric as it comes.
     """
     unit = _unit_rows(features.data)
-    w = _add_transpose(unit @ unit.T)
-    w /= 2.0
+    w = unit @ unit.T
     np.clip(w, -1.0, 1.0, out=w)
     np.maximum(w, 0.0, out=w)
     np.fill_diagonal(w, 0.0)
@@ -379,7 +411,7 @@ def read_sparse_matrix(path) -> TagMatrix:
     m = scipy.io.mmread(str(path))
     if not sp.issparse(m):
         return TagMatrix.from_dense(np.atleast_2d(m))
-    return TagMatrix(sp.csr_array(m))
+    return TagMatrix(_held_csr(sp.csr_array(m)))
 
 
 def read_dense_matrix(path) -> np.ndarray:
@@ -388,6 +420,11 @@ def read_dense_matrix(path) -> np.ndarray:
     if sp.issparse(m):
         m = m.toarray()
     return np.atleast_2d(np.asarray(m, dtype=np.float64))
+
+
+def _read_frozen(path) -> np.ndarray:
+    """read_dense_matrix's array, frozen: no one else holds it, so the matrix type built from it keeps it."""
+    return _freeze(read_dense_matrix(path))
 
 
 def read_id_list(path) -> list[str]:
@@ -437,18 +474,18 @@ def load_dataset(manifest_path) -> DatasetBundle:
     entries = _read_input("manifest", manifest_path, parse_manifest)
     tags = _read_input("tags", entries["tags"], read_sparse_matrix)
 
-    def features(path):  # no one else holds the array read_dense_matrix makes, so FeatureMatrix keeps it
-        return FeatureMatrix(_freeze(read_dense_matrix(path)))
+    def component(key, value):
+        return _fits_tags(tags, key, FeatureMatrix(value) if key.endswith("_features") else value)
 
     reads = {
-        "image_features": features,
-        "tag_features": features,
+        "image_features": _read_frozen,
+        "tag_features": _read_frozen,
         "image_ids": read_id_list,
         "tag_names": read_id_list,
         "ground_truth": read_sparse_matrix,
     }
     return DatasetBundle(tags=tags, **{
-        key: _read_input(key, entries[key], read, build=functools.partial(_fits_tags, tags, key))
+        key: _read_input(key, entries[key], read, build=functools.partial(component, key))
         for key, read in reads.items() if key in entries
     })
 

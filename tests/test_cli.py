@@ -977,6 +977,37 @@ class TestShareCommand:
         assert rc == 0
         assert (out / "completed.mtx").read_bytes() == (clustered / "completed.mtx").read_bytes()
 
+    def test_affinity_file_is_held_once(self, tmp_path, monkeypatch):
+        """share keeps the 1000 x 1000 affinity array it reads (8 MB): traced from the end of the load to
+        the start of sharing, the read and the SimilarityGraph peak near one copy, not two."""
+        n = 1000
+        manifest = make_bundle(tmp_path, ["--set", f"synth.images_per_cluster={n // 2}"])
+        write_dense_matrix(tmp_path / "affinity.mtx",
+                           tagmat.cosine_similarity_graph(load_dataset(manifest).image_features).weights)
+        (tmp_path / "labels.txt").write_text("0\n1\n" * (n // 2))
+        load, share = cli.load_dataset, cli.share_tags
+        peaks = []
+
+        def traced_load(path):
+            bundle = load(path)
+            tracemalloc.start()
+            return bundle
+
+        def traced_share(*args):
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+            return share(*args)
+
+        monkeypatch.setattr(cli, "load_dataset", traced_load)
+        monkeypatch.setattr(cli, "share_tags", traced_share)
+        try:
+            rc = main(["share", "--manifest", manifest, "--output-dir", str(tmp_path / "out"),
+                       "--labels", str(tmp_path / "labels.txt"), "--affinity", str(tmp_path / "affinity.mtx")])
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peaks[0] < 1.5 * 8 * n * n, peaks
+
     def test_empty_labels_file_exits_two_naming_the_flag(self, tmp_path, caplog):
         manifest = make_bundle(tmp_path)
         empty = tmp_path / "empty.txt"

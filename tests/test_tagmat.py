@@ -15,10 +15,10 @@ from hypothesis.extra import numpy as hnp
 from oracles import tags_from_dense
 from tagrefinery import config as configuration
 from tagrefinery import tagmat
-from tagrefinery.metrics import NoiseSpec
+from tagrefinery.metrics import NoiseSpec, inject_noise
 from tagrefinery.refine import FactorPair, RefineConfig, refine
-from tagrefinery.sharing import SharingConfig
-from tagrefinery.subspace import SscConfig, spectral_cluster, ssc_solve
+from tagrefinery.sharing import SharingConfig, share_tags
+from tagrefinery.subspace import ClusterAssignment, SscConfig, spectral_cluster, ssc_solve
 from tagrefinery.tagmat import (
     DatasetBundle,
     DatasetError,
@@ -215,9 +215,19 @@ def test_every_dense_type_refuses_a_bad_array_by_one_rule(make, what, square, ar
         assert str(exc.value) == f"{what} {reason}"
 
 
+def csr_buffers(m):
+    return m.data, m.indices, m.indptr
+
+
+def same_buffers(a, b) -> bool:
+    """Whether two CSRs hold the very same three buffers (the same memory, of the same length)."""
+    return all(x.ctypes.data == y.ctypes.data and x.nbytes == y.nbytes
+               for x, y in zip(csr_buffers(a), csr_buffers(b)))
+
+
 class TestOwnership:
-    """Every dense matrix type adopts a frozen float64 array that owns its data, as the builders
-    hand over, and copies anything else."""
+    """Every matrix type keeps an array that nothing can write (tagmat._frozen), as the builders hand
+    over, and copies anything else."""
 
     CASES = [(SimilarityGraph, "weights", [[0.0, 0.5], [0.5, 0.0]]),
              (GraphLaplacian, "matrix", [[0.5, -0.5], [-0.5, 0.5]]),
@@ -247,6 +257,107 @@ class TestOwnership:
         held = getattr(cls(view), field)
         assert not np.shares_memory(held, base)
         np.testing.assert_array_equal(held, value)
+
+    @pytest.mark.parametrize("cls, field, value", CASES, ids=IDS)
+    def test_read_only_view_of_a_frozen_array_is_adopted(self, cls, field, value):
+        base = np.zeros((3, 3))
+        base[:2, :2] = value
+        view = tagmat._freeze(base)[:2, :2]
+        assert np.shares_memory(getattr(cls(view), field), base)
+
+    # TagMatrix: the same rule for a CSR's three buffers.
+
+    def test_tag_matrix_copies_a_writable_csr(self):
+        m = sp.csr_array(np.array([[0.5, 0.0], [0.0, 0.2]]))
+        t = TagMatrix(m)
+        for mine, held in zip(csr_buffers(m), csr_buffers(t.matrix)):
+            assert mine.flags.writeable and not np.shares_memory(mine, held)
+        m.data[0] = 7.0
+        np.testing.assert_array_equal(t.toarray(), [[0.5, 0.0], [0.0, 0.2]])
+
+    def test_tag_matrix_leaves_the_callers_stored_zero(self):
+        m = sp.csr_array(sp.coo_array((np.array([0.0, 0.7]), ([0, 1], [0, 1])), shape=(2, 2)))
+        assert TagMatrix(m).nnz == 1
+        assert m.nnz == 2
+        np.testing.assert_array_equal(m.data, [0.0, 0.7])
+
+    def test_tag_matrix_of_a_tag_matrix_shares_its_buffers(self):
+        t = TagMatrix.from_dense([[0.5, 0.0], [0.0, 1.0]])
+        again = TagMatrix(t.matrix)
+        assert again.matrix is not t.matrix
+        assert same_buffers(again.matrix, t.matrix)
+
+    def test_tag_matrix_copies_a_read_only_view_of_writable_buffers(self):
+        m = sp.csr_array(np.array([[0.5, 0.0], [0.0, 0.2]]))
+        views = [buf[:] for buf in csr_buffers(m)]
+        for view in views:
+            view.setflags(write=False)
+        t = TagMatrix(sp.csr_array(tuple(views), shape=m.shape))
+        assert not any(np.shares_memory(mine, held) for mine, held in zip(views, csr_buffers(t.matrix)))
+
+    @pytest.mark.parametrize("data, indices, indptr, want", [
+        ([0.5, 0.25], [1, 0], [0, 2, 2], [[0.25, 0.5], [0.0, 0.0]]),  # unsorted
+        ([0.5, 0.25], [0, 0], [0, 2, 2], [[0.75, 0.0], [0.0, 0.0]]),  # duplicate
+        ([0.0, 0.25], [0, 1], [0, 2, 2], [[0.0, 0.25], [0.0, 0.0]]),  # stored zero
+    ], ids=["unsorted", "duplicate", "stored-zero"])
+    def test_tag_matrix_copies_a_frozen_csr_it_must_change(self, data, indices, indptr, want):
+        bufs = [tagmat._freeze(np.array(b, dtype=d)) for b, d in
+                ((data, np.float64), (indices, np.int32), (indptr, np.int32))]
+        t = TagMatrix(sp.csr_array(tuple(bufs), shape=(2, 2)))
+        np.testing.assert_array_equal(t.toarray(), want)
+        assert t.matrix.has_canonical_format and np.all(t.matrix.data != 0.0)
+        assert not any(np.shares_memory(mine, held) for mine, held in zip(bufs, csr_buffers(t.matrix)))
+        np.testing.assert_array_equal(bufs[0], data)
+
+
+def read_coordinate_file(tmp):
+    write_sparse_matrix(tmp / "c.mtx", TagMatrix.from_dense(np.eye(3) / 2))
+    return lambda: read_sparse_matrix(tmp / "c.mtx")
+
+
+def read_array_file(tmp):
+    write_dense_matrix(tmp / "a.mtx", np.eye(3) / 2)
+    return lambda: read_sparse_matrix(tmp / "a.mtx")
+
+
+def share(tmp):
+    tags = TagMatrix.from_dense([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    clusters, sims = ClusterAssignment(np.zeros(3, np.int64), 1), SimilarityGraph(np.ones((3, 3)) - np.eye(3))
+    return lambda: share_tags(tags, clusters, sims, SharingConfig())
+
+
+def noise(tmp):
+    truth = TagMatrix.from_dense(np.eye(4))
+    return lambda: inject_noise(truth, NoiseSpec(0.25, 0.5, seed=0))
+
+
+# Each package builder of a CSR: given a scratch directory, it makes the builder's inputs and returns
+# the call that builds the TagMatrix.
+CSR_BUILDERS = [
+    pytest.param(lambda tmp: lambda: TagMatrix.from_dense([[0.5, 0.0], [0.0, 1.0]]), id="from_dense"),
+    pytest.param(lambda tmp: lambda: TagMatrix.from_entries(2, 3, [1, 0, 1], [2, 0, 2], [0.25, 1.0, 0.5]),
+                 id="from_entries"),
+    pytest.param(read_coordinate_file, id="read_sparse_matrix-coordinate"),
+    pytest.param(read_array_file, id="read_sparse_matrix-array"),
+    pytest.param(share, id="share_tags"),
+    pytest.param(noise, id="inject_noise"),
+]
+
+
+@pytest.mark.parametrize("prepare", CSR_BUILDERS)
+def test_tag_matrix_holds_the_buffers_its_builder_made(prepare, tmp_path, monkeypatch):
+    """Every builder hands its CSR over frozen through tagmat._held_csr, and TagMatrix keeps it uncopied."""
+    build, made, held_csr = prepare(tmp_path), [], tagmat._held_csr
+
+    def spy(m):
+        made.append(held_csr(m))
+        return made[-1]
+
+    monkeypatch.setattr(tagmat, "_held_csr", spy)
+    tags = build()
+    assert len(made) == 1
+    assert same_buffers(tags.matrix, made[0])
+    assert all(map(tagmat._frozen, csr_buffers(tags.matrix)))
 
 
 class TestAddTranspose:
@@ -311,6 +422,13 @@ class TestCosineGraph:
     def test_zero_norm_row_rejected(self):
         with pytest.raises(DatasetError, match="zero-norm"):
             cosine_similarity_graph(FeatureMatrix([[0.0, 0.0], [1.0, 0.0]]))
+
+    @pytest.mark.parametrize("images_per_cluster, image_dim", [(100, 30), (200, 30), (40, 30), (10, 16)])
+    def test_exactly_symmetric(self, images_per_cluster, image_dim):
+        """numpy forms unit @ unit.T with BLAS syrk and mirrors it, so the graph needs no symmetrising pass."""
+        bundle, _ = gen_annotation_bundle(images_per_cluster=images_per_cluster, image_dim=image_dim)
+        w = cosine_similarity_graph(bundle.image_features).weights
+        assert np.array_equal(w, w.T)
 
     def test_invariant_under_row_rescaling(self):
         rng = np.random.default_rng(1)
@@ -688,6 +806,24 @@ class TestImmutability:
         x = np.ones((2, 2))
         FeatureMatrix(x)
         x[0, 0] = 5.0  # caller's array stays writable
+        m = sp.csr_array(x / 10)
+        TagMatrix(m)
+        m.data[0] = 0.7  # and so does a caller's CSR
+
+    @pytest.mark.parametrize("make", [
+        lambda: TagMatrix.from_dense(np.eye(3) / 2),
+        lambda: TagMatrix.from_entries(2, 2, [0, 0], [1, 1], [0.25, 0.5]),
+        lambda: TagMatrix(sp.csr_array(np.eye(3) / 2)),
+        lambda: TagMatrix(sp.coo_array(np.eye(3) / 2)),
+        lambda: TagMatrix(sp.csr_matrix(np.eye(3, dtype=np.float32) / 2)),
+    ], ids=["from_dense", "from_entries", "csr_array", "coo_array", "float32-csr_matrix"])
+    def test_no_buffer_of_a_tag_matrix_nor_any_base_is_writable(self, make):
+        for buf in csr_buffers(make().matrix):
+            chain = [buf]
+            while isinstance(chain[-1].base, np.ndarray):
+                chain.append(chain[-1].base)
+            assert chain[-1].base is None
+            assert not any(arr.flags.writeable for arr in chain)
 
     def test_wrapper_arrays_read_only(self):
         f = FeatureMatrix(np.ones((2, 2)))
