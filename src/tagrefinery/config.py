@@ -167,7 +167,8 @@ class SharingConfig:
 @dataclass(frozen=True)
 class RefineConfig:
     """Knobs for the fit: the model's rank, lambda1, lambda2 and mu (see tagrefinery.refine), then the
-    outer loop's cap, start seed and relative objective-change stop. Field metadata holds the bounds;
+    outer loop's cap and relative objective-change stop; the start is fixed by the inputs, so there is no
+    seed. Field metadata holds the bounds;
     validate(f_i, f_t) also checks the rank against the feature dimensions f_i and f_t.
     """
 
@@ -176,7 +177,6 @@ class RefineConfig:
     lambda2: float = field(default=0.01, metadata={"ge": 0})
     mu: float = field(default=0.4, metadata={"ge": 0, "lt": 1})
     outer_iters: int = field(default=30, metadata={"ge": 1})
-    seed: int = field(default=0, metadata={"ge": 0})
     obj_tol: float = field(default=1e-6, metadata={"ge": 0})
 
     def validate(self, f_i: int | None = None, f_t: int | None = None) -> None:

@@ -19,9 +19,13 @@ normal operator X -> 2 V^T M(V X B^T) B + lambda1 X and its right-hand side
 2 V^T O B (B = T Q; W o O = O since O is zero wherever w_ij != 1). A fit
 validates and densifies its instance once; its Q subproblem is the P
 subproblem of the transposed instance, so one half-step serves both
-factors. Each half-step is solved exactly (alternating least squares): its
-(f r) x (f r) normal matrix is the normal operator applied to each unit
-f x r matrix, and one Cholesky solve gives the minimizer.
+factors. Unless it resumes from saved factors, a fit starts where Jain &
+Dhillon (arXiv:1306.0626) start alternating minimization for this model:
+at the top-rank SVD U S W^T of V^T O T, as P = U_r S_r and Q = W_r, so its
+inputs alone fix its result and refine takes no seed. Each half-step is
+solved exactly (alternating least squares): its (f r) x (f r) normal
+matrix is the normal operator applied to each unit f x r matrix, and one
+Cholesky solve gives the minimizer.
 """
 
 from __future__ import annotations
@@ -193,29 +197,27 @@ def solve_alternating(
 
     Each half-step minimizes its convex quadratic, so the recorded objective
     trace (initial value, then one entry per half-step) never increases
-    beyond roundoff. Deterministic for a fixed seed. Passing init resumes
-    from previously saved factors instead of the seeded Gaussian start; the
-    first half-step uses only init.q. A fit that stops at outer_iters
-    without meeting obj_tol logs a warning and returns converged=False. A
+    beyond roundoff. Without init the fit starts from the top-rank SVD of
+    V^T O T (P = U_r S_r, Q = W_r; see the module docstring); passing init
+    resumes from previously saved factors instead. The first half-step uses
+    only the start's Q. A fit that stops at outer_iters without meeting
+    obj_tol logs a warning and returns converged=False. A
     half-step whose normal matrix is not numerically positive definite
     (lambda1 = 0 with rank-deficient features or factors) raises
     np.linalg.LinAlgError naming refine.lambda1.
     """
     inst = _Instance.build(tags, v, t, l_v, l_s, config)
     inst_t = inst.transposed()
-    if init is not None:
-        if init.p.shape != (v.dim, config.rank) or init.q.shape != (t.dim, config.rank):
-            raise DatasetError(
-                f"initial factors {init.p.shape}/{init.q.shape} do not match "
-                f"features and rank ({v.dim}x{config.rank}, {t.dim}x{config.rank})"
-            )
-        p, q = init.p, init.q
-    else:
-        rng = np.random.default_rng(config.seed)
-        scale = 1.0 / np.sqrt(config.rank)
-        p = rng.standard_normal((v.dim, config.rank)) * scale
-        q = rng.standard_normal((t.dim, config.rank)) * scale
-
+    r = config.rank
+    if init is None:
+        u, s, wt = np.linalg.svd(inst.rows.T @ (inst.o @ inst.cols), full_matrices=False)
+        init = FactorPair(u[:, :r] * s[:r], wt[:r].T)
+    elif init.p.shape != (v.dim, r) or init.q.shape != (t.dim, r):
+        raise DatasetError(
+            f"initial factors {init.p.shape}/{init.q.shape} do not match "
+            f"features and rank ({v.dim}x{r}, {t.dim}x{r})"
+        )
+    p, q = init.p, init.q
     trace = [inst.objective(p, q)]
     for outer in range(config.outer_iters):
         p = inst.half_step(q)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import NoiseSpec, _SynthConfig
+from .config import _BUNDLE_KEYS, NoiseSpec, _SynthConfig, _check_config
 from .metrics import inject_noise
 from .subspace import ClusterAssignment, SelfRepresentation
 from .tagmat import (
@@ -175,6 +175,9 @@ def gen_planted_annotation(
     so it is bit-identical to the reconstruction at (p_star, q_star) and
     a valid confidence matrix the refinement model represents exactly.
     """
+    for name, size in (("n_images", n_images), ("n_tags", n_tags), ("f_i", f_i), ("f_t", f_t), ("r", r)):
+        if size < 1:
+            raise DatasetError(f"{name} must be a positive integer, got {size}")
     if r > min(f_i, f_t):
         raise DatasetError(f"rank {r} exceeds min feature dim {min(f_i, f_t)}")
     if not 0.0 < density <= 1.0:
@@ -239,17 +242,11 @@ def gen_annotation_bundle(
     cluster's block (at least one). Tag features place same-block tags
     near a shared topic centroid so the semantic graph is informative.
     When a NoiseSpec is given, bundle.tags is the corrupted matrix and
-    bundle.ground_truth keeps the clean one.
+    bundle.ground_truth keeps the clean one. The arguments are checked by
+    the synth section's rules, so a bad one raises DatasetError naming it.
     """
-    if n_clusters * tags_per_cluster > n_tags:
-        raise DatasetError(
-            f"{n_clusters} clusters x {tags_per_cluster} tags exceed the vocabulary {n_tags}"
-        )
-    if not 1 <= dim_subspace < image_dim:
-        raise DatasetError(
-            f"need 1 <= dim_subspace < image_dim, got {dim_subspace} / {image_dim}"
-        )
-    _check_seed(seed)
+    args = locals()
+    _check_config(_SynthConfig(kind="bundle", **{key: args[key] for key in _BUNDLE_KEYS}))
     rng = np.random.default_rng(seed)
     n_images = n_clusters * images_per_cluster
 

@@ -148,17 +148,22 @@ def central_difference(f, x, h=1e-5):
     return g
 
 
+def gaussian_start(f_i, f_t, r, seed):
+    """A seeded Gaussian factor pair (P, Q), each entry N(0, 1/r): a start that a test passes to the
+    solver as init, in place of the solver's own start."""
+    rng = np.random.default_rng(seed)
+    scale = 1.0 / np.sqrt(r)
+    return rng.standard_normal((f_i, r)) * scale, rng.standard_normal((f_t, r)) * scale
+
+
 def dense_unweighted_als(o, v, t, r, lam1, n_outer, seed):
     """Exact alternating least squares for mu=0, lambda2=0 via normal equations.
 
-    Uses the same seeded Gaussian initialization convention as the solver
-    under test, but solves every half-step exactly with dense Kronecker
-    systems. Returns the factor pair and the final objective.
+    Starts from gaussian_start(..., seed), which the test passes to the
+    solver under test as init, but solves every half-step exactly with
+    dense Kronecker systems. Returns the factor pair and the final objective.
     """
-    rng = np.random.default_rng(seed)
-    scale = 1.0 / np.sqrt(r)
-    p = rng.standard_normal((v.shape[1], r)) * scale
-    q = rng.standard_normal((t.shape[1], r)) * scale
+    p, q = gaussian_start(v.shape[1], t.shape[1], r, seed)
     for _ in range(n_outer):
         b = t @ q
         lhs = 2.0 * np.kron(v.T @ v, b.T @ b) + lam1 * np.eye(v.shape[1] * r)

@@ -127,6 +127,13 @@ class TestConfigResolution:
         with pytest.raises(DatasetError, match="bogus"):
             resolve_config(Args())
 
+    def test_refine_seed_is_no_key(self, tmp_path, caplog):
+        # A fit starts from the top-rank SVD of V^T O T, so there is no seed to set.
+        manifest, out = make_bundle(tmp_path), tmp_path / "out"
+        assert main(["refine", "--manifest", manifest, "--output-dir", str(out), "--set", "refine.seed=0"]) == 2
+        assert caplog.records[-1].getMessage() == "unknown config key 'refine.seed'"
+        assert not out.exists()
+
     def test_config_file_merge(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"k": 7, "ssc": {"mu": 3.5}}))
@@ -394,7 +401,6 @@ class TestExitCodes:
         (["synth", "--set", "synth.noise_seed=-1"], "synth.noise_seed"),
         (["synth", "--set", "synth.name=sub/x"], "synth.name"),
         (["synth", "--set", "synth.name="], "synth.name", "synth.name-empty"),
-        (["pipeline", "--manifest", "missing.manifest", "--set", "refine.seed=-1"], "refine.seed"),
         (["tune", "--manifest", "missing.manifest", "--set", "tune.split_seed=-1"], "tune.split_seed"),
     ]
 
@@ -420,7 +426,6 @@ class TestExitCodes:
         "sharing.min_confidence-high": "sharing.min_confidence: must be in [0, 1.1], got 1.1000000000000003",
         "sharing.neighbor_source": "sharing.neighbor_source: must be 'affinity' or 'cosine', got 'x'",
         "refine.lambda2": "refine.lambda2: must be >= 0, got -5e-324",
-        "refine.seed": "refine.seed: must be a non-negative integer, got -1",
         "refine.mu-high": "refine.mu: must be in [0, 1), got 1",
         "ssc.mu": "ssc.mu: must be > 0, got 0",
         "tune.val_fraction": "tune.val_fraction: must be in (0, 1], got 0",
@@ -738,6 +743,16 @@ class TestPipeline:
         assert rc == 0
         for name in artifacts:
             assert (out / name).read_bytes() == first[name], name
+
+    def test_subspaces_bundle_with_rank_deficient_start(self, tmp_path):
+        # 5 clusters give 5 tags, so V^T O T has rank 5 < refine.rank = 8: the start's last singular
+        # values are 0 and lambda1 keeps every half-step solvable.
+        data, out = tmp_path / "data", tmp_path / "run"
+        assert main(["synth", "--output-dir", str(data), "--set", "synth.kind=subspaces",
+                     "--set", "synth.images_per_cluster=10"]) == 0
+        assert main(["pipeline", "--manifest", str(data / "synthetic.manifest"), "--output-dir", str(out),
+                     "--set", "eval_n=[1]"]) == 0
+        assert (out / "eval_at_1.txt").exists()
 
     def test_staged_commands_match_pipeline(self, tmp_path):
         manifest = make_bundle(tmp_path)

@@ -16,7 +16,7 @@ from oracles import tags_from_dense
 from tagrefinery import config as configuration
 from tagrefinery import tagmat
 from tagrefinery.metrics import NoiseSpec, inject_noise
-from tagrefinery.refine import FactorPair, RefineConfig, refine
+from tagrefinery.refine import FactorPair, RefineConfig
 from tagrefinery.sharing import SharingConfig, share_tags
 from tagrefinery.subspace import ClusterAssignment, SscConfig, spectral_cluster, ssc_solve
 from tagrefinery.tagmat import (
@@ -508,17 +508,9 @@ class TestTopNTags:
             top_n_tags(np.zeros((1, 2)), 0)
 
 
-def _fit_seeded(seed):
-    bundle = small_bundle()
-    features = (bundle.image_features, bundle.tag_features)
-    laplacians = [graph_laplacian(cosine_similarity_graph(f)) for f in features]
-    return refine(bundle.tags, *features, *laplacians, RefineConfig(rank=2, seed=seed))
-
-
 SEED_MESSAGE = "seed must be a non-negative integer, got -1"
 # Library entry point -> (a call with one bad seed or cut-off, the DatasetError message naming it).
 BAD_LIBRARY_VALUES = {
-    "refine": (lambda: _fit_seeded(-1), SEED_MESSAGE),
     "NoiseSpec": (lambda: NoiseSpec(0.1, 0.1, seed=-1), SEED_MESSAGE),
     "spectral_cluster": (lambda: spectral_cluster(cosine_similarity_graph(small_bundle().image_features),
                                                   2, seed=-1), SEED_MESSAGE),

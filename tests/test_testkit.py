@@ -153,6 +153,15 @@ class TestGenPlantedAnnotation:
         with pytest.raises(DatasetError, match="rank"):
             gen_planted_annotation(5, 4, 3, 3, 4)
 
+    # A size below 1 -> the argument it is passed as.
+    TOO_SMALL = [((0, 5, 3, 3, 1), "n_images"), ((5, -1, 3, 3, 1), "n_tags"), ((5, 4, 0, 3, 1), "f_i"),
+                 ((5, 4, 3, 0, 1), "f_t"), ((5, 4, 3, 3, 0), "r")]
+
+    @pytest.mark.parametrize("args, name", TOO_SMALL, ids=[name for _, name in TOO_SMALL])
+    def test_size_below_one_names_the_argument(self, args, name):
+        with pytest.raises(DatasetError, match=rf"^{name} must be a positive integer, got "):
+            gen_planted_annotation(*args)
+
 
 class TestGenAnnotationBundle:
     def test_shapes_and_truth(self):
@@ -191,6 +200,21 @@ class TestGenAnnotationBundle:
         np.testing.assert_array_equal(la, lb)
 
     def test_vocabulary_bound(self):
-        with pytest.raises(DatasetError, match="vocabulary"):
+        with pytest.raises(DatasetError, match="n_tags"):
             gen_annotation_bundle(n_clusters=4, images_per_cluster=3,
                                   n_tags=10, tags_per_cluster=3)
+
+    # An argument outside the synth section's rule for its key -> the message that names it.
+    OUT_OF_RULE = {
+        "image_noise": (-1.0, "image_noise must be >= 0, got -1.0"),
+        "tag_presence": (2.0, "tag_presence must be in [0, 1], got 2.0"),
+        "n_clusters": (0, "n_clusters must be a positive integer, got 0"),
+        "tags_per_cluster": (0, "tags_per_cluster must be a positive integer, got 0"),
+    }
+
+    @pytest.mark.parametrize("name, value, message", [(k, *v) for k, v in OUT_OF_RULE.items()],
+                             ids=OUT_OF_RULE.keys())
+    def test_argument_checked_by_the_synth_rules(self, name, value, message):
+        with pytest.raises(DatasetError) as err:
+            gen_annotation_bundle(**{name: value})
+        assert str(err.value) == message
