@@ -33,16 +33,15 @@ import sys
 import numpy as np
 
 from . import subspace
-from .config import _BUNDLE_KEYS, DatasetError, NoiseSpec, RefineConfig, SharingConfig, SscConfig, _read_input
+from .config import DatasetError, RefineConfig, SharingConfig, SscConfig, _read_input, _SynthConfig
 from .config import DEFAULT_CONFIG, build_parser, load_command, resolve_config  # the last three stay public here
-from .metrics import ap_ar_at_n, inject_noise, save_report
-from .refine import FactorPair, apply_factors, save_factors
+from .metrics import ap_ar_at_n, save_report
+from .refine import FactorPair, _check_rank, apply_factors, save_factors
 from .refine import refine as run_refine
 from .sharing import share_tags
 from .subspace import ClusterAssignment
 from .tagmat import (
     DatasetBundle,
-    FeatureMatrix,
     SimilarityGraph,
     TagMatrix,
     _held_csr,
@@ -58,7 +57,7 @@ from .tagmat import (
     write_id_list,
     write_sparse_matrix,
 )
-from .testkit import _bundle, gen_annotation_bundle, gen_planted_annotation, gen_union_of_subspaces
+from .testkit import _synth_bundle
 
 log = logging.getLogger("tagrefinery")
 
@@ -140,7 +139,7 @@ def _check_bundle(run: _Run, stages: tuple) -> None:
         dims = (run.bundle.image_features.dim, run.bundle.tag_features.dim)
         for rank in ranks:
             try:
-                dataclasses.replace(run.refine, rank=rank).validate(*dims)
+                _check_rank(rank, *dims)
             except DatasetError as exc:
                 raise DatasetError(f"{key}: {exc}") from None
     cosine = "share" in stages and run.sharing.neighbor_source == "cosine"
@@ -168,53 +167,15 @@ def _check_bundle(run: _Run, stages: tuple) -> None:
 
 
 def _synth(run: _Run) -> None:
-    """A synthetic bundle of kind synth.kind, written as a manifest plus its files."""
-    s = run.cfg["synth"]
-    labels = None
-    # config._build_configs refuses every other value these generators reject. The image features still overflow
-    # to inf when the larger of the keys that scale them (the bundle's two, else image_noise) is huge.
-    scale = max(("cluster_spread", "image_noise")[s["kind"] != "bundle":], key=lambda key: abs(s[key]))
+    """A synthetic bundle of kind synth.kind (testkit._synth_bundle), written as a manifest plus its files."""
+    section = _SynthConfig(**run.cfg["synth"])
     try:
-        if s["kind"] == "bundle":
-            bundle, labels = gen_annotation_bundle(**{key: s[key] for key in _BUNDLE_KEYS})
-        elif s["kind"] == "planted":
-            inst = gen_planted_annotation(
-                n_images=s["n_clusters"] * s["images_per_cluster"],
-                n_tags=s["n_tags"],
-                f_i=s["image_dim"],
-                f_t=s["tag_dim"],
-                r=s["rank"],
-                density=s["density"],
-                seed=s["seed"],
-            )
-            bundle = _bundle(inst.o_star, inst.v, inst.t, None, "tag_{:04d}")
-        else:  # subspaces
-            inst = gen_union_of_subspaces(
-                k=s["n_clusters"],
-                dim_subspace=s["dim_subspace"],
-                dim_ambient=s["image_dim"],
-                n_per_subspace=s["images_per_cluster"],
-                noise_sigma=s["image_noise"],
-                seed=s["seed"],
-            )
-            labels = inst.labels
-            rng = np.random.default_rng(s["seed"] + 1)
-            onehot = np.zeros((inst.points.n_rows, s["n_clusters"]))
-            onehot[np.arange(inst.points.n_rows), labels] = 1.0
-            tag_features = FeatureMatrix(rng.standard_normal((s["n_clusters"], s["tag_dim"])))
-            bundle = _bundle(TagMatrix.from_dense(onehot), inst.points, tag_features, None, "cluster_{}")
+        bundle, labels = _synth_bundle(section)
     except DatasetError as exc:
-        raise DatasetError(f"synth.{scale}: {exc}") from None
-    try:
-        tags = inject_noise(bundle.ground_truth, NoiseSpec(s["missing_rate"], s["inaccurate_rate"],
-                                                           seed=s["noise_seed"]))
-    except DatasetError as exc:  # too few empty cells for the spurious entries
-        raise DatasetError(f"synth.inaccurate_rate: {exc}") from None
-    bundle = dataclasses.replace(bundle, tags=tags)
-
-    manifest = save_dataset(bundle, run.cfg["output_dir"], name=s["name"])
+        raise DatasetError(f"synth.{exc}") from None
+    manifest = save_dataset(bundle, run.cfg["output_dir"], name=section.name)
     if labels is not None:
-        write_id_list(run.out(f"{s['name']}_true_clusters.txt"), labels)
+        write_id_list(run.out(f"{section.name}_true_clusters.txt"), labels)
     log.info("wrote synthetic bundle: %s", manifest)
     print(manifest)
 
@@ -237,9 +198,7 @@ def _cluster(run: _Run) -> None:
         "converged": rep.converged,
         "iterations": rep.n_iters,
         "objective": rep.objective,
-        "recon_rel": rep.residuals.recon_rel,
-        "rowsum_max": rep.residuals.rowsum_max,
-        "gap_max": rep.residuals.gap_max,
+        **dataclasses.asdict(rep.residuals),
     }
     del rep
     k = run.cfg["k"]

@@ -3,9 +3,9 @@
 This module imports no numpy, so the console entry (tagrefinery.__main__) resolves the `threads` key and
 sets the BLAS thread variables before numpy loads. Each config section is a frozen dataclass whose
 defaults are the section's: a field's type declares its key's kind, and its metadata the bound. One
-checker, _config_problems, applies both, for the library (DatasetError from validate()) and for the
-command line (exit 2 with `section.key: …`). A key's value comes from its default, then the --config
-file, then the --set overrides, then its dedicated flag (the last wins).
+checker, _config_problems, applies both when a section is made, so a section that exists is valid: the
+library gets one DatasetError, the command line exits 2 with `section.key: …`. A key's value comes from
+its default, then the --config file, then the --set overrides, then its dedicated flag (the last wins).
 """
 
 from __future__ import annotations
@@ -106,11 +106,16 @@ def _config_problems(config) -> list[tuple[str, str]]:
     return problems or getattr(config, "_cross_field", list)()
 
 
-def _check_config(config) -> None:
-    """Raise one DatasetError naming each problem of the config ("mu must be > 0, got 0")."""
-    problems = _config_problems(config)
-    if problems:
-        raise DatasetError("; ".join(f"{name} {reason}" for name, reason in problems))
+class _Section:
+    """A config dataclass that checks itself when it is made: one DatasetError names each problem
+    ("mu must be > 0, got 0") and carries them as .problems, the (field, reason) pairs."""
+
+    def __post_init__(self):
+        problems = _config_problems(self)
+        if problems:
+            error = DatasetError("; ".join(f"{name} {reason}" for name, reason in problems))
+            error.problems = problems
+            raise error
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +124,7 @@ def _check_config(config) -> None:
 
 
 @dataclass(frozen=True)
-class SscConfig:
+class SscConfig(_Section):
     """Knobs for the self-representation solver.
 
     mu is the quadratic error penalty of the objective; max_iters and tol
@@ -130,12 +135,9 @@ class SscConfig:
     max_iters: int = field(default=4000, metadata={"ge": 1})
     tol: float = field(default=1e-5, metadata={"gt": 0})
 
-    def validate(self) -> None:
-        _check_config(self)
-
 
 @dataclass(frozen=True)
-class SharingConfig:
+class SharingConfig(_Section):
     """Voting weights and admission thresholds for tag sharing; field metadata holds the bounds.
 
     neighbor_source is read by the pipeline to decide which similarity
@@ -155,9 +157,6 @@ class SharingConfig:
     min_confidence: float = field(default=0.2, metadata={"ge": 0, "le": 1.1})
     neighbor_source: str = field(default="affinity", metadata={"in": ("affinity", "cosine")})
 
-    def validate(self) -> None:
-        _check_config(self)
-
     def _cross_field(self) -> list[tuple[str, str]]:
         if self.w_local or self.w_cooc or self.w_freq:
             return []
@@ -165,11 +164,11 @@ class SharingConfig:
 
 
 @dataclass(frozen=True)
-class RefineConfig:
+class RefineConfig(_Section):
     """Knobs for the fit: the model's rank, lambda1, lambda2 and mu (see tagrefinery.refine), then the
     outer loop's cap and relative objective-change stop; the start is fixed by the inputs, so there is no
-    seed. Field metadata holds the bounds;
-    validate(f_i, f_t) also checks the rank against the feature dimensions f_i and f_t.
+    seed. Field metadata holds the bounds; a fit also needs the rank within both feature dimensions
+    (refine._check_rank), a rule about the data, checked where the data is known.
     """
 
     rank: int = field(default=8, metadata={"ge": 1})
@@ -179,22 +178,14 @@ class RefineConfig:
     outer_iters: int = field(default=30, metadata={"ge": 1})
     obj_tol: float = field(default=1e-6, metadata={"ge": 0})
 
-    def validate(self, f_i: int | None = None, f_t: int | None = None) -> None:
-        _check_config(self)
-        if f_i is not None and f_t is not None and self.rank > min(f_i, f_t):
-            raise DatasetError(f"rank {self.rank} exceeds min feature dimension {min(f_i, f_t)}")
-
 
 @dataclass(frozen=True)
-class NoiseSpec:
+class NoiseSpec(_Section):
     """Controlled corruption: delete true annotations, add spurious ones. Field metadata holds the bounds."""
 
     missing_rate: float = field(metadata={"ge": 0, "le": 1})
     inaccurate_rate: float = field(metadata={"ge": 0, "le": 1})
     seed: int = field(default=0, metadata={"ge": 0})
-
-    def __post_init__(self):
-        _check_config(self)
 
 
 def _key(default, like: tuple = (), **bound):
@@ -207,7 +198,7 @@ def _key(default, like: tuple = (), **bound):
 
 
 @dataclass(frozen=True)
-class _TopConfig:
+class _TopConfig(_Section):
     """The top-level keys, outside every section. Field metadata holds each key's bound."""
 
     manifest: str | None = None
@@ -222,14 +213,10 @@ class _TopConfig:
         return [] if self.output_dir else [("output_dir", "must name a directory, got ''")]
 
 
-# The synth keys that testkit.gen_annotation_bundle takes; its defaults are their defaults here.
-_BUNDLE_KEYS = ("n_clusters", "images_per_cluster", "n_tags", "tags_per_cluster", "dim_subspace", "image_dim",
-                "tag_dim", "tag_presence", "cluster_spread", "image_noise", "seed")
-
-
 @dataclass(frozen=True)
-class _SynthConfig:
-    """The synth section: every kind's keys. Field metadata holds each key's bound, whatever the kind."""
+class _SynthConfig(_Section):
+    """The synth section: every kind's keys, from which testkit._synth_bundle builds the kind. Field metadata
+    holds each key's bound, whatever the kind."""
 
     kind: str = field(default="bundle", metadata={"in": ("bundle", "planted", "subspaces")})
     n_clusters: int = _key(5, ge=1)
@@ -265,7 +252,7 @@ class _SynthConfig:
 
 
 @dataclass(frozen=True)
-class _TuneConfig:
+class _TuneConfig(_Section):
     """The tune section. Field metadata holds each key's bound; a grid takes its RefineConfig field's."""
 
     lambda1_grid: list[float] = _key([0.01, 0.1], like=(RefineConfig, "lambda1"))
@@ -334,13 +321,16 @@ def resolve_config(args: argparse.Namespace) -> dict:
 
 
 def _build_configs(cfg: dict) -> tuple:
-    """The (ssc, sharing, refine) configs of the resolved config, once every key's kind, bound and cross-field
-    checks pass; a problem reads `section.key: …`."""
-    top = _TopConfig(**{f.name: cfg[f.name] for f in dataclasses.fields(_TopConfig)})
-    configs = {section: cls(**cfg[section]) for section, cls in _SECTIONS}
-    problems = [f"{key}: {reason}" for key, reason in _config_problems(top)]
-    problems += [f"{section}.{key}: {reason}" for section, config in configs.items()
-                 for key, reason in _config_problems(config)]
+    """The (ssc, sharing, refine) configs of the resolved config, once every section is made; one error names
+    each problem of every section as `section.key: …` (a top-level key: `key: …`)."""
+    configs, problems = {}, []
+    for section, cls in (("", _TopConfig), *_SECTIONS):
+        values = cfg[section] if section else cfg
+        try:
+            configs[section] = cls(**{f.name: values[f.name] for f in dataclasses.fields(cls)})
+        except DatasetError as exc:
+            prefix = f"{section}." if section else ""
+            problems += [f"{prefix}{key}: {reason}" for key, reason in exc.problems]
     if problems:
         raise DatasetError("; ".join(problems))
     return configs["ssc"], configs["sharing"], configs["refine"]

@@ -56,6 +56,12 @@ class FactorPair:
         object.__setattr__(self, "q", q)
 
 
+def _check_rank(rank: int, f_i: int, f_t: int) -> None:
+    """A fit's rank must be within both feature dimensions."""
+    if rank > min(f_i, f_t):
+        raise DatasetError(f"rank {rank} exceeds min feature dimension {min(f_i, f_t)}")
+
+
 def _reconstruction(v, t, factors) -> np.ndarray:
     return (v.data @ factors.p) @ (t.data @ factors.q).T
 
@@ -74,7 +80,7 @@ class _Instance:
 
     @classmethod
     def build(cls, tags, v, t, l_v, l_s, config) -> "_Instance":
-        config.validate(v.dim, t.dim)
+        _check_rank(config.rank, v.dim, t.dim)
         problems = []
         if v.n_rows != tags.n_images:
             problems.append(f"image features have {v.n_rows} rows, tags have {tags.n_images} images")

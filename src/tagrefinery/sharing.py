@@ -38,7 +38,6 @@ def score_tags_in_cluster(
     frequency. Each component is min-max normalized over the block before
     the convex combination.
     """
-    config.validate()
     if image_sims.size != tags.n_images:
         raise DatasetError(
             f"similarity block has {image_sims.size} images, tag block has {tags.n_images}"
@@ -92,7 +91,6 @@ def share_tags(
     with score >= min_confidence are added at their scores. Candidates
     rank by score, ties to the lower tag index (tagmat.top_n_tags).
     """
-    config.validate()
     if clusters.labels.shape[0] != tags.n_images:
         raise DatasetError(
             f"cluster assignment covers {clusters.labels.shape[0]} images, "

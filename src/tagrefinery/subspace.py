@@ -166,7 +166,6 @@ def ssc_solve(images: FeatureMatrix, config: SscConfig = SscConfig()) -> SelfRep
     Non-convergence within max_iters is not an error: the last iterate is
     returned with converged=False and the residuals achieved.
     """
-    config.validate()
     x = np.asarray(images.data, dtype=np.float64)
     n = x.shape[0]
     if n < 2:

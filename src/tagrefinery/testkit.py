@@ -9,12 +9,14 @@ subspace-preserving-rate / clustering-accuracy oracles.
 
 from __future__ import annotations
 
+import json
 import logging
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import _BUNDLE_KEYS, NoiseSpec, _SynthConfig, _check_config
+from .config import NoiseSpec, _SynthConfig
 from .metrics import inject_noise
 from .subspace import ClusterAssignment, SelfRepresentation
 from .tagmat import (
@@ -48,16 +50,15 @@ def gen_union_of_subspaces(
     then normalized to unit length (a zero row raises DatasetError).
     Bit-reproducible for a fixed seed.
     """
-    if k < 1:
-        raise DatasetError(f"k must be >= 1, got {k}")
-    if not 1 <= dim_subspace < dim_ambient:
-        raise DatasetError(
-            f"need 1 <= dim_subspace < dim_ambient, got {dim_subspace} / {dim_ambient}"
-        )
-    if n_per_subspace < 1:
-        raise DatasetError("n_per_subspace must be >= 1")
+    for name, size in (("k", k), ("dim_subspace", dim_subspace), ("n_per_subspace", n_per_subspace)):
+        if size < 1:
+            raise DatasetError(f"{name} must be a positive integer, got {size}")
+    if dim_ambient <= dim_subspace:
+        raise DatasetError(f"dim_ambient must exceed dim_subspace = {dim_subspace}, got {dim_ambient}")
+    if not math.isfinite(noise_sigma):
+        raise DatasetError(f"noise_sigma expected a finite number, got {json.dumps(noise_sigma)}")
     if noise_sigma < 0:
-        raise DatasetError("noise_sigma must be >= 0")
+        raise DatasetError(f"noise_sigma must be >= 0, got {noise_sigma}")
     _check_seed(seed)
     rng = np.random.default_rng(seed)
     points, labels, bases = _cluster_points(rng, np.zeros((k, dim_ambient)), dim_subspace,
@@ -216,6 +217,9 @@ def gen_planted_annotation(
 
 
 _SYNTH = _SynthConfig()  # the synth section's keys of the bundle kind hold gen_annotation_bundle's defaults
+# The synth keys that gen_annotation_bundle takes.
+_BUNDLE_KEYS = ("n_clusters", "images_per_cluster", "n_tags", "tags_per_cluster", "dim_subspace", "image_dim",
+                "tag_dim", "tag_presence", "cluster_spread", "image_noise", "seed")
 
 
 def gen_annotation_bundle(
@@ -246,7 +250,7 @@ def gen_annotation_bundle(
     the synth section's rules, so a bad one raises DatasetError naming it.
     """
     args = locals()
-    _check_config(_SynthConfig(kind="bundle", **{key: args[key] for key in _BUNDLE_KEYS}))
+    _SynthConfig(kind="bundle", **{key: args[key] for key in _BUNDLE_KEYS})
     rng = np.random.default_rng(seed)
     n_images = n_clusters * images_per_cluster
 
@@ -274,6 +278,42 @@ def gen_annotation_bundle(
 
     bundle = _bundle(truth_tags, FeatureMatrix(points), FeatureMatrix(tag_features), noise, "tag_{:04d}")
     return bundle, labels
+
+
+def _synth_bundle(section: _SynthConfig) -> tuple[DatasetBundle, np.ndarray | None]:
+    """The bundle of the synth section's kind, its tags corrupted by the section's noise, and its true cluster
+    labels (None for the planted kind, which has no clusters).
+
+    The section's own check refuses every other value the generators reject, so an error starts with the
+    key at fault: the larger of the keys that scale the image features (the bundle's two, else image_noise)
+    when they overflow to inf, or inaccurate_rate when there are too few empty cells for its spurious entries.
+    """
+    s, labels = section, None
+    scale = max(("cluster_spread", "image_noise")[s.kind != "bundle":], key=lambda key: abs(getattr(s, key)))
+    try:
+        if s.kind == "bundle":
+            bundle, labels = gen_annotation_bundle(**{key: getattr(s, key) for key in _BUNDLE_KEYS})
+        elif s.kind == "planted":
+            inst = gen_planted_annotation(s.n_clusters * s.images_per_cluster, s.n_tags, s.image_dim,
+                                          s.tag_dim, s.rank, density=s.density, seed=s.seed)
+            bundle = _bundle(inst.o_star, inst.v, inst.t, None, "tag_{:04d}")
+        else:  # subspaces: one tag per cluster, whose features are Gaussian
+            inst = gen_union_of_subspaces(s.n_clusters, s.dim_subspace, s.image_dim, s.images_per_cluster,
+                                          noise_sigma=s.image_noise, seed=s.seed)
+            labels, n_images = inst.labels, inst.points.n_rows
+            onehot = np.zeros((n_images, s.n_clusters))
+            onehot[np.arange(n_images), labels] = 1.0
+            tag_features = np.random.default_rng(s.seed + 1).standard_normal((s.n_clusters, s.tag_dim))
+            bundle = _bundle(TagMatrix.from_dense(onehot), inst.points, FeatureMatrix(tag_features), None,
+                             "cluster_{}")
+    except DatasetError as exc:
+        raise DatasetError(f"{scale}: {exc}") from None
+    noise = NoiseSpec(s.missing_rate, s.inaccurate_rate, seed=s.noise_seed)
+    try:
+        tags = inject_noise(bundle.ground_truth, noise)
+    except DatasetError as exc:  # too few empty cells for the spurious entries
+        raise DatasetError(f"inaccurate_rate: {exc}") from None
+    return replace(bundle, tags=tags), labels
 
 
 def _bundle(

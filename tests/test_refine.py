@@ -14,6 +14,7 @@ from tagrefinery.refine import (
     refine,
     save_factors,
     solve_alternating,
+    _check_rank,
     _Instance,
 )
 from tagrefinery.tagmat import (
@@ -72,15 +73,15 @@ def bundle_instance(tag_features=None):
 class TestConfig:
     def test_mu_bound_named(self):
         with pytest.raises(DatasetError, match=r"^mu must be in \[0, 1\), got 1\.2$"):
-            RefineConfig(mu=1.2).validate()
+            RefineConfig(mu=1.2)
 
     def test_rank_vs_feature_dims(self):
-        with pytest.raises(DatasetError, match="rank"):
-            RefineConfig(rank=5).validate(4, 6)
+        with pytest.raises(DatasetError, match=r"^rank 5 exceeds min feature dimension 4$"):
+            _check_rank(5, 4, 6)
 
     def test_negative_lambdas(self):
         with pytest.raises(DatasetError, match="lambda"):
-            RefineConfig(lambda1=-0.1).validate()
+            RefineConfig(lambda1=-0.1)
 
 
 class TestObjective:

@@ -34,15 +34,15 @@ def random_weights(rng, m, tied=False):
 class TestConfig:
     def test_all_weights_zero_rejected(self):
         with pytest.raises(DatasetError, match="positive"):
-            SharingConfig(w_local=0.0, w_cooc=0.0, w_freq=0.0).validate()
+            SharingConfig(w_local=0.0, w_cooc=0.0, w_freq=0.0)
 
     def test_negative_weight_rejected(self):
         with pytest.raises(DatasetError, match=r"^w_local must be >= 0, got -0\.1$"):
-            SharingConfig(w_local=-0.1).validate()
+            SharingConfig(w_local=-0.1)
 
     def test_bad_neighbor_source(self):
         with pytest.raises(DatasetError, match="neighbor_source"):
-            SharingConfig(neighbor_source="knn").validate()
+            SharingConfig(neighbor_source="knn")
 
 
 class TestScoreTagsInCluster:

@@ -52,7 +52,7 @@ def make_rep(z, e=None):
 class TestConfig:
     def test_bad_values_collected(self):
         with pytest.raises(DatasetError) as err:
-            SscConfig(mu=-1.0, tol=0.0, max_iters=0).validate()
+            SscConfig(mu=-1.0, tol=0.0, max_iters=0)
         msg = str(err.value)
         assert "mu" in msg and "tol" in msg and "max_iters" in msg
 

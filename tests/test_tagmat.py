@@ -530,8 +530,9 @@ def test_bad_seed_or_cutoff_raises_dataset_error_naming_it(call, message):
 
 
 @dataclass(frozen=True)
-class Bounded:
-    """One field per phrase form of the config bound checker, each default within its bound."""
+class Bounds:
+    """One field per phrase form of the config bound checker, each default within its bound; unchecked, so
+    the checker's own tests can build it with any value."""
 
     closed: float = field(default=0.5, metadata={"ge": 0, "le": 1})
     closed_open: float = field(default=0.5, metadata={"ge": 0, "lt": 1})
@@ -547,7 +548,12 @@ class Bounded:
     free: float = -7.0
 
 
-# Bounded field -> (a value outside its bound, the reason the checker gives).
+@dataclass(frozen=True)
+class Bounded(configuration._Section, Bounds):
+    """Bounds, checked when it is made, as every config section is."""
+
+
+# Field of Bounds -> (a value outside its bound, the reason the checker gives).
 BOUND_PHRASES = {
     "closed": (1.5, "must be in [0, 1], got 1.5"),
     "closed_open": (1, "must be in [0, 1), got 1"),
@@ -567,29 +573,32 @@ class TestConfigProblems:
     @pytest.mark.parametrize("name, value, reason", [(name, *row) for name, row in BOUND_PHRASES.items()],
                              ids=BOUND_PHRASES.keys())
     def test_phrase_of_each_bound_form(self, name, value, reason):
-        assert configuration._config_problems(Bounded(**{name: value})) == [(name, reason)]
+        assert configuration._config_problems(Bounds(**{name: value})) == [(name, reason)]
 
     def test_values_within_bounds_have_no_problem(self):
-        assert configuration._config_problems(Bounded()) == []
-        assert configuration._config_problems(Bounded(closed=0, closed_open=0, open_closed=1, count=5)) == []
+        assert configuration._config_problems(Bounds()) == []
+        assert configuration._config_problems(Bounds(closed=0, closed_open=0, open_closed=1, count=5)) == []
 
     def test_empty_list_and_each_bad_item_are_named(self):
-        assert configuration._config_problems(Bounded(grid=[])) == [("grid", "must be a non-empty list, got []")]
-        assert configuration._config_problems(Bounded(grid=[0, 1, -1])) == [
+        assert configuration._config_problems(Bounds(grid=[])) == [("grid", "must be a non-empty list, got []")]
+        assert configuration._config_problems(Bounds(grid=[0, 1, -1])) == [
             ("grid", "must be a positive integer, got 0"), ("grid", "must be a positive integer, got -1")]
 
     def test_every_bad_field_is_named_in_field_order(self):
         values = {name: value for name, (value, _) in reversed(BOUND_PHRASES.items())}
         values["free"] = float("nan")
-        problems = configuration._config_problems(Bounded(**values))
+        problems = configuration._config_problems(Bounds(**values))
         assert problems == [(name, reason) for name, (_, reason) in BOUND_PHRASES.items()] + [
             ("free", "expected a finite number, got NaN")]
 
     def test_check_config_raises_one_error_naming_every_bad_field(self):
         with pytest.raises(DatasetError) as err:
-            configuration._check_config(Bounded(closed=2, count=0, choice="d"))
+            Bounded(closed=2, count=0, choice="d")
         assert str(err.value) == ("closed must be in [0, 1], got 2; count must be a positive integer, got 0; "
                                   "choice must be 'a', 'b' or 'c', got 'd'")
+        assert err.value.problems == [("closed", "must be in [0, 1], got 2"),
+                                      ("count", "must be a positive integer, got 0"),
+                                      ("choice", "must be 'a', 'b' or 'c', got 'd'")]
 
     def test_noise_spec_names_both_rates(self):
         with pytest.raises(DatasetError) as err:
@@ -599,7 +608,7 @@ class TestConfigProblems:
 
     def test_cross_field_problems_follow_only_once_every_value_is_in_bounds(self):
         @dataclass(frozen=True)
-        class Tied(Bounded):
+        class Tied(Bounds):
             def _cross_field(self):
                 return [("closed", "must not exceed open_closed")] if self.closed > self.open_closed else []
 
@@ -615,10 +624,8 @@ KIND_CONFIGS = {SscConfig: {}, SharingConfig: {}, RefineConfig: {},
 
 
 def validated(cls, **values):
-    """A cls of values over its defaults, validated as a library caller does (NoiseSpec as it is built)."""
-    config = cls(**KIND_CONFIGS[cls] | values)
-    getattr(config, "validate", lambda: configuration._check_config(config))()
-    return config
+    """A cls of values over its defaults, which checks itself as it is built."""
+    return cls(**KIND_CONFIGS[cls] | values)
 
 
 # Declared type -> what the reason expects, and each value of a wrong kind with how the reason shows it.
@@ -655,6 +662,27 @@ class TestConfigKinds:
                    if isinstance(value, (int, float)) and not isinstance(value, bool)}
         assert scalars
         validated(cls, **scalars)
+
+
+# Config class -> a field, a value outside its bound, and the error its construction raises.
+OUT_OF_BOUND = {
+    SscConfig: ("mu", 0, "mu must be > 0, got 0"),
+    SharingConfig: ("min_confidence", 1.2, "min_confidence must be in [0, 1.1], got 1.2"),
+    RefineConfig: ("mu", 1, "mu must be in [0, 1), got 1"),
+    NoiseSpec: ("inaccurate_rate", -0.1, "inaccurate_rate must be in [0, 1], got -0.1"),
+    configuration._TopConfig: ("threads", 0, "threads must be a positive integer, got 0"),
+    configuration._SynthConfig: ("density", 1.0, "density must be in (0, 1), got 1.0"),
+    configuration._TuneConfig: ("mu_grid", [0.2, 1.0], "mu_grid must be in [0, 1), got 1.0"),
+}
+
+
+@pytest.mark.parametrize("cls, name, value, message", [(cls, *row) for cls, row in OUT_OF_BOUND.items()],
+                         ids=[cls.__name__ for cls in OUT_OF_BOUND])
+def test_every_config_class_checks_itself_when_it_is_made(cls, name, value, message):
+    with pytest.raises(DatasetError) as err:
+        cls(**KIND_CONFIGS.get(cls, {}) | {name: value})
+    assert str(err.value) == message
+    assert err.value.problems == [(name, message.removeprefix(f"{name} "))]
 
 
 class TestBundleAndManifest:

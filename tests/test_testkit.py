@@ -1,13 +1,16 @@
 """Synthetic generator and oracle-diagnostic tests."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from tagrefinery.metrics import NoiseSpec
+from tagrefinery.config import _SynthConfig
+from tagrefinery.metrics import NoiseSpec, inject_noise
 from tagrefinery.tagmat import DatasetError
 from tagrefinery.testkit import (
+    _synth_bundle,
     clustering_accuracy,
     gen_annotation_bundle,
     gen_planted_annotation,
@@ -47,6 +50,24 @@ class TestGenUnionOfSubspaces:
             gen_union_of_subspaces(2, 5, 5, 4)
         with pytest.raises(DatasetError):
             gen_union_of_subspaces(0, 2, 5, 4)
+
+    # Arguments (k, dim_subspace, dim_ambient, n_per_subspace, noise_sigma) -> the error that names the bad one.
+    BAD_ARGUMENTS = {
+        "k": ((0, 2, 5, 4, 0.0), "k must be a positive integer, got 0"),
+        "dim_subspace": ((2, 0, 5, 4, 0.0), "dim_subspace must be a positive integer, got 0"),
+        "n_per_subspace": ((2, 1, 3, 0, 0.0), "n_per_subspace must be a positive integer, got 0"),
+        "dim_ambient": ((2, 3, 3, 2, 0.0), "dim_ambient must exceed dim_subspace = 3, got 3"),
+        "noise-negative": ((2, 1, 3, 2, -0.5), "noise_sigma must be >= 0, got -0.5"),
+        "noise-nan": ((2, 1, 3, 2, math.nan), "noise_sigma expected a finite number, got NaN"),
+        "noise-inf": ((2, 1, 3, 2, math.inf), "noise_sigma expected a finite number, got Infinity"),
+        "noise-minus-inf": ((2, 1, 3, 2, -math.inf), "noise_sigma expected a finite number, got -Infinity"),
+    }
+
+    @pytest.mark.parametrize("args, message", BAD_ARGUMENTS.values(), ids=BAD_ARGUMENTS.keys())
+    def test_bad_argument_is_named(self, args, message):
+        with pytest.raises(DatasetError) as err:
+            gen_union_of_subspaces(*args[:4], noise_sigma=args[4])
+        assert str(err.value) == message
 
 
 class TestSubspacePreservingRate:
@@ -217,4 +238,67 @@ class TestGenAnnotationBundle:
     def test_argument_checked_by_the_synth_rules(self, name, value, message):
         with pytest.raises(DatasetError) as err:
             gen_annotation_bundle(**{name: value})
+        assert str(err.value) == message
+
+
+# A small synth section of each kind; the noise leaves empty cells for its spurious entries.
+SMALL = dict(n_clusters=3, images_per_cluster=5, n_tags=12, tags_per_cluster=4, image_dim=8, tag_dim=5,
+             dim_subspace=2, missing_rate=0.2, inaccurate_rate=0.1, noise_seed=2, seed=3)
+
+
+def assert_same_bundle(a, b):
+    for name in ("tags", "ground_truth"):
+        np.testing.assert_array_equal(getattr(a, name).toarray(), getattr(b, name).toarray())
+    for name in ("image_features", "tag_features"):
+        np.testing.assert_array_equal(getattr(a, name).data, getattr(b, name).data)
+    assert (a.image_ids, a.tag_names) == (b.image_ids, b.tag_names)
+
+
+class TestSynthBundle:
+    def test_bundle_kind_is_gen_annotation_bundle_with_the_section_noise(self):
+        section = _SynthConfig(kind="bundle", **SMALL)
+        bundle, labels = _synth_bundle(section)
+        keys = ("n_clusters", "images_per_cluster", "n_tags", "tags_per_cluster", "image_dim", "tag_dim",
+                "dim_subspace", "seed")
+        expected, expected_labels = gen_annotation_bundle(
+            **{key: SMALL[key] for key in keys}, noise=NoiseSpec(0.2, 0.1, seed=2))
+        assert_same_bundle(bundle, expected)
+        np.testing.assert_array_equal(labels, expected_labels)
+
+    def test_planted_kind_has_the_planted_truth_and_no_labels(self):
+        bundle, labels = _synth_bundle(_SynthConfig(kind="planted", **SMALL))
+        inst = gen_planted_annotation(15, 12, 8, 5, 3, density=0.2, seed=3)
+        np.testing.assert_array_equal(bundle.ground_truth.toarray(), inst.o_star.toarray())
+        np.testing.assert_array_equal(bundle.image_features.data, inst.v.data)
+        np.testing.assert_array_equal(bundle.tag_features.data, inst.t.data)
+        assert labels is None
+        assert bundle.tag_names[:2] == ("tag_0000", "tag_0001")
+        np.testing.assert_array_equal(
+            bundle.tags.toarray(), inject_noise(inst.o_star, NoiseSpec(0.2, 0.1, seed=2)).toarray())
+
+    def test_subspaces_kind_tags_each_image_with_its_subspace(self):
+        bundle, labels = _synth_bundle(_SynthConfig(kind="subspaces", **SMALL))
+        inst = gen_union_of_subspaces(3, 2, 8, 5, noise_sigma=0.02, seed=3)
+        np.testing.assert_array_equal(labels, inst.labels)
+        np.testing.assert_array_equal(bundle.ground_truth.toarray(), np.eye(3)[inst.labels])
+        np.testing.assert_array_equal(bundle.image_features.data, inst.points.data)
+        np.testing.assert_array_equal(bundle.tag_features.data,
+                                      np.random.default_rng(SMALL["seed"] + 1).standard_normal((3, 5)))
+        assert bundle.tag_names == ("cluster_0", "cluster_1", "cluster_2")
+        assert bundle.tags.nnz != bundle.ground_truth.nnz
+
+    # A section the generators cannot build -> its error, which starts with the key at fault.
+    FAILING = {
+        "spread": (dict(cluster_spread=1e308), "cluster_spread: feature matrix contains non-finite values"),
+        "noise": (dict(image_noise=1e308), "image_noise: feature matrix contains non-finite values"),
+        "subspaces-noise": (dict(kind="subspaces", image_noise=1e308),
+                            "image_noise: feature matrix contains non-finite values"),
+        "no-empty-cells": (dict(kind="subspaces", n_clusters=1),
+                           "inaccurate_rate: cannot add 12 spurious entries: only 0 zero positions available"),
+    }
+
+    @pytest.mark.parametrize("values, message", FAILING.values(), ids=FAILING.keys())
+    def test_error_starts_with_the_key_at_fault(self, values, message):
+        with pytest.raises(DatasetError) as err:
+            _synth_bundle(_SynthConfig(**values))
         assert str(err.value) == message
