@@ -35,7 +35,7 @@ import numpy as np
 from . import subspace
 from .config import DatasetError, RefineConfig, SharingConfig, SscConfig, _read_input, _SynthConfig
 from .config import DEFAULT_CONFIG, build_parser, load_command, resolve_config  # the last three stay public here
-from .metrics import ap_ar_at_n, save_report
+from .metrics import _require_binary, ap_ar_at_n, save_report
 from .refine import FactorPair, _check_rank, apply_factors, save_factors
 from .refine import refine as run_refine
 from .sharing import share_tags
@@ -125,7 +125,7 @@ def _check_bundle(run: _Run, stages: tuple) -> None:
 
     Tune, and eval without refine, need a ground_truth entry; fits need a rank within both feature
     dimensions and nonzero feature rows (cosine graphs); clustering and cosine sharing need nonzero
-    image rows; evaluation an annotated ground truth and cut-offs within the tag count; tune an
+    image rows; evaluation an annotated, binary ground truth and cut-offs within the tag count; tune an
     annotated image in its validation split; clustering at a fixed k (auto_k off) k <= images.
     """
     args, cfg, truth = run.args, run.cfg, run.bundle.ground_truth
@@ -150,8 +150,13 @@ def _check_bundle(run: _Run, stages: tuple) -> None:
             except DatasetError as exc:
                 raise DatasetError(f"{key}: {exc}") from None
     evaluates = "eval" in stages and not getattr(args, "skip_eval", False) and truth is not None
-    if ("tune" in stages or evaluates) and truth.nnz == 0:
-        raise DatasetError("ground_truth: all rows are empty; nothing to evaluate")
+    if "tune" in stages or evaluates:
+        if truth.nnz == 0:
+            raise DatasetError("ground_truth: all rows are empty; nothing to evaluate")
+        try:
+            _require_binary(truth, "ground truth")
+        except DatasetError as exc:
+            raise DatasetError(f"ground_truth: {exc}") from None
     for key, n, checked in (("eval_n", max(cfg["eval_n"]), evaluates),
                             ("tune.n", cfg["tune"]["n"], "tune" in stages)):
         if checked and n > n_tags:

@@ -3,7 +3,9 @@
 This module imports no numpy, so the console entry (tagrefinery.__main__) resolves the `threads` key and
 sets the BLAS thread variables before numpy loads. Each config section is a frozen dataclass whose
 defaults are the section's: a field's type declares its key's kind, and its metadata the bound. One
-checker, _config_problems, applies both when a section is made, so a section that exists is valid: the
+rule, _value_problems, applies both: to every field when a section is made (_config_problems), so a
+section that exists is valid, and to a library function's scalar arguments (_check_args), so `k`, `n`, a
+seed or a generator size is held to the rule and wording of a config key of its kind and bound. The
 library gets one DatasetError, the command line exits 2 with `section.key: …`. A key's value comes from
 its default, then the --config file, then the --set overrides, then its dedicated flag (the last wins).
 """
@@ -70,40 +72,52 @@ _BOUND_TESTS = {"in": lambda value, choices: value in choices,
 _BOUND_ENDS = {"gt": ("(", ">"), "ge": ("[", ">="), "lt": (")", "<"), "le": ("]", "<=")}  # bracket, symbol
 
 
+def _value_problems(kind: str, bound, value) -> list[str]:
+    """The reason value is not of kind (a declared type's name: "int", "list[int]"), or else the reasons it
+    lies outside bound (a field's metadata): "expected an integer, got 3.5", "must be in [0, 1), got 1.2" or,
+    for an int bounded by ge 1 (ge 0), "must be a positive (non-negative) integer, got 0". Each item of a
+    bounded list is checked; [] fails."""
+    listed, show = kind.startswith("list["), str
+    is_kind, one, many = _KINDS[kind[5:-1] if listed else kind]
+    if not (isinstance(value, list) and all(map(is_kind, value)) if listed else is_kind(value)):
+        shown = json.dumps(value, default=repr)  # NaN, -Infinity, "5", null
+        return [f"expected {f'a list of {many}' if listed else one}, got {shown}"]
+    ends = [key for key in _BOUND_ENDS if key in bound]
+    if "in" in bound:
+        *head, last = map(repr, bound["in"])
+        phrase, show = f"{', '.join(head)} or {last}", repr
+    elif len(ends) == 2:
+        low, high = ends
+        phrase = f"in {_BOUND_ENDS[low][0]}{bound[low]}, {bound[high]}{_BOUND_ENDS[high][0]}"
+    elif ends == ["ge"] and bound["ge"] in (0, 1) and kind in ("int", "list[int]"):
+        phrase = ("a non-negative integer", "a positive integer")[bound["ge"]]
+    elif ends:
+        phrase = f"{_BOUND_ENDS[ends[0]][1]} {bound[ends[0]]}"
+    else:
+        return []
+    problems = ["must be a non-empty list, got []"] if listed and not value else []
+    return problems + [f"must be {phrase}, got {show(item)}" for item in (value if listed else [value])
+                       if not all(_BOUND_TESTS[key](item, limit) for key, limit in bound.items())]
+
+
 def _config_problems(config) -> list[tuple[str, str]]:
-    """(field, reason) for each value of a config dataclass not of its declared type's kind, or else outside
-    its field's bound, in field order; if there are none, its _cross_field() pairs. Reasons read "expected
-    an integer, got 3.5", "must be in [0, 1), got 1.2" or, for an int bounded by ge 1 (ge 0), "must be a
-    positive (non-negative) integer, got 0". Each item of a bounded list is checked; [] fails."""
+    """(field, reason) for each _value_problems of a config dataclass's values, by its field's declared type
+    and metadata, in field order; if there are none, its _cross_field() pairs."""
     problems = []
     for field in dataclasses.fields(config):
-        bound, value, show = field.metadata, getattr(config, field.name), str
         kind = field.type.__name__ if type(field.type) is type else str(field.type)  # "int", "list[int]"
-        listed = kind.startswith("list[")
-        is_kind, one, many = _KINDS[kind[5:-1] if listed else kind]
-        if not (isinstance(value, list) and all(map(is_kind, value)) if listed else is_kind(value)):
-            shown = json.dumps(value, default=repr)  # NaN, -Infinity, "5", null
-            problems.append((field.name, f"expected {f'a list of {many}' if listed else one}, got {shown}"))
-            continue
-        ends = [key for key in _BOUND_ENDS if key in bound]
-        if "in" in bound:
-            *head, last = map(repr, bound["in"])
-            phrase, show = f"{', '.join(head)} or {last}", repr
-        elif len(ends) == 2:
-            low, high = ends
-            phrase = f"in {_BOUND_ENDS[low][0]}{bound[low]}, {bound[high]}{_BOUND_ENDS[high][0]}"
-        elif ends == ["ge"] and bound["ge"] in (0, 1) and kind in ("int", "list[int]"):
-            phrase = ("a non-negative integer", "a positive integer")[bound["ge"]]
-        elif ends:
-            phrase = f"{_BOUND_ENDS[ends[0]][1]} {bound[ends[0]]}"
-        else:
-            continue
-        if isinstance(value, list) and not value:
-            problems.append((field.name, "must be a non-empty list, got []"))
-        for item in value if isinstance(value, list) else [value]:
-            if not all(_BOUND_TESTS[key](item, limit) for key, limit in bound.items()):
-                problems.append((field.name, f"must be {phrase}, got {show(item)}"))
+        value = getattr(config, field.name)
+        problems += [(field.name, reason) for reason in _value_problems(kind, field.metadata, value)]
     return problems or getattr(config, "_cross_field", list)()
+
+
+def _check_args(kind: str, bound, **values) -> None:
+    """Hold each library argument in values to the rule of a config key of that kind and bound: one
+    DatasetError names each problem ("k must be a positive integer, got 0"), joined by "; "."""
+    problems = [f"{name} {reason}" for name, value in values.items()
+                for reason in _value_problems(kind, bound, value)]
+    if problems:
+        raise DatasetError("; ".join(problems))
 
 
 class _Section:

@@ -41,8 +41,6 @@ def ap_ar_at_n(predicted, truth: TagMatrix, n: int) -> EvalReport:
     ground-truth tag count. Images with no ground-truth tags are excluded
     from both means, as their recall is undefined.
     """
-    if n < 1:
-        raise DatasetError(f"n must be >= 1, got {n}")
     scores = predicted.toarray() if isinstance(predicted, TagMatrix) else np.asarray(predicted)
     if scores.shape != (truth.n_images, truth.n_tags):
         raise DatasetError(

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RefineConfig
+from .config import RefineConfig, _check_args
 from .tagmat import DatasetError, FeatureMatrix, GraphLaplacian, TagMatrix, write_dense_matrix
 from .tagmat import _matrix, _read_frozen
 
@@ -172,8 +172,7 @@ def gradient(
     free: str = "p",
 ) -> np.ndarray:
     """Analytic gradient of the objective with respect to the free factor."""
-    if free not in ("p", "q"):
-        raise DatasetError(f"free factor must be 'p' or 'q', got {free!r}")
+    _check_args("str", {"in": ("p", "q")}, free=free)
     inst = _Instance.build(tags, v, t, l_v, l_s, config)
     x, y = factors.p, factors.q
     if free == "q":

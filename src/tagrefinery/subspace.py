@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SscConfig
-from .tagmat import DatasetError, FeatureMatrix, SimilarityGraph, _add_transpose, _check_seed, _freeze, _unit_rows
+from .config import SscConfig, _check_args
+from .tagmat import DatasetError, FeatureMatrix, SimilarityGraph, _add_transpose, _freeze, _unit_rows
 
 
 # Penalty schedule of the augmented-Lagrangian loop: a solver detail, not a model parameter.
@@ -66,8 +66,7 @@ class ClusterAssignment:
                                f"of shape {labels.shape}")
         labels = _freeze(np.array(labels, dtype=np.int64))
         object.__setattr__(self, "labels", labels)
-        if self.k < 1:
-            raise DatasetError(f"k must be >= 1, got {self.k}")
+        _check_args("int", {"ge": 1}, k=self.k)
         if labels.size and (labels.min() < 0 or labels.max() >= self.k):
             raise DatasetError(f"cluster labels out of range [0, {self.k}): got {labels.min()} to {labels.max()}")
 
@@ -379,11 +378,10 @@ def spectral_cluster(aff: SimilarityGraph, k: int, seed: int = 0) -> ClusterAssi
     seeding from seeded random starts, 10 restarts, best inertia wins.
     """
     n = aff.size
-    if k < 1:
-        raise DatasetError(f"k must be >= 1, got {k}")
+    _check_args("int", {"ge": 1}, k=k)
+    _check_args("int", {"ge": 0}, seed=seed)
     if k > n:
         raise DatasetError(f"k={k} exceeds the number of images {n}")
-    _check_seed(seed)
     if k == 1:
         return ClusterAssignment(labels=np.zeros(n, dtype=np.int64), k=1)
     embedding = _spectral_embedding(aff.weights, k)
@@ -396,9 +394,9 @@ def eigengap_k(aff: SimilarityGraph, k_max: int) -> int:
 
     Heuristic helper only; clustering never calls it implicitly.
     """
-    n = aff.size
-    k_max = min(k_max, n - 1)
-    if k_max < 1:
+    _check_args("int", {"ge": 1}, k_max=k_max)
+    k_max = min(k_max, aff.size - 1)
+    if k_max < 1:  # one image
         return 1
     vals = _laplacian_eigh(aff.weights, k_max + 1, eigvals_only=True)
     gaps = np.diff(vals)

@@ -16,19 +16,13 @@ import numpy as np
 import scipy.io
 import scipy.sparse as sp
 
-from .config import DatasetError, _read_input
+from .config import DatasetError, _check_args, _read_input
 
 SYMMETRY_TOL = 1e-12
 LAPLACIAN_ROWSUM_TOL = 1e-9
 # Blocked passes over dense arrays (CSR building, symmetry checks, transpose sums)
 # take about this many bytes of float64 per step; SSC's soft threshold takes 1/16.
 _BLOCK_BYTES = 1 << 20
-
-
-def _check_seed(seed: int) -> None:
-    """Refuse, where it enters, a seed that np.random.default_rng would reject."""
-    if seed < 0:
-        raise DatasetError(f"seed must be a non-negative integer, got {seed}")
 
 
 def _frozen(arr) -> bool:
@@ -380,8 +374,7 @@ def top_n_tags(scores, n: int) -> np.ndarray:
     integer array of shape (n_rows, min(n, n_cols)); n beyond the column
     count returns every column in ranked order.
     """
-    if n < 1:
-        raise DatasetError(f"n must be >= 1, got {n}")
+    _check_args("int", {"ge": 1}, n=n)
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2:
         raise DatasetError(f"expected a 2-D score matrix, got shape {scores.shape}")

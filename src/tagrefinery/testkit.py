@@ -9,19 +9,17 @@ subspace-preserving-rate / clustering-accuracy oracles.
 
 from __future__ import annotations
 
-import json
 import logging
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import NoiseSpec, _SynthConfig
+from .config import NoiseSpec, _check_args, _SynthConfig
 from .metrics import inject_noise
+from .refine import _check_rank
 from .subspace import ClusterAssignment, SelfRepresentation
 from .tagmat import (
-    DatasetBundle, DatasetError, FeatureMatrix, TagMatrix, _check_seed, _freeze, _matrix, _unit_rows,
-    top_n_tags,
+    DatasetBundle, DatasetError, FeatureMatrix, TagMatrix, _freeze, _matrix, _unit_rows, top_n_tags,
 )
 
 logger = logging.getLogger(__name__)
@@ -50,16 +48,12 @@ def gen_union_of_subspaces(
     then normalized to unit length (a zero row raises DatasetError).
     Bit-reproducible for a fixed seed.
     """
-    for name, size in (("k", k), ("dim_subspace", dim_subspace), ("n_per_subspace", n_per_subspace)):
-        if size < 1:
-            raise DatasetError(f"{name} must be a positive integer, got {size}")
+    _check_args("int", {"ge": 1}, k=k, dim_subspace=dim_subspace, n_per_subspace=n_per_subspace,
+                dim_ambient=dim_ambient)
     if dim_ambient <= dim_subspace:
         raise DatasetError(f"dim_ambient must exceed dim_subspace = {dim_subspace}, got {dim_ambient}")
-    if not math.isfinite(noise_sigma):
-        raise DatasetError(f"noise_sigma expected a finite number, got {json.dumps(noise_sigma)}")
-    if noise_sigma < 0:
-        raise DatasetError(f"noise_sigma must be >= 0, got {noise_sigma}")
-    _check_seed(seed)
+    _check_args("float", {"ge": 0}, noise_sigma=noise_sigma)
+    _check_args("int", {"ge": 0}, seed=seed)
     rng = np.random.default_rng(seed)
     points, labels, bases = _cluster_points(rng, np.zeros((k, dim_ambient)), dim_subspace,
                                             n_per_subspace, 1.0, noise_sigma)
@@ -176,14 +170,10 @@ def gen_planted_annotation(
     so it is bit-identical to the reconstruction at (p_star, q_star) and
     a valid confidence matrix the refinement model represents exactly.
     """
-    for name, size in (("n_images", n_images), ("n_tags", n_tags), ("f_i", f_i), ("f_t", f_t), ("r", r)):
-        if size < 1:
-            raise DatasetError(f"{name} must be a positive integer, got {size}")
-    if r > min(f_i, f_t):
-        raise DatasetError(f"rank {r} exceeds min feature dim {min(f_i, f_t)}")
-    if not 0.0 < density <= 1.0:
-        raise DatasetError(f"density must be in (0, 1], got {density}")
-    _check_seed(seed)
+    _check_args("int", {"ge": 1}, n_images=n_images, n_tags=n_tags, f_i=f_i, f_t=f_t, r=r)
+    _check_rank(r, f_i, f_t)
+    _check_args("float", {"gt": 0, "le": 1}, density=density)
+    _check_args("int", {"ge": 0}, seed=seed)
     rng = np.random.default_rng(seed)
     v = np.abs(rng.standard_normal((n_images, f_i)))
     t = np.abs(rng.standard_normal((n_tags, f_t)))

@@ -580,6 +580,38 @@ class TestExitCodes:
         assert not out.exists()
 
     @staticmethod
+    def half_truth(tmp_path):
+        """The bundle with one ground-truth entry set to 0.5."""
+        manifest = make_bundle(tmp_path)
+        truth = load_dataset(manifest).ground_truth.toarray()
+        truth[np.unravel_index(np.argmax(truth), truth.shape)] = 0.5
+        write_sparse_matrix(tmp_path / "data" / "synthetic_ground_truth.mtx", TagMatrix.from_dense(truth))
+        return manifest
+
+    @pytest.mark.parametrize("argv", [["eval", "--predictions", "PREDICTIONS"], ["tune", "--set", "k=2"],
+                                      ["pipeline", "--k", "2"]], ids=["eval", "tune", "pipeline"])
+    def test_non_binary_ground_truth_exits_two_before_any_stage(self, tmp_path, monkeypatch, caplog, argv):
+        manifest = self.half_truth(tmp_path)
+        write_dense_matrix(tmp_path / "p.mtx", np.ones((12, 12)))
+
+        def no_ssc(*args, **kwargs):
+            raise AssertionError("ssc_solve ran")
+
+        monkeypatch.setattr("tagrefinery.subspace.ssc_solve", no_ssc)
+        out = tmp_path / "out"
+        argv = [str(tmp_path / "p.mtx") if arg == "PREDICTIONS" else arg for arg in argv]
+        assert main([argv[0], "--manifest", manifest, "--output-dir", str(out), *argv[1:]]) == 2
+        assert caplog.records[-1].getMessage() == (
+            "ground_truth: ground truth must be binary (confidences exactly 0 or 1)")
+        assert not out.exists()
+
+    def test_non_binary_ground_truth_is_not_read_by_a_pipeline_that_skips_eval(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["pipeline", "--manifest", self.half_truth(tmp_path), "--output-dir", str(out),
+                     "--k", "2", "--skip-eval", "--set", "refine.outer_iters=2"]) == 0
+        assert not list(out.glob("eval_at_*"))
+
+    @staticmethod
     def without_ground_truth(tmp_path):
         """The bundle's manifest with its ground_truth line removed."""
         manifest = pathlib.Path(make_bundle(tmp_path))

@@ -15,10 +15,10 @@ from hypothesis.extra import numpy as hnp
 from oracles import tags_from_dense
 from tagrefinery import config as configuration
 from tagrefinery import tagmat
-from tagrefinery.metrics import NoiseSpec, inject_noise
-from tagrefinery.refine import FactorPair, RefineConfig
+from tagrefinery.metrics import NoiseSpec, ap_ar_at_n, inject_noise
+from tagrefinery.refine import FactorPair, RefineConfig, gradient
 from tagrefinery.sharing import SharingConfig, share_tags
-from tagrefinery.subspace import ClusterAssignment, SscConfig, spectral_cluster, ssc_solve
+from tagrefinery.subspace import ClusterAssignment, SscConfig, eigengap_k, spectral_cluster, ssc_solve
 from tagrefinery.tagmat import (
     DatasetBundle,
     DatasetError,
@@ -508,8 +508,12 @@ class TestTopNTags:
             top_n_tags(np.zeros((1, 2)), 0)
 
 
+def small_graph():
+    return cosine_similarity_graph(small_bundle().image_features)
+
+
 SEED_MESSAGE = "seed must be a non-negative integer, got -1"
-# Library entry point -> (a call with one bad seed or cut-off, the DatasetError message naming it).
+# Library entry point -> (a call with one bad scalar argument, the DatasetError message naming it).
 BAD_LIBRARY_VALUES = {
     "NoiseSpec": (lambda: NoiseSpec(0.1, 0.1, seed=-1), SEED_MESSAGE),
     "spectral_cluster": (lambda: spectral_cluster(cosine_similarity_graph(small_bundle().image_features),
@@ -517,8 +521,40 @@ BAD_LIBRARY_VALUES = {
     "gen_union_of_subspaces": (lambda: gen_union_of_subspaces(2, 1, 3, 2, seed=-1), SEED_MESSAGE),
     "gen_planted_annotation": (lambda: gen_planted_annotation(4, 3, 2, 2, 1, seed=-1), SEED_MESSAGE),
     "gen_annotation_bundle": (lambda: gen_annotation_bundle(seed=-1), SEED_MESSAGE),
-    "top_n_tags-n": (lambda: top_n_tags(np.zeros((1, 2)), 0), "n must be >= 1, got 0"),
+    "top_n_tags-n": (lambda: top_n_tags(np.zeros((1, 2)), 0), "n must be a positive integer, got 0"),
     "top_n_tags-1d": (lambda: top_n_tags(np.zeros(2), 1), "expected a 2-D score matrix, got shape (2,)"),
+    "top_n_tags-n-float": (lambda: top_n_tags(np.zeros((1, 2)), 2.5), "n expected an integer, got 2.5"),
+    "top_n_tags-n-bool": (lambda: top_n_tags(np.zeros((1, 2)), True), "n expected an integer, got true"),
+    "ap_ar_at_n-n-float": (lambda: ap_ar_at_n(np.zeros((1, 2)), TagMatrix.from_dense([[1.0, 0.0]]), 2.5),
+                           "n expected an integer, got 2.5"),
+    "spectral_cluster-k": (lambda: spectral_cluster(small_graph(), 0), "k must be a positive integer, got 0"),
+    "spectral_cluster-k-float": (lambda: spectral_cluster(small_graph(), 2.5),
+                                 "k expected an integer, got 2.5"),
+    "spectral_cluster-seed-float": (lambda: spectral_cluster(small_graph(), 2, seed=1.5),
+                                    "seed expected an integer, got 1.5"),
+    "ClusterAssignment-k": (lambda: ClusterAssignment(np.zeros(2, dtype=np.int64), k=0),
+                            "k must be a positive integer, got 0"),
+    "ClusterAssignment-k-float": (lambda: ClusterAssignment(np.zeros(2, dtype=np.int64), k=2.5),
+                                  "k expected an integer, got 2.5"),
+    "eigengap_k-k_max": (lambda: eigengap_k(small_graph(), 0), "k_max must be a positive integer, got 0"),
+    "eigengap_k-k_max-float": (lambda: eigengap_k(small_graph(), 2.5), "k_max expected an integer, got 2.5"),
+    "gradient-free": (lambda: gradient(None, None, None, None, None, None, RefineConfig(), free="x"),
+                      "free must be 'p' or 'q', got 'x'"),
+    "gen_union_of_subspaces-k-float": (lambda: gen_union_of_subspaces(2.5, 1, 3, 2),
+                                       "k expected an integer, got 2.5"),
+    "gen_union_of_subspaces-seed-float": (lambda: gen_union_of_subspaces(2, 1, 3, 2, seed=1.5),
+                                          "seed expected an integer, got 1.5"),
+    "gen_union_of_subspaces-noise-str": (lambda: gen_union_of_subspaces(2, 1, 3, 2, noise_sigma="0.1"),
+                                         'noise_sigma expected a finite number, got "0.1"'),
+    "gen_planted_annotation-r-float": (lambda: gen_planted_annotation(4, 3, 2, 2, 2.0),
+                                       "r expected an integer, got 2.0"),
+    "gen_planted_annotation-density-nan": (lambda: gen_planted_annotation(4, 3, 2, 2, 1, density=math.nan),
+                                           "density expected a finite number, got NaN"),
+    "gen_planted_annotation-rank": (lambda: gen_planted_annotation(5, 4, 3, 3, 4),
+                                    "rank 4 exceeds min feature dimension 3"),
+    "gen_planted_annotation-sizes": (lambda: gen_planted_annotation(0, 3, 2, 2, 0),
+                                     "n_images must be a positive integer, got 0; "
+                                     "r must be a positive integer, got 0"),
 }
 
 
@@ -574,6 +610,16 @@ class TestConfigProblems:
                              ids=BOUND_PHRASES.keys())
     def test_phrase_of_each_bound_form(self, name, value, reason):
         assert configuration._config_problems(Bounds(**{name: value})) == [(name, reason)]
+
+    @pytest.mark.parametrize("name, value, reason", [(name, *row) for name, row in BOUND_PHRASES.items()],
+                             ids=BOUND_PHRASES.keys())
+    def test_library_argument_of_a_field_kind_and_bound_gets_its_reason(self, name, value, reason):
+        declared = next(f for f in fields(Bounds) if f.name == name)
+        kind = declared.type.__name__ if type(declared.type) is type else str(declared.type)
+        with pytest.raises(DatasetError) as err:
+            configuration._check_args(kind, declared.metadata, **{name: value})
+        assert str(err.value) == f"{name} {reason}"
+        configuration._check_args(kind, declared.metadata, **{name: getattr(Bounds(), name)})
 
     def test_values_within_bounds_have_no_problem(self):
         assert configuration._config_problems(Bounds()) == []
