@@ -124,9 +124,9 @@ def _check_bundle(run: _Run, stages: tuple) -> None:
     """The one owner of every check before the first stage that depends on the stages that run.
 
     Tune, and eval without refine, need a ground_truth entry; fits need a rank within both feature
-    dimensions and nonzero feature rows (cosine graphs); clustering and cosine sharing need nonzero
-    image rows; evaluation an annotated, binary ground truth and cut-offs within the tag count; tune an
-    annotated image in its validation split; clustering at a fixed k (auto_k off) k <= images.
+    dimensions and nonzero feature rows (cosine graphs); clustering needs nonzero image rows (sharing
+    reads no features); evaluation an annotated, binary ground truth and cut-offs within the tag count;
+    tune an annotated image in its validation split; clustering at a fixed k (auto_k off) k <= images.
     """
     args, cfg, truth = run.args, run.cfg, run.bundle.ground_truth
     n_images, n_tags = run.bundle.tags.matrix.shape
@@ -142,8 +142,7 @@ def _check_bundle(run: _Run, stages: tuple) -> None:
                 _check_rank(rank, *dims)
             except DatasetError as exc:
                 raise DatasetError(f"{key}: {exc}") from None
-    cosine = "share" in stages and run.sharing.neighbor_source == "cosine"
-    for key, needed in (("image_features", fits or cosine or "cluster" in stages), ("tag_features", fits)):
+    for key, needed in (("image_features", fits or "cluster" in stages), ("tag_features", fits)):
         if needed:
             try:
                 _unit_rows(getattr(run.bundle, key).data)
@@ -227,7 +226,7 @@ def _cluster(run: _Run) -> None:
 
 
 def _share(run: _Run) -> None:
-    """Share tags within clusters over the SSC affinity, or over cosine similarity when asked."""
+    """Share tags within clusters over the SSC affinity: cluster's, else --affinity's, else affinity.mtx's."""
     out_dir, n_images = run.cfg["output_dir"], run.bundle.tags.n_images
     if run.assignment is None:
         run.assignment = _read_input(
@@ -235,21 +234,15 @@ def _share(run: _Run) -> None:
             lambda p: np.array(pathlib.Path(p).read_text("utf-8").split(), dtype=np.int64),
             (n_images,), lambda labels: ClusterAssignment(labels, k=int(labels.max()) + 1),
         )
-    if run.sharing.neighbor_source == "cosine":
-        sims = cosine_similarity_graph(run.bundle.image_features)
-    else:
-        if run.affinity is None:
-            path = run.args.affinity or os.path.join(out_dir, "affinity.mtx")
-            try:
-                run.affinity = _read_input("--affinity", path, _read_frozen,
-                                           (n_images, n_images), SimilarityGraph)
-            except DatasetError as exc:
-                if run.args.affinity:
-                    raise
-                raise DatasetError(f"{exc}; run `cluster` first, pass --affinity, or set "
-                                   "sharing.neighbor_source=cosine") from None
-        sims = run.affinity
-    run.completed = share_tags(run.bundle.tags, run.assignment, sims, run.sharing)
+    if run.affinity is None:
+        path = run.args.affinity or os.path.join(out_dir, "affinity.mtx")
+        try:
+            run.affinity = _read_input("--affinity", path, _read_frozen, (n_images, n_images),
+                                       SimilarityGraph)
+        except DatasetError as exc:
+            hint = "" if run.args.affinity else "; run `cluster` first or pass --affinity"
+            raise DatasetError(f"{exc}{hint}") from None
+    run.completed = share_tags(run.bundle.tags, run.assignment, run.affinity, run.sharing)
     run.affinity = None  # no later stage reads it, so its n x n buffer goes before refine's
     log.info("sharing: %d -> %d entries", run.bundle.tags.nnz, run.completed.nnz)
     write_sparse_matrix(run.out("completed.mtx"), run.completed)

@@ -72,13 +72,14 @@ _BOUND_TESTS = {"in": lambda value, choices: value in choices,
 _BOUND_ENDS = {"gt": ("(", ">"), "ge": ("[", ">="), "lt": (")", "<"), "le": ("]", "<=")}  # bracket, symbol
 
 
-def _value_problems(kind: str, bound, value) -> list[str]:
-    """The reason value is not of kind (a declared type's name: "int", "list[int]"), or else the reasons it
-    lies outside bound (a field's metadata): "expected an integer, got 3.5", "must be in [0, 1), got 1.2" or,
-    for an int bounded by ge 1 (ge 0), "must be a positive (non-negative) integer, got 0". Each item of a
-    bounded list is checked; [] fails."""
-    listed, show = kind.startswith("list["), str
-    is_kind, one, many = _KINDS[kind[5:-1] if listed else kind]
+def _value_problems(kind, bound, value) -> list[str]:
+    """The reason value is not of kind (a declared type's name: "int", "list[int]"; or a config section's
+    class, whose instances are its kind), or else the reasons it lies outside bound (a field's metadata):
+    "expected an integer, got 3.5", "must be in [0, 1), got 1.2" or, for an int bounded by ge 1 (ge 0),
+    "must be a positive (non-negative) integer, got 0". Each item of a bounded list is checked; [] fails."""
+    listed, show = isinstance(kind, str) and kind.startswith("list["), str
+    is_kind, one, many = _KINDS[kind[5:-1] if listed else kind] if isinstance(kind, str) \
+        else ((lambda v: isinstance(v, kind)), f"an instance of {kind.__name__}", None)
     if not (isinstance(value, list) and all(map(is_kind, value)) if listed else is_kind(value)):
         shown = json.dumps(value, default=repr)  # NaN, -Infinity, "5", null
         return [f"expected {f'a list of {many}' if listed else one}, got {shown}"]
@@ -111,9 +112,10 @@ def _config_problems(config) -> list[tuple[str, str]]:
     return problems or getattr(config, "_cross_field", list)()
 
 
-def _check_args(kind: str, bound, **values) -> None:
-    """Hold each library argument in values to the rule of a config key of that kind and bound: one
-    DatasetError names each problem ("k must be a positive integer, got 0"), joined by "; "."""
+def _check_args(kind, bound, **values) -> None:
+    """Hold each library argument in values to the rule of a config key of that kind and bound, or to be
+    an instance of kind, a config section's class: one DatasetError names each problem ("k must be a
+    positive integer, got 0", "config expected an instance of SscConfig, got null"), joined by "; "."""
     problems = [f"{name} {reason}" for name, value in values.items()
                 for reason in _value_problems(kind, bound, value)]
     if problems:
@@ -152,11 +154,9 @@ class SscConfig(_Section):
 
 @dataclass(frozen=True)
 class SharingConfig(_Section):
-    """Voting weights and admission thresholds for tag sharing; field metadata holds the bounds.
-
-    neighbor_source is read by the pipeline to decide which similarity
-    graph to slice per cluster: "affinity" reuses the self-representation
-    affinity, "cosine" recomputes cosine similarity over image features.
+    """Voting weights and admission thresholds for tag sharing, the knobs share_tags reads; field metadata
+    holds the bounds. The similarity graph each cluster's block is sliced from is share_tags's own argument:
+    the command line passes the SSC affinity.
 
     Vote scores are convex combinations of [0, 1] components, so any
     min_confidence above 1 admits nothing. The range accepts up to 1.1,
@@ -169,7 +169,6 @@ class SharingConfig(_Section):
     w_freq: float = field(default=0.2, metadata={"ge": 0})
     max_added_per_image: int = field(default=10, metadata={"ge": 0})
     min_confidence: float = field(default=0.2, metadata={"ge": 0, "le": 1.1})
-    neighbor_source: str = field(default="affinity", metadata={"in": ("affinity", "cosine")})
 
     def _cross_field(self) -> list[tuple[str, str]]:
         if self.w_local or self.w_cooc or self.w_freq:

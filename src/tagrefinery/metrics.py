@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import NoiseSpec
+from .config import NoiseSpec, _check_args
 from .tagmat import DatasetError, TagMatrix, top_n_tags
 
 
@@ -74,6 +74,7 @@ def inject_noise(truth: TagMatrix, spec: NoiseSpec) -> TagMatrix:
     1. Deletion and addition sets are disjoint by construction, and the
     result is bit-reproducible for a fixed seed.
     """
+    _check_args(NoiseSpec, {}, spec=spec)
     _require_binary(truth, "noise injection input")
     rng = np.random.default_rng(spec.seed)
     coo = truth.matrix.tocoo()

@@ -80,6 +80,7 @@ class _Instance:
 
     @classmethod
     def build(cls, tags, v, t, l_v, l_s, config) -> "_Instance":
+        _check_args(RefineConfig, {}, config=config)
         _check_rank(config.rank, v.dim, t.dim)
         problems = []
         if v.n_rows != tags.n_images:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import SharingConfig
+from .config import SharingConfig, _check_args
 from .subspace import ClusterAssignment
 from .tagmat import DatasetError, SimilarityGraph, TagMatrix, top_n_tags
 
@@ -38,6 +38,7 @@ def score_tags_in_cluster(
     frequency. Each component is min-max normalized over the block before
     the convex combination.
     """
+    _check_args(SharingConfig, {}, config=config)
     if image_sims.size != tags.n_images:
         raise DatasetError(
             f"similarity block has {image_sims.size} images, tag block has {tags.n_images}"
@@ -91,6 +92,7 @@ def share_tags(
     with score >= min_confidence are added at their scores. Candidates
     rank by score, ties to the lower tag index (tagmat.top_n_tags).
     """
+    _check_args(SharingConfig, {}, config=config)
     if clusters.labels.shape[0] != tags.n_images:
         raise DatasetError(
             f"cluster assignment covers {clusters.labels.shape[0]} images, "

@@ -241,6 +241,8 @@ def gen_annotation_bundle(
     """
     args = locals()
     _SynthConfig(kind="bundle", **{key: args[key] for key in _BUNDLE_KEYS})
+    if noise is not None:
+        _check_args(NoiseSpec, {}, noise=noise)
     rng = np.random.default_rng(seed)
     n_images = n_clusters * images_per_cluster
 

@@ -127,11 +127,13 @@ class TestConfigResolution:
         with pytest.raises(DatasetError, match="bogus"):
             resolve_config(Args())
 
-    def test_refine_seed_is_no_key(self, tmp_path, caplog):
-        # A fit starts from the top-rank SVD of V^T O T, so there is no seed to set.
+    # A fit starts from the top-rank SVD of V^T O T, so there is no seed to set; share always reads the SSC
+    # affinity, so there is no neighbor source to choose. A resolved config that holds either key is refused.
+    @pytest.mark.parametrize("assignment", ["refine.seed=0", "sharing.neighbor_source=cosine"])
+    def test_refine_seed_is_no_key(self, tmp_path, caplog, assignment):
         manifest, out = make_bundle(tmp_path), tmp_path / "out"
-        assert main(["refine", "--manifest", manifest, "--output-dir", str(out), "--set", "refine.seed=0"]) == 2
-        assert caplog.records[-1].getMessage() == "unknown config key 'refine.seed'"
+        assert main(["refine", "--manifest", manifest, "--output-dir", str(out), "--set", assignment]) == 2
+        assert caplog.records[-1].getMessage() == f"unknown config key '{assignment.split('=')[0]}'"
         assert not out.exists()
 
     def test_config_file_merge(self, tmp_path):
@@ -424,7 +426,6 @@ class TestExitCodes:
         "sharing.w_cooc": "sharing.w_cooc: must be >= 0, got -5e-324",
         "sharing.max_added_per_image": "sharing.max_added_per_image: must be a non-negative integer, got -1",
         "sharing.min_confidence-high": "sharing.min_confidence: must be in [0, 1.1], got 1.1000000000000003",
-        "sharing.neighbor_source": "sharing.neighbor_source: must be 'affinity' or 'cosine', got 'x'",
         "refine.lambda2": "refine.lambda2: must be >= 0, got -5e-324",
         "refine.mu-high": "refine.mu: must be in [0, 1), got 1",
         "ssc.mu": "ssc.mu: must be > 0, got 0",
@@ -532,8 +533,7 @@ class TestExitCodes:
     # (argv, the manifest key whose file is spoiled, test id)
     UNUSABLE_BUNDLE = [
         *[(argv, "image_features", f"image_features-{argv[0]}") for argv in (
-            ["cluster", "--k", "2"], ["pipeline", "--k", "2"], ["tune", "--set", "k=2"], ["refine"],
-            ["share", "--labels", "LABELS", "--set", "sharing.neighbor_source=cosine"])],
+            ["cluster", "--k", "2"], ["pipeline", "--k", "2"], ["tune", "--set", "k=2"], ["refine"])],
         *[(argv, "tag_features", f"tag_features-{argv[0]}") for argv in (
             ["pipeline", "--k", "2"], ["tune", "--set", "k=2"], ["refine"])],
         *[(argv, "ground_truth", f"ground_truth-{argv[0]}") for argv in (
@@ -983,11 +983,9 @@ class TestRefineCommand:
 
 
 class TestShareCommand:
-    @pytest.mark.parametrize("source", ["affinity", "cosine"])
-    def test_share_drops_the_affinity_from_the_run(self, tmp_path, source):
+    def test_share_drops_the_affinity_from_the_run(self, tmp_path):
         args = config.build_parser().parse_args([
-            "pipeline", "--manifest", make_bundle(tmp_path), "--output-dir", str(tmp_path / "out"),
-            "--k", "2", "--set", f"sharing.neighbor_source={source}",
+            "pipeline", "--manifest", make_bundle(tmp_path), "--output-dir", str(tmp_path / "out"), "--k", "2",
         ])
         cfg = resolve_config(args)
         run = cli._Run(args, cfg, *config._build_configs(cfg), bundle=load_dataset(cfg["manifest"]))
@@ -996,18 +994,14 @@ class TestShareCommand:
         cli._share(run)
         assert run.affinity is None and run.completed is not None
 
-    def test_cosine_neighbor_source_needs_no_affinity(self, tmp_path):
-        manifest = make_bundle(tmp_path)
-        out = tmp_path / "out"
-        assert main(["cluster", "--manifest", manifest, "--output-dir", str(out),
-                     "--k", "2"]) == 0
-        os.remove(out / "affinity.mtx")
-        rc = main([
-            "share", "--manifest", manifest, "--output-dir", str(out),
-            "--set", "sharing.neighbor_source=cosine",
-        ])
-        assert rc == 0
-        assert (out / "completed.mtx").exists()
+    def test_share_reads_no_image_features(self, tmp_path):
+        manifest, out = make_bundle(tmp_path), tmp_path / "out"
+        assert main(["cluster", "--manifest", manifest, "--output-dir", str(out), "--k", "2"]) == 0
+        assert main(["share", "--manifest", manifest, "--output-dir", str(out)]) == 0
+        shared = (out / "completed.mtx").read_bytes()
+        TestExitCodes.spoil(tmp_path, "image_features")
+        assert main(["share", "--manifest", manifest, "--output-dir", str(out)]) == 0
+        assert (out / "completed.mtx").read_bytes() == shared
 
     def test_labels_and_affinity_flags_read_the_given_files(self, tmp_path):
         manifest = make_bundle(tmp_path)
@@ -1060,7 +1054,7 @@ class TestShareCommand:
         empty = tmp_path / "empty.txt"
         empty.write_text("\n")
         rc = main(["share", "--manifest", manifest, "--output-dir", str(tmp_path / "out"),
-                   "--labels", str(empty), "--set", "sharing.neighbor_source=cosine"])
+                   "--labels", str(empty)])
         assert rc == 2
         assert caplog.records[-1].getMessage() == (
             f"--labels: {empty}: has shape 0, expected 12"
@@ -1076,7 +1070,7 @@ class TestShareCommand:
         path = tmp_path / "labels.txt"
         path.write_text("".join(f"{lab}\n" for lab in labels))
         rc = main(["share", "--manifest", manifest, "--output-dir", str(tmp_path / "out"),
-                   "--labels", str(path), "--set", "sharing.neighbor_source=cosine"])
+                   "--labels", str(path)])
         assert rc == 2
         assert caplog.records[-1].getMessage() == f"--labels: {path}: {message}"
 
@@ -1092,7 +1086,7 @@ class TestShareCommand:
             f"--affinity: {affinity}: has shape 5x5, expected 40x40"
         )
 
-    def test_missing_affinity_reported(self, tmp_path):
+    def test_missing_affinity_reported(self, tmp_path, caplog):
         manifest = make_bundle(tmp_path)
         out = tmp_path / "out"
         assert main(["cluster", "--manifest", manifest, "--output-dir", str(out),
@@ -1100,6 +1094,9 @@ class TestShareCommand:
         os.remove(out / "affinity.mtx")
         rc = main(["share", "--manifest", manifest, "--output-dir", str(out)])
         assert rc == 2
+        message = caplog.records[-1].getMessage()
+        assert message.startswith(f"--affinity: {out / 'affinity.mtx'}: ")
+        assert message.endswith("; run `cluster` first or pass --affinity")
 
 
 class TestSynthKinds:
@@ -1240,7 +1237,7 @@ class TestTune:
 # Each flag's command, reading the file under test at BAD, and how to write a file of the
 # wrong shape for the TINY bundle (12 images, 12 tags, 30 image and 16 tag features).
 FLAG_FILES = {
-    "--labels": (["share", "--labels", "BAD", "--set", "sharing.neighbor_source=cosine"],
+    "--labels": (["share", "--labels", "BAD"],
                  lambda path: path.write_text("0\n" * 5)),
     "--affinity": (["share", "--labels", "LABELS", "--affinity", "BAD"],
                    lambda path: write_dense_matrix(path, np.ones((5, 5)) - np.eye(5))),

@@ -112,12 +112,11 @@ def test_untagged_image_and_unused_tag(tmp_path_factory, seed, data):
 
 
 @EDGE
-@given(seed=seeds, source=st.sampled_from(["affinity", "cosine"]))
-def test_min_confidence_above_every_score_adds_nothing(tmp_path_factory, seed, source):
+@given(seed=seeds)
+def test_min_confidence_above_every_score_adds_nothing(tmp_path_factory, seed):
     bundle = tiny_bundle(seed)
     rc, out = run(tmp_path_factory, bundle, "pipeline", "--k", "2", "--skip-eval", *FAST_REFINE,
-                  "--set", "sharing.min_confidence=1.1",
-                  "--set", f"sharing.neighbor_source={source}")
+                  "--set", "sharing.min_confidence=1.1")
     assert rc == 0
     completed = read_sparse_matrix(out / "completed.mtx")
     np.testing.assert_array_equal(completed.toarray(), bundle.tags.toarray())

@@ -40,10 +40,6 @@ class TestConfig:
         with pytest.raises(DatasetError, match=r"^w_local must be >= 0, got -0\.1$"):
             SharingConfig(w_local=-0.1)
 
-    def test_bad_neighbor_source(self):
-        with pytest.raises(DatasetError, match="neighbor_source"):
-            SharingConfig(neighbor_source="knn")
-
 
 class TestScoreTagsInCluster:
     def test_identical_rows_local_component(self):

@@ -16,8 +16,8 @@ from oracles import tags_from_dense
 from tagrefinery import config as configuration
 from tagrefinery import tagmat
 from tagrefinery.metrics import NoiseSpec, ap_ar_at_n, inject_noise
-from tagrefinery.refine import FactorPair, RefineConfig, gradient
-from tagrefinery.sharing import SharingConfig, share_tags
+from tagrefinery.refine import FactorPair, RefineConfig, gradient, objective, refine, solve_alternating
+from tagrefinery.sharing import SharingConfig, score_tags_in_cluster, share_tags
 from tagrefinery.subspace import ClusterAssignment, SscConfig, eigengap_k, spectral_cluster, ssc_solve
 from tagrefinery.tagmat import (
     DatasetBundle,
@@ -513,7 +513,7 @@ def small_graph():
 
 
 SEED_MESSAGE = "seed must be a non-negative integer, got -1"
-# Library entry point -> (a call with one bad scalar argument, the DatasetError message naming it).
+# Library entry point -> (a call with one bad scalar or config argument, the DatasetError message naming it).
 BAD_LIBRARY_VALUES = {
     "NoiseSpec": (lambda: NoiseSpec(0.1, 0.1, seed=-1), SEED_MESSAGE),
     "spectral_cluster": (lambda: spectral_cluster(cosine_similarity_graph(small_bundle().image_features),
@@ -555,6 +555,25 @@ BAD_LIBRARY_VALUES = {
     "gen_planted_annotation-sizes": (lambda: gen_planted_annotation(0, 3, 2, 2, 0),
                                      "n_images must be a positive integer, got 0; "
                                      "r must be a positive integer, got 0"),
+    "share_tags-config": (lambda: share_tags(small_bundle().tags, spectral_cluster(small_graph(), 1),
+                                             small_graph(), None),
+                          "config expected an instance of SharingConfig, got null"),
+    "score_tags_in_cluster-config": (lambda: score_tags_in_cluster(small_bundle().tags, small_graph(), "x"),
+                                     'config expected an instance of SharingConfig, got "x"'),
+    "ssc_solve-config": (lambda: ssc_solve(small_bundle().image_features, "x"),
+                         'config expected an instance of SscConfig, got "x"'),
+    "inject_noise-spec": (lambda: inject_noise(TagMatrix.from_dense([[1.0, 0.0]]), None),
+                          "spec expected an instance of NoiseSpec, got null"),
+    "gen_annotation_bundle-noise": (lambda: gen_annotation_bundle(noise="x"),
+                                    'noise expected an instance of NoiseSpec, got "x"'),
+    "refine-config": (lambda: refine(small_bundle().tags, None, None, None, None, None),
+                      "config expected an instance of RefineConfig, got null"),
+    "solve_alternating-config": (lambda: solve_alternating(small_bundle().tags, None, None, None, None, "x"),
+                                 'config expected an instance of RefineConfig, got "x"'),
+    "objective-config": (lambda: objective(small_bundle().tags, None, None, None, None, None, None),
+                         "config expected an instance of RefineConfig, got null"),
+    "gradient-config": (lambda: gradient(small_bundle().tags, None, None, None, None, None, 5),
+                        "config expected an instance of RefineConfig, got 5"),
 }
 
 
@@ -684,10 +703,12 @@ WRONG_KINDS = {
     "list[int]": ("a list of integers", [(1, "1"), (None, "null"), ("1", '"1"'), ([True], "[true]"),
                                          ([1.5], "[1.5]"), ([1, math.nan], "[1, NaN]")]),
 }
+# Every field of the library sections, and Bounded's grid and choice for the list and string kinds that
+# no library section declares.
 KIND_CASES = [
     (cls, f.name, value, f"{f.name} expected {expected}, got {shown}")
-    for cls in KIND_CONFIGS for f in fields(cls) if cls is not Bounded or f.name == "grid"
-    for expected, values in [WRONG_KINDS[f.type if isinstance(f.type, str) else str(f.type)]]
+    for cls in KIND_CONFIGS for f in fields(cls) if cls is not Bounded or f.name in ("grid", "choice")
+    for expected, values in [WRONG_KINDS[f.type.__name__ if type(f.type) is type else str(f.type)]]
     for value, shown in values
 ]
 
