@@ -34,7 +34,7 @@ import numpy as np
 
 from . import subspace
 from .config import DatasetError, RefineConfig, SharingConfig, SscConfig, _read_input, _SynthConfig
-from .config import DEFAULT_CONFIG, build_parser, load_command, resolve_config  # the last three stay public here
+from .config import load_command
 from .metrics import _require_binary, ap_ar_at_n, save_report
 from .refine import FactorPair, _check_rank, apply_factors, save_factors
 from .refine import refine as run_refine
@@ -46,11 +46,11 @@ from .tagmat import (
     TagMatrix,
     _held_csr,
     _matrix,
-    _read_frozen,
     _unit_rows,
     cosine_similarity_graph,
     graph_laplacian,
     load_dataset,
+    read_dense_matrix,
     read_sparse_matrix,
     save_dataset,
     write_dense_matrix,
@@ -105,12 +105,12 @@ class _Run:
         return os.path.join(self.cfg["output_dir"], name)
 
 
-def _fit(run: _Run, tags: TagMatrix, refine_cfg: RefineConfig, init=None):
-    """One refine fit; the image- and tag-similarity Laplacians are built once per run."""
+def _fit(run: _Run, tags: TagMatrix, refine_cfg: RefineConfig):
+    """One refine fit from the SVD start; the image- and tag-similarity Laplacians are built once per run."""
     features = (run.bundle.image_features, run.bundle.tag_features)
     if run.laplacians is None:
         run.laplacians = tuple(graph_laplacian(cosine_similarity_graph(f)) for f in features)
-    return run_refine(tags, *features, *run.laplacians, refine_cfg, init=init)
+    return run_refine(tags, *features, *run.laplacians, refine_cfg)
 
 
 def _val_rows(run: _Run) -> np.ndarray:
@@ -123,16 +123,23 @@ def _val_rows(run: _Run) -> np.ndarray:
 def _check_bundle(run: _Run, stages: tuple) -> None:
     """The one owner of every check before the first stage that depends on the stages that run.
 
-    Tune, and eval without refine, need a ground_truth entry; fits need a rank within both feature
-    dimensions and nonzero feature rows (cosine graphs); clustering needs nonzero image rows (sharing
-    reads no features); evaluation an annotated, binary ground truth and cut-offs within the tag count;
-    tune an annotated image in its validation split; clustering at a fixed k (auto_k off) k <= images.
+    refine's --apply and --import-factors go together; tune, and eval without refine, need a ground_truth
+    entry; fits need a rank within both feature dimensions and nonzero feature rows (cosine graphs);
+    clustering needs nonzero image rows (sharing reads no features); evaluation an annotated, binary ground
+    truth and cut-offs within the tag count; tune an annotated image in its validation split; clustering at
+    a fixed k (auto_k off) k <= images.
     """
     args, cfg, truth = run.args, run.cfg, run.bundle.ground_truth
     n_images, n_tags = run.bundle.tags.matrix.shape
+    apply = getattr(args, "apply", False)
+    if apply and not args.import_factors:
+        raise DatasetError("--apply requires --import-factors P.mtx Q.mtx")
+    if getattr(args, "import_factors", None) and not apply:
+        raise DatasetError("--import-factors: saved factors are read only by --apply; a fit starts from "
+                           "the SVD of V^T O T, and a longer fit is refine.outer_iters")
     if truth is None and ("tune" in stages or ("eval" in stages and "refine" not in stages)):
         raise DatasetError(f"ground_truth: {args.command} needs a manifest with a ground_truth entry")
-    fits = "tune" in stages or ("refine" in stages and not getattr(args, "apply", False))
+    fits = "tune" in stages or ("refine" in stages and not apply)
     if fits:
         key, ranks = ("tune.rank_grid", cfg["tune"]["rank_grid"]) if "tune" in stages \
             else ("refine.rank", [run.refine.rank])
@@ -237,7 +244,7 @@ def _share(run: _Run) -> None:
     if run.affinity is None:
         path = run.args.affinity or os.path.join(out_dir, "affinity.mtx")
         try:
-            run.affinity = _read_input("--affinity", path, _read_frozen, (n_images, n_images),
+            run.affinity = _read_input("--affinity", path, read_dense_matrix, (n_images, n_images),
                                        SimilarityGraph)
         except DatasetError as exc:
             hint = "" if run.args.affinity else "; run `cluster` first or pass --affinity"
@@ -249,30 +256,25 @@ def _share(run: _Run) -> None:
 
 
 def _refine(run: _Run) -> None:
-    """Refine share's tags (run alone: --tags-in, else the bundle's); --apply only scores factors.
+    """Refine share's tags (run alone: --tags-in, else the bundle's); --apply only scores --import-factors.
 
     Writes the raw scores as refined_scores.mtx and their [0, 1] clamp as refined.mtx, both
     Matrix Market arrays.
     """
     args, bundle = run.args, run.bundle
-    apply, init = getattr(args, "apply", False), None
-    if getattr(args, "import_factors", None):  # P's rank is free under --apply, Q's follows P's
-        p_path, q_path = args.import_factors
-        p = _read_input("--import-factors", p_path, _read_frozen,
-                        (bundle.image_features.dim, None if apply else run.refine.rank),
+    if getattr(args, "apply", False):  # no fit, no Laplacians; --tags-in is ignored, the bundle loaded as always
+        p_path, q_path = args.import_factors  # P's rank is free, Q's follows P's
+        p = _read_input("--import-factors", p_path, read_dense_matrix, (bundle.image_features.dim, None),
                         lambda arr: _matrix(arr, "factor P"))
-        init = FactorPair(p, _read_input("--import-factors", q_path, _read_frozen,
-                                         (bundle.tag_features.dim, p.shape[1]),
-                                         lambda arr: _matrix(arr, "factor Q")))
-    if apply:  # no fit: no Laplacians; --tags-in is ignored, the bundle is loaded as always
-        if init is None:
-            raise DatasetError("--apply requires --import-factors P.mtx Q.mtx")
-        run.scores = apply_factors(bundle.image_features, bundle.tag_features, init)
+        factors = FactorPair(p, _read_input("--import-factors", q_path, read_dense_matrix,
+                                            (bundle.tag_features.dim, p.shape[1]),
+                                            lambda arr: _matrix(arr, "factor Q")))
+        run.scores = apply_factors(bundle.image_features, bundle.tag_features, factors)
     else:
         tags = run.completed
         if tags is None and args.tags_in:
             tags = _read_input("--tags-in", args.tags_in, read_sparse_matrix, bundle.tags.matrix.shape)
-        result = _fit(run, bundle.tags if tags is None else tags, run.refine, init)
+        result = _fit(run, bundle.tags if tags is None else tags, run.refine)
         log.info(
             "refine: %d objective evaluations, final objective %.6e",
             len(result.objective_trace), result.objective_trace[-1],
@@ -289,7 +291,7 @@ def _eval(run: _Run) -> None:
     """AP@N / AR@N of refine's scores, or run alone of --predictions, against the ground truth."""
     truth = run.bundle.ground_truth
     if run.scores is None:
-        run.scores = _read_input("--predictions", run.args.predictions, _read_frozen,
+        run.scores = _read_input("--predictions", run.args.predictions, read_dense_matrix,
                                  run.bundle.tags.matrix.shape, lambda arr: _matrix(arr, "prediction matrix"))
     elif truth is None or run.args.skip_eval:
         return  # pipeline evaluates only a bundle with ground truth

@@ -393,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tags-in", help="completed tag matrix to refine instead of the bundle's")
     p.add_argument(
         "--import-factors", nargs=2, metavar=("P.mtx", "Q.mtx"),
-        help="resume from saved factors",
+        help="factors for --apply",
     )
     p.add_argument(
         "--apply", action="store_true",

@@ -41,6 +41,7 @@ def ap_ar_at_n(predicted, truth: TagMatrix, n: int) -> EvalReport:
     ground-truth tag count. Images with no ground-truth tags are excluded
     from both means, as their recall is undefined.
     """
+    _check_args(TagMatrix, {}, truth=truth)
     scores = predicted.toarray() if isinstance(predicted, TagMatrix) else np.asarray(predicted)
     if scores.shape != (truth.n_images, truth.n_tags):
         raise DatasetError(
@@ -75,6 +76,7 @@ def inject_noise(truth: TagMatrix, spec: NoiseSpec) -> TagMatrix:
     result is bit-reproducible for a fixed seed.
     """
     _check_args(NoiseSpec, {}, spec=spec)
+    _check_args(TagMatrix, {}, truth=truth)
     _require_binary(truth, "noise injection input")
     rng = np.random.default_rng(spec.seed)
     coo = truth.matrix.tocoo()

@@ -19,13 +19,13 @@ normal operator X -> 2 V^T M(V X B^T) B + lambda1 X and its right-hand side
 2 V^T O B (B = T Q; W o O = O since O is zero wherever w_ij != 1). A fit
 validates and densifies its instance once; its Q subproblem is the P
 subproblem of the transposed instance, so one half-step serves both
-factors. Unless it resumes from saved factors, a fit starts where Jain &
-Dhillon (arXiv:1306.0626) start alternating minimization for this model:
-at the top-rank SVD U S W^T of V^T O T, as P = U_r S_r and Q = W_r, so its
-inputs alone fix its result and refine takes no seed. Each half-step is
-solved exactly (alternating least squares): its (f r) x (f r) normal
-matrix is the normal operator applied to each unit f x r matrix, and one
-Cholesky solve gives the minimizer.
+factors. A fit starts where Jain & Dhillon (arXiv:1306.0626) start
+alternating minimization for this model: at the top-rank SVD U S W^T of
+V^T O T, as P = U_r S_r and Q = W_r, so its inputs alone fix its result and
+refine takes no seed (a library caller may pass init instead). Each
+half-step is solved exactly (alternating least squares): its (f r) x (f r)
+normal matrix is the normal operator applied to each unit f x r matrix, and
+one Cholesky solve gives the minimizer.
 """
 
 from __future__ import annotations
@@ -37,8 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RefineConfig, _check_args
-from .tagmat import DatasetError, FeatureMatrix, GraphLaplacian, TagMatrix, write_dense_matrix
-from .tagmat import _matrix, _read_frozen
+from .tagmat import DatasetError, FeatureMatrix, GraphLaplacian, TagMatrix, _matrix, write_dense_matrix
 
 
 @dataclass(frozen=True)
@@ -81,6 +80,9 @@ class _Instance:
     @classmethod
     def build(cls, tags, v, t, l_v, l_s, config) -> "_Instance":
         _check_args(RefineConfig, {}, config=config)
+        _check_args(TagMatrix, {}, tags=tags)
+        _check_args(FeatureMatrix, {}, v=v, t=t)
+        _check_args(GraphLaplacian, {}, l_v=l_v, l_s=l_s)
         _check_rank(config.rank, v.dim, t.dim)
         problems = []
         if v.n_rows != tags.n_images:
@@ -159,7 +161,9 @@ def objective(
     config: RefineConfig,
 ) -> float:
     """Evaluate the refinement objective at the given factors."""
-    return _Instance.build(tags, v, t, l_v, l_s, config).objective(factors.p, factors.q)
+    inst = _Instance.build(tags, v, t, l_v, l_s, config)
+    _check_args(FactorPair, {}, factors=factors)
+    return inst.objective(factors.p, factors.q)
 
 
 def gradient(
@@ -175,6 +179,7 @@ def gradient(
     """Analytic gradient of the objective with respect to the free factor."""
     _check_args("str", {"in": ("p", "q")}, free=free)
     inst = _Instance.build(tags, v, t, l_v, l_s, config)
+    _check_args(FactorPair, {}, factors=factors)
     x, y = factors.p, factors.q
     if free == "q":
         inst, x, y = inst.transposed(), y, x
@@ -184,6 +189,9 @@ def gradient(
 
 @dataclass(frozen=True)
 class SolveResult:
+    """What a fit ends with: its factors, the objective after each half-step, whether it met obj_tol
+    and how many outer iterations it ran."""
+
     factors: FactorPair
     objective_trace: np.ndarray
     converged: bool
@@ -204,8 +212,8 @@ def solve_alternating(
     Each half-step minimizes its convex quadratic, so the recorded objective
     trace (initial value, then one entry per half-step) never increases
     beyond roundoff. Without init the fit starts from the top-rank SVD of
-    V^T O T (P = U_r S_r, Q = W_r; see the module docstring); passing init
-    resumes from previously saved factors instead. The first half-step uses
+    V^T O T (P = U_r S_r, Q = W_r; see the module docstring); a library
+    caller may pass init to start elsewhere. The first half-step uses
     only the start's Q. A fit that stops at outer_iters without meeting
     obj_tol logs a warning and returns converged=False. A
     half-step whose normal matrix is not numerically positive definite
@@ -218,11 +226,13 @@ def solve_alternating(
     if init is None:
         u, s, wt = np.linalg.svd(inst.rows.T @ (inst.o @ inst.cols), full_matrices=False)
         init = FactorPair(u[:, :r] * s[:r], wt[:r].T)
-    elif init.p.shape != (v.dim, r) or init.q.shape != (t.dim, r):
-        raise DatasetError(
-            f"initial factors {init.p.shape}/{init.q.shape} do not match "
-            f"features and rank ({v.dim}x{r}, {t.dim}x{r})"
-        )
+    else:
+        _check_args(FactorPair, {}, init=init)
+        if init.p.shape != (v.dim, r) or init.q.shape != (t.dim, r):
+            raise DatasetError(
+                f"initial factors {init.p.shape}/{init.q.shape} do not match "
+                f"features and rank ({v.dim}x{r}, {t.dim}x{r})"
+            )
     p, q = init.p, init.q
     trace = [inst.objective(p, q)]
     for outer in range(config.outer_iters):
@@ -247,17 +257,14 @@ def solve_alternating(
 
 
 @dataclass(frozen=True)
-class RefineResult:
-    """Raw refined scores plus the factors that produced them.
+class RefineResult(SolveResult):
+    """A fit's SolveResult plus the refined scores V P Q^T T^T.
 
     scores keeps the unclamped reconstruction for ranking; the command line
     exports its [0, 1] clamp as the annotation confidences (refined.mtx).
     """
 
     scores: np.ndarray
-    factors: FactorPair
-    objective_trace: np.ndarray
-    converged: bool
 
 
 def refine(
@@ -269,19 +276,15 @@ def refine(
     config: RefineConfig,
     init: FactorPair | None = None,
 ) -> RefineResult:
-    """Solve for the factors and return the refined score matrix."""
+    """Solve for the factors and return them with the refined score matrix."""
     result = solve_alternating(tags, v, t, l_v, l_s, config, init=init)
-    scores = _reconstruction(v, t, result.factors)
-    return RefineResult(
-        scores=scores,
-        factors=result.factors,
-        objective_trace=result.objective_trace,
-        converged=result.converged,
-    )
+    return RefineResult(**vars(result), scores=_reconstruction(v, t, result.factors))
 
 
 def apply_factors(v: FeatureMatrix, t: FeatureMatrix, factors: FactorPair) -> np.ndarray:
     """Score new rows inductively: V P Q^T T^T for features never seen in training."""
+    _check_args(FeatureMatrix, {}, v=v, t=t)
+    _check_args(FactorPair, {}, factors=factors)
     if v.dim != factors.p.shape[0] or t.dim != factors.q.shape[0]:
         raise DatasetError(
             f"features ({v.dim}, {t.dim}) do not match factors "
@@ -290,14 +293,10 @@ def apply_factors(v: FeatureMatrix, t: FeatureMatrix, factors: FactorPair) -> np
     return _reconstruction(v, t, factors)
 
 
-def save_factors(factors: FactorPair, out_dir, prefix: str = "factors") -> tuple[str, str]:
+def save_factors(factors: FactorPair, out_dir) -> tuple[str, str]:
+    """Write P and Q as factors_p.mtx and factors_q.mtx under out_dir; returns their paths."""
     os.makedirs(out_dir, exist_ok=True)
-    p_path = os.path.join(out_dir, f"{prefix}_p.mtx")
-    q_path = os.path.join(out_dir, f"{prefix}_q.mtx")
-    write_dense_matrix(p_path, factors.p)
-    write_dense_matrix(q_path, factors.q)
-    return p_path, q_path
-
-
-def load_factors(p_path, q_path) -> FactorPair:
-    return FactorPair(p=_read_frozen(p_path), q=_read_frozen(q_path))
+    paths = os.path.join(out_dir, "factors_p.mtx"), os.path.join(out_dir, "factors_q.mtx")
+    write_dense_matrix(paths[0], factors.p)
+    write_dense_matrix(paths[1], factors.q)
+    return paths

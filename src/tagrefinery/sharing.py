@@ -39,6 +39,8 @@ def score_tags_in_cluster(
     the convex combination.
     """
     _check_args(SharingConfig, {}, config=config)
+    _check_args(TagMatrix, {}, tags=tags)
+    _check_args(SimilarityGraph, {}, image_sims=image_sims)
     if image_sims.size != tags.n_images:
         raise DatasetError(
             f"similarity block has {image_sims.size} images, tag block has {tags.n_images}"
@@ -93,6 +95,9 @@ def share_tags(
     rank by score, ties to the lower tag index (tagmat.top_n_tags).
     """
     _check_args(SharingConfig, {}, config=config)
+    _check_args(TagMatrix, {}, tags=tags)
+    _check_args(ClusterAssignment, {}, clusters=clusters)
+    _check_args(SimilarityGraph, {}, image_sims=image_sims)
     if clusters.labels.shape[0] != tags.n_images:
         raise DatasetError(
             f"cluster assignment covers {clusters.labels.shape[0]} images, "

@@ -166,11 +166,11 @@ def ssc_solve(images: FeatureMatrix, config: SscConfig = SscConfig()) -> SelfRep
     returned with converged=False and the residuals achieved.
     """
     _check_args(SscConfig, {}, config=config)
-    x = np.asarray(images.data, dtype=np.float64)
-    n = x.shape[0]
+    _check_args(FeatureMatrix, {}, images=images)
+    n = images.n_rows
     if n < 2:
         raise DatasetError("self-representation needs at least 2 images")
-    x = _unit_rows(x)
+    x = _unit_rows(images.data)
 
     x_norm = np.linalg.norm(x)
     ones = np.ones(n)
@@ -252,6 +252,7 @@ def affinity(rep: SelfRepresentation) -> SimilarityGraph:
     Summed in place in the |Z| buffer, which SimilarityGraph keeps, so the
     call holds one n x n array (1.26 n x n above its input at n = 1000).
     """
+    _check_args(SelfRepresentation, {}, rep=rep)
     return SimilarityGraph(_freeze(_add_transpose(np.abs(rep.z))))
 
 
@@ -378,6 +379,7 @@ def spectral_cluster(aff: SimilarityGraph, k: int, seed: int = 0) -> ClusterAssi
     Deterministic for a fixed seed: k-means uses greedy farthest-point
     seeding from seeded random starts, 10 restarts, best inertia wins.
     """
+    _check_args(SimilarityGraph, {}, aff=aff)
     n = aff.size
     _check_args("int", {"ge": 1}, k=k)
     _check_args("int", {"ge": 0}, seed=seed)
@@ -395,6 +397,7 @@ def eigengap_k(aff: SimilarityGraph, k_max: int) -> int:
 
     Heuristic helper only; clustering never calls it implicitly.
     """
+    _check_args(SimilarityGraph, {}, aff=aff)
     _check_args("int", {"ge": 1}, k_max=k_max)
     k_max = min(k_max, aff.size - 1)
     if k_max < 1:  # one image

@@ -334,6 +334,7 @@ def cosine_similarity_graph(features: FeatureMatrix) -> SimilarityGraph:
     BLAS syrk and mirrors its triangle, so the product is exactly
     symmetric as it comes.
     """
+    _check_args(FeatureMatrix, {}, features=features)
     unit = _unit_rows(features.data)
     w = unit @ unit.T
     np.clip(w, -1.0, 1.0, out=w)
@@ -352,6 +353,7 @@ def graph_laplacian(graph: SimilarityGraph) -> GraphLaplacian:
     d_i - W_ii because W_ii is a zero and d_i is -0 only where W_ii is. So
     the bits, signed zeros included, are those of np.diag(d) - W.
     """
+    _check_args(SimilarityGraph, {}, graph=graph)
     w = graph.weights
     lap = np.subtract(0.0, w)
     lap.flat[:: w.shape[0] + 1] += w.sum(axis=1)
@@ -408,16 +410,13 @@ def read_sparse_matrix(path) -> TagMatrix:
 
 
 def read_dense_matrix(path) -> np.ndarray:
+    """The file's matrix as a float64 array, handed over frozen (_freeze): no one else holds it, so the
+    matrix type built from it keeps it."""
     open(path, "rb").close()  # a missing path or a directory raises open()'s OSError
     m = scipy.io.mmread(str(path))
     if sp.issparse(m):
         m = m.toarray()
-    return np.atleast_2d(np.asarray(m, dtype=np.float64))
-
-
-def _read_frozen(path) -> np.ndarray:
-    """read_dense_matrix's array, frozen: no one else holds it, so the matrix type built from it keeps it."""
-    return _freeze(read_dense_matrix(path))
+    return _freeze(np.atleast_2d(np.asarray(m, dtype=np.float64)))
 
 
 def read_id_list(path) -> list[str]:
@@ -471,8 +470,8 @@ def load_dataset(manifest_path) -> DatasetBundle:
         return _fits_tags(tags, key, FeatureMatrix(value) if key.endswith("_features") else value)
 
     reads = {
-        "image_features": _read_frozen,
-        "tag_features": _read_frozen,
+        "image_features": read_dense_matrix,
+        "tag_features": read_dense_matrix,
         "image_ids": read_id_list,
         "tag_names": read_id_list,
         "ground_truth": read_sparse_matrix,

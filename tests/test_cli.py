@@ -873,6 +873,25 @@ class TestRefineCommand:
         for name in ("refined_scores.mtx", "refined.mtx"):
             assert (apply_out / name).read_bytes() == (out / name).read_bytes(), name
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--import-factors", "P", "Q"],
+         "--import-factors: saved factors are read only by --apply; a fit starts from the SVD of V^T O T, "
+         "and a longer fit is refine.outer_iters"),
+        (["--apply"], "--apply requires --import-factors P.mtx Q.mtx"),
+    ], ids=["import-factors-without-apply", "apply-without-import-factors"])
+    def test_apply_and_import_factors_go_together(self, tmp_path, caplog, flags, message):
+        """Either flag alone exits 2 with one error before anything is written; no fit resumes from files."""
+        manifest = make_bundle(tmp_path)
+        write_dense_matrix(tmp_path / "p.mtx", np.ones((30, 3)))
+        write_dense_matrix(tmp_path / "q.mtx", np.ones((16, 3)))
+        files = {"P": str(tmp_path / "p.mtx"), "Q": str(tmp_path / "q.mtx")}
+        out = tmp_path / "out"
+        caplog.clear()
+        assert main(["refine", "--manifest", manifest, "--output-dir", str(out),
+                     *[files.get(flag, flag) for flag in flags]]) == 2
+        assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [message]
+        assert not out.exists()
+
     def test_refined_mtx_is_clamp_of_scores(self, tmp_path):
         manifest = make_bundle(tmp_path)
         out = tmp_path / "out"

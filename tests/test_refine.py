@@ -7,9 +7,10 @@ from tagrefinery.metrics import NoiseSpec
 from tagrefinery.refine import (
     FactorPair,
     RefineConfig,
+    RefineResult,
+    SolveResult,
     apply_factors,
     gradient,
-    load_factors,
     objective,
     refine,
     save_factors,
@@ -25,6 +26,7 @@ from tagrefinery.tagmat import (
     TagMatrix,
     cosine_similarity_graph,
     graph_laplacian,
+    read_dense_matrix,
     top_n_tags,
 )
 from tagrefinery.testkit import gen_annotation_bundle, gen_planted_annotation
@@ -353,6 +355,20 @@ class TestSolveAlternating:
 
 
 class TestRefine:
+    def test_refine_is_the_solve_plus_its_scores(self):
+        inst = gen_planted_annotation(12, 10, 5, 4, 2, density=0.5, seed=21)
+        l_v, l_s = zero_laplacians(12, 10)
+        cfg = RefineConfig(rank=2, lambda1=1e-3, lambda2=0.0, mu=0.3, outer_iters=5)
+        solved = solve_alternating(inst.o_star, inst.v, inst.t, l_v, l_s, cfg)
+        refined = refine(inst.o_star, inst.v, inst.t, l_v, l_s, cfg)
+        assert isinstance(refined, RefineResult) and isinstance(refined, SolveResult)
+        np.testing.assert_array_equal(refined.factors.p, solved.factors.p)
+        np.testing.assert_array_equal(refined.factors.q, solved.factors.q)
+        np.testing.assert_array_equal(refined.objective_trace, solved.objective_trace)
+        assert (refined.converged, refined.n_outer) == (solved.converged, solved.n_outer)
+        p, q = solved.factors.p, solved.factors.q
+        np.testing.assert_array_equal(refined.scores, (inst.v.data @ p) @ (inst.t.data @ q).T)
+
     def test_zero_tags_zero_fixed_point(self):
         tags = TagMatrix.from_dense(np.zeros((6, 5)))
         rng = np.random.default_rng(12)
@@ -409,9 +425,9 @@ class TestRefine:
     def test_factor_io_roundtrip(self, tmp_path):
         factors = random_factors(4, 3, 2, seed=19)
         p_path, q_path = save_factors(factors, tmp_path)
-        loaded = load_factors(p_path, q_path)
-        np.testing.assert_array_equal(loaded.p, factors.p)
-        np.testing.assert_array_equal(loaded.q, factors.q)
+        assert (p_path, q_path) == (str(tmp_path / "factors_p.mtx"), str(tmp_path / "factors_q.mtx"))
+        np.testing.assert_array_equal(read_dense_matrix(p_path), factors.p)
+        np.testing.assert_array_equal(read_dense_matrix(q_path), factors.q)
 
     def test_apply_factors_matches_reconstruction(self):
         inst = gen_planted_annotation(6, 5, 4, 3, 2, density=1.0, seed=20)

@@ -16,9 +16,17 @@ from oracles import tags_from_dense
 from tagrefinery import config as configuration
 from tagrefinery import tagmat
 from tagrefinery.metrics import NoiseSpec, ap_ar_at_n, inject_noise
-from tagrefinery.refine import FactorPair, RefineConfig, gradient, objective, refine, solve_alternating
+from tagrefinery.refine import (
+    FactorPair,
+    RefineConfig,
+    apply_factors,
+    gradient,
+    objective,
+    refine,
+    solve_alternating,
+)
 from tagrefinery.sharing import SharingConfig, score_tags_in_cluster, share_tags
-from tagrefinery.subspace import ClusterAssignment, SscConfig, eigengap_k, spectral_cluster, ssc_solve
+from tagrefinery.subspace import ClusterAssignment, SscConfig, affinity, eigengap_k, spectral_cluster, ssc_solve
 from tagrefinery.tagmat import (
     DatasetBundle,
     DatasetError,
@@ -512,8 +520,18 @@ def small_graph():
     return cosine_similarity_graph(small_bundle().image_features)
 
 
+def small_fit():
+    """small_bundle's tags and features, with their cosine-graph Laplacians: a valid rank-2 refine instance."""
+    bundle = small_bundle()
+    features = (bundle.image_features, bundle.tag_features)
+    return (bundle.tags, *features, *(graph_laplacian(cosine_similarity_graph(f)) for f in features))
+
+
 SEED_MESSAGE = "seed must be a non-negative integer, got -1"
-# Library entry point -> (a call with one bad scalar or config argument, the DatasetError message naming it).
+ROW = np.array([[1.0, 0.0]])  # a bare array where a matrix type belongs
+ROW_SHOWN = '"array([[1., 0.]])"'
+# Library entry point -> (a call with one bad scalar, config or matrix-type argument, the DatasetError message
+# naming it).
 BAD_LIBRARY_VALUES = {
     "NoiseSpec": (lambda: NoiseSpec(0.1, 0.1, seed=-1), SEED_MESSAGE),
     "spectral_cluster": (lambda: spectral_cluster(cosine_similarity_graph(small_bundle().image_features),
@@ -574,6 +592,37 @@ BAD_LIBRARY_VALUES = {
                          "config expected an instance of RefineConfig, got null"),
     "gradient-config": (lambda: gradient(small_bundle().tags, None, None, None, None, None, 5),
                         "config expected an instance of RefineConfig, got 5"),
+    "refine-laplacians": (lambda: refine(*small_fit()[:3], None, None, RefineConfig(rank=2)),
+                          "l_v expected an instance of GraphLaplacian, got null; "
+                          "l_s expected an instance of GraphLaplacian, got null"),
+    "solve_alternating-features": (lambda: solve_alternating(small_fit()[0], ROW, ROW, *small_fit()[3:],
+                                                             RefineConfig(rank=2)),
+                                   f"v expected an instance of FeatureMatrix, got {ROW_SHOWN}; "
+                                   f"t expected an instance of FeatureMatrix, got {ROW_SHOWN}"),
+    "solve_alternating-init": (lambda: solve_alternating(*small_fit(), RefineConfig(rank=2), init="x"),
+                               'init expected an instance of FactorPair, got "x"'),
+    "objective-factors": (lambda: objective(*small_fit()[:3], None, *small_fit()[3:], RefineConfig(rank=2)),
+                          "factors expected an instance of FactorPair, got null"),
+    "gradient-tags": (lambda: gradient(ROW, *small_fit()[1:3], None, *small_fit()[3:], RefineConfig(rank=2)),
+                      f"tags expected an instance of TagMatrix, got {ROW_SHOWN}"),
+    "apply_factors-v": (lambda: apply_factors(ROW, small_bundle().tag_features, None),
+                        f"v expected an instance of FeatureMatrix, got {ROW_SHOWN}"),
+    "share_tags-clusters": (lambda: share_tags(small_bundle().tags, None, small_graph(), SharingConfig()),
+                            "clusters expected an instance of ClusterAssignment, got null"),
+    "score_tags_in_cluster-image_sims": (lambda: score_tags_in_cluster(small_bundle().tags, None),
+                                         "image_sims expected an instance of SimilarityGraph, got null"),
+    "spectral_cluster-aff": (lambda: spectral_cluster(None, 2),
+                             "aff expected an instance of SimilarityGraph, got null"),
+    "eigengap_k-aff": (lambda: eigengap_k(None, 2), "aff expected an instance of SimilarityGraph, got null"),
+    "affinity-rep": (lambda: affinity(None), "rep expected an instance of SelfRepresentation, got null"),
+    "ssc_solve-images": (lambda: ssc_solve(ROW), f"images expected an instance of FeatureMatrix, got {ROW_SHOWN}"),
+    "cosine_similarity_graph-features": (lambda: cosine_similarity_graph(ROW),
+                                         f"features expected an instance of FeatureMatrix, got {ROW_SHOWN}"),
+    "graph_laplacian-graph": (lambda: graph_laplacian(ROW),
+                              f"graph expected an instance of SimilarityGraph, got {ROW_SHOWN}"),
+    "ap_ar_at_n-truth": (lambda: ap_ar_at_n(ROW, ROW, 1), f"truth expected an instance of TagMatrix, got {ROW_SHOWN}"),
+    "inject_noise-truth": (lambda: inject_noise(ROW, NoiseSpec(0.1, 0.1)),
+                           f"truth expected an instance of TagMatrix, got {ROW_SHOWN}"),
 }
 
 
@@ -867,7 +916,7 @@ class TestBundleAndManifest:
         write_dense_matrix(tmp_path / "a.mtx", a)
         b = read_dense_matrix(tmp_path / "a.mtx")
         np.testing.assert_array_equal(a, b)
-        assert b.flags.writeable
+        assert tagmat._frozen(b)  # handed over read-only, so the matrix type built from it keeps it
 
     def test_load_keeps_the_feature_array_it_reads(self, tmp_path):
         """A 20,000 x 30 feature file (4.8 MB) is held once: FeatureMatrix adopts the array that was read, so the
