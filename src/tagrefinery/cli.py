@@ -259,7 +259,8 @@ def _refine(run: _Run) -> None:
     """Refine share's tags (run alone: --tags-in, else the bundle's); --apply only scores --import-factors.
 
     Writes the raw scores as refined_scores.mtx and their [0, 1] clamp as refined.mtx, both
-    Matrix Market arrays.
+    Matrix Market arrays, from one column-major buffer of the scores' shape: it holds the clamp,
+    then the scores, so the run holds one extra copy of them.
     """
     args, bundle = run.args, run.bundle
     if getattr(args, "apply", False):  # no fit, no Laplacians; --tags-in is ignored, the bundle loaded as always
@@ -281,10 +282,14 @@ def _refine(run: _Run) -> None:
         )
         run.scores = result.scores
         save_factors(result.factors, run.cfg["output_dir"])
-    clamped = np.clip(run.scores, 0.0, 1.0)
-    clamped += 0.0  # -0.0 becomes +0.0, so the file never says -0
-    write_dense_matrix(run.out("refined.mtx"), clamped)
-    write_dense_matrix(run.out("refined_scores.mtx"), run.scores)
+    # A Matrix Market array lists its entries column by column, so scipy writes a column-major
+    # buffer in one pass where it strides through a row-major one: the bytes are the same.
+    column_major = np.empty(run.scores.shape, order="F")
+    np.clip(run.scores, 0.0, 1.0, out=column_major)
+    column_major += 0.0  # -0.0 becomes +0.0, so the file never says -0
+    write_dense_matrix(run.out("refined.mtx"), column_major)
+    np.copyto(column_major, run.scores)
+    write_dense_matrix(run.out("refined_scores.mtx"), column_major)
 
 
 def _eval(run: _Run) -> None:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import copy
 import dataclasses
+import itertools
 import json
 import logging
 import math
@@ -72,6 +73,14 @@ _BOUND_TESTS = {"in": lambda value, choices: value in choices,
 _BOUND_ENDS = {"gt": ("(", ">"), "ge": ("[", ">="), "lt": (")", "<"), "le": ("]", "<=")}  # bracket, symbol
 
 
+def _type_name(value) -> str:
+    """The public dotted name of value's type, up to its module's first private part: numpy.ndarray,
+    scipy.sparse.csr_array, set."""
+    cls = type(value)
+    modules = [] if cls.__module__ == "builtins" else cls.__module__.split(".")
+    return ".".join([*itertools.takewhile(lambda part: not part.startswith("_"), modules), cls.__qualname__])
+
+
 def _value_problems(kind, bound, value) -> list[str]:
     """The reason value is not of kind (a declared type's name: "int", "list[int]"; or a config section's
     class, whose instances are its kind), or else the reasons it lies outside bound (a field's metadata):
@@ -81,7 +90,10 @@ def _value_problems(kind, bound, value) -> list[str]:
     is_kind, one, many = _KINDS[kind[5:-1] if listed else kind] if isinstance(kind, str) \
         else ((lambda v: isinstance(v, kind)), f"an instance of {kind.__name__}", None)
     if not (isinstance(value, list) and all(map(is_kind, value)) if listed else is_kind(value)):
-        shown = json.dumps(value, default=repr)  # NaN, -Infinity, "5", null
+        try:
+            shown = json.dumps(value)  # NaN, -Infinity, "5", null
+        except TypeError:  # no JSON form: numpy.ndarray
+            shown = _type_name(value)
         return [f"expected {f'a list of {many}' if listed else one}, got {shown}"]
     ends = [key for key in _BOUND_ENDS if key in bound]
     if "in" in bound:

@@ -6,8 +6,9 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
-from .config import NoiseSpec, _check_args
+from .config import NoiseSpec, _check_args, _type_name
 from .tagmat import DatasetError, TagMatrix, top_n_tags
 
 
@@ -42,6 +43,9 @@ def ap_ar_at_n(predicted, truth: TagMatrix, n: int) -> EvalReport:
     from both means, as their recall is undefined.
     """
     _check_args(TagMatrix, {}, truth=truth)
+    if sp.issparse(predicted):
+        raise DatasetError(f"predicted must be a TagMatrix or a dense score matrix, "
+                           f"got {_type_name(predicted)}")
     scores = predicted.toarray() if isinstance(predicted, TagMatrix) else np.asarray(predicted)
     if scores.shape != (truth.n_images, truth.n_tags):
         raise DatasetError(

@@ -295,6 +295,7 @@ def apply_factors(v: FeatureMatrix, t: FeatureMatrix, factors: FactorPair) -> np
 
 def save_factors(factors: FactorPair, out_dir) -> tuple[str, str]:
     """Write P and Q as factors_p.mtx and factors_q.mtx under out_dir; returns their paths."""
+    _check_args(FactorPair, {}, factors=factors)
     os.makedirs(out_dir, exist_ok=True)
     paths = os.path.join(out_dir, "factors_p.mtx"), os.path.join(out_dir, "factors_q.mtx")
     write_dense_matrix(paths[0], factors.p)

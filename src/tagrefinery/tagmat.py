@@ -392,11 +392,17 @@ _MANIFEST_OPTIONAL = ("ground_truth",)
 
 
 def write_sparse_matrix(path, tags: TagMatrix) -> None:
+    _check_args(TagMatrix, {}, tags=tags)
     open(path, "wb").close()  # scipy's mmwrite fails silently where open() raises OSError
     scipy.io.mmwrite(str(path), tags.matrix.tocoo())
 
 
 def write_dense_matrix(path, arr: np.ndarray) -> None:
+    """Write a 2-D array of any size (an empty 30 x 0 factor file too) as a Matrix Market array; a float64
+    arr is not copied."""
+    _check_args(np.ndarray, {}, arr=arr)
+    if arr.ndim != 2:
+        raise DatasetError(f"arr must be 2-D, got shape {arr.shape}")
     open(path, "wb").close()  # scipy's mmwrite fails silently where open() raises OSError
     scipy.io.mmwrite(str(path), np.asarray(arr, dtype=np.float64))
 
@@ -484,6 +490,7 @@ def load_dataset(manifest_path) -> DatasetBundle:
 
 def save_dataset(bundle: DatasetBundle, out_dir, name: str = "dataset") -> str:
     """Write a bundle as manifest + component files; returns the manifest path."""
+    _check_args(DatasetBundle, {}, bundle=bundle)
     os.makedirs(out_dir, exist_ok=True)
     files = {
         "tags": f"{name}_tags.mtx",

@@ -12,6 +12,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.io
 
 from oracles import clamped_tags
 from tagrefinery import cli, config, tagmat
@@ -948,8 +949,33 @@ class TestRefineCommand:
         assert not np.signbit(values).any()
         assert built(lambda: read_sparse_matrix(path)) == built(lambda: clamped_tags(scores))
 
-    def test_clamp_and_write_allocate_one_copy_of_the_scores(self, tmp_path, monkeypatch):
-        scores = np.random.default_rng(0).standard_normal((2000, 50))
+    @pytest.mark.parametrize("apply", [False, True], ids=["fit", "apply"])
+    def test_score_files_are_what_scipy_writes_for_the_row_major_scores(self, tmp_path, monkeypatch, apply):
+        """refined_scores.mtx and refined.mtx hold the bytes scipy.io.mmwrite writes for the row-major scores
+        and their clamp, though refine writes both from a column-major buffer."""
+        if apply:
+            scores = np.random.default_rng(1).uniform(-1.0, 2.0, (12, 13))
+            scores[0, :3] = [-0.0, 0.0, 1.0]
+            out, _ = self.apply_scores(tmp_path, monkeypatch, scores)
+        else:
+            fits, fit = [], cli.run_refine
+            monkeypatch.setattr(cli, "run_refine", lambda *args: fits.append(fit(*args)) or fits[-1])
+            out = tmp_path / "out"
+            assert main(["refine", "--manifest", make_bundle(tmp_path), "--output-dir", str(out),
+                         "--set", "refine.outer_iters=2"]) == 0
+            scores = fits[0].scores
+        assert scores.min() < 0.0 or scores.max() > 1.0  # so the clamp is exercised
+        row_major = np.ascontiguousarray(scores)
+        clamped = np.clip(row_major, 0.0, 1.0)
+        clamped += 0.0
+        for name, arr in (("refined_scores.mtx", row_major), ("refined.mtx", clamped)):
+            expected = tmp_path / f"expected_{name}"
+            scipy.io.mmwrite(str(expected), arr)
+            assert (out / name).read_bytes() == expected.read_bytes(), name
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_clamp_and_write_allocate_one_copy_of_the_scores(self, tmp_path, monkeypatch, order):
+        scores = np.asarray(np.random.default_rng(0).standard_normal((2000, 50)), order=order)
         _, peak = self.apply_scores(tmp_path, monkeypatch, scores)
         assert peak <= 1.1 * scores.nbytes
 

@@ -1,6 +1,7 @@
 """Data model, graph construction, ranking, and file format tests."""
 
 import math
+import os
 import tracemalloc
 from dataclasses import dataclass, field, fields
 from unittest import mock
@@ -23,6 +24,7 @@ from tagrefinery.refine import (
     gradient,
     objective,
     refine,
+    save_factors,
     solve_alternating,
 )
 from tagrefinery.sharing import SharingConfig, score_tags_in_cluster, share_tags
@@ -529,7 +531,10 @@ def small_fit():
 
 SEED_MESSAGE = "seed must be a non-negative integer, got -1"
 ROW = np.array([[1.0, 0.0]])  # a bare array where a matrix type belongs
-ROW_SHOWN = '"array([[1., 0.]])"'
+ROW_SHOWN = "numpy.ndarray"
+# A path under a regular file: a writer that touched the disk before checking its argument would raise OSError
+# there, and nothing can be left behind.
+UNWRITABLE = os.path.join(__file__, "out")
 # Library entry point -> (a call with one bad scalar, config or matrix-type argument, the DatasetError message
 # naming it).
 BAD_LIBRARY_VALUES = {
@@ -623,6 +628,17 @@ BAD_LIBRARY_VALUES = {
     "ap_ar_at_n-truth": (lambda: ap_ar_at_n(ROW, ROW, 1), f"truth expected an instance of TagMatrix, got {ROW_SHOWN}"),
     "inject_noise-truth": (lambda: inject_noise(ROW, NoiseSpec(0.1, 0.1)),
                            f"truth expected an instance of TagMatrix, got {ROW_SHOWN}"),
+    "ap_ar_at_n-sparse": (lambda: ap_ar_at_n(sp.csr_array(ROW), TagMatrix.from_dense(ROW), 1),
+                          "predicted must be a TagMatrix or a dense score matrix, got scipy.sparse.csr_array"),
+    "write_sparse_matrix-tags": (lambda: write_sparse_matrix(UNWRITABLE, ROW),
+                                 f"tags expected an instance of TagMatrix, got {ROW_SHOWN}"),
+    "write_dense_matrix-none": (lambda: write_dense_matrix(UNWRITABLE, None),
+                                "arr expected an instance of ndarray, got null"),
+    "write_dense_matrix-1d": (lambda: write_dense_matrix(UNWRITABLE, ROW[0]), "arr must be 2-D, got shape (2,)"),
+    "save_factors-factors": (lambda: save_factors(None, UNWRITABLE),
+                             "factors expected an instance of FactorPair, got null"),
+    "save_dataset-bundle": (lambda: save_dataset(ROW, UNWRITABLE),
+                            f"bundle expected an instance of DatasetBundle, got {ROW_SHOWN}"),
 }
 
 
