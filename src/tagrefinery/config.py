@@ -73,12 +73,15 @@ _BOUND_TESTS = {"in": lambda value, choices: value in choices,
 _BOUND_ENDS = {"gt": ("(", ">"), "ge": ("[", ">="), "lt": (")", "<"), "le": ("]", "<=")}  # bracket, symbol
 
 
-def _type_name(value) -> str:
-    """The public dotted name of value's type, up to its module's first private part: numpy.ndarray,
-    scipy.sparse.csr_array, set."""
-    cls = type(value)
-    modules = [] if cls.__module__ == "builtins" else cls.__module__.split(".")
-    return ".".join([*itertools.takewhile(lambda part: not part.startswith("_"), modules), cls.__qualname__])
+def _shown(value) -> str:
+    """value as the checker shows it: its JSON form (NaN, -Infinity, "5", null) or, if it has none, the public
+    dotted name of its type, up to its module's first private part (numpy.ndarray, scipy.sparse.csr_array)."""
+    try:
+        return json.dumps(value)
+    except TypeError:
+        cls = type(value)
+        modules = [] if cls.__module__ == "builtins" else cls.__module__.split(".")
+        return ".".join([*itertools.takewhile(lambda part: not part.startswith("_"), modules), cls.__qualname__])
 
 
 def _value_problems(kind, bound, value) -> list[str]:
@@ -90,11 +93,7 @@ def _value_problems(kind, bound, value) -> list[str]:
     is_kind, one, many = _KINDS[kind[5:-1] if listed else kind] if isinstance(kind, str) \
         else ((lambda v: isinstance(v, kind)), f"an instance of {kind.__name__}", None)
     if not (isinstance(value, list) and all(map(is_kind, value)) if listed else is_kind(value)):
-        try:
-            shown = json.dumps(value)  # NaN, -Infinity, "5", null
-        except TypeError:  # no JSON form: numpy.ndarray
-            shown = _type_name(value)
-        return [f"expected {f'a list of {many}' if listed else one}, got {shown}"]
+        return [f"expected {f'a list of {many}' if listed else one}, got {_shown(value)}"]
     ends = [key for key in _BOUND_ENDS if key in bound]
     if "in" in bound:
         *head, last = map(repr, bound["in"])

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .config import NoiseSpec, _check_args, _type_name
+from .config import NoiseSpec, _check_args, _shown
 from .tagmat import DatasetError, TagMatrix, top_n_tags
 
 
@@ -45,7 +45,7 @@ def ap_ar_at_n(predicted, truth: TagMatrix, n: int) -> EvalReport:
     _check_args(TagMatrix, {}, truth=truth)
     if sp.issparse(predicted):
         raise DatasetError(f"predicted must be a TagMatrix or a dense score matrix, "
-                           f"got {_type_name(predicted)}")
+                           f"got {_shown(predicted)}")
     scores = predicted.toarray() if isinstance(predicted, TagMatrix) else np.asarray(predicted)
     if scores.shape != (truth.n_images, truth.n_tags):
         raise DatasetError(
@@ -123,6 +123,7 @@ def format_report(report: EvalReport) -> str:
 
 
 def save_report(report: EvalReport, path, per_image_csv=None) -> None:
+    _check_args(EvalReport, {}, report=report)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(format_report(report))
     if per_image_csv is not None:

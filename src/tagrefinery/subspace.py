@@ -20,7 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SscConfig, _check_args
-from .tagmat import DatasetError, FeatureMatrix, SimilarityGraph, _add_transpose, _freeze, _unit_rows
+from .tagmat import (
+    DatasetError, FeatureMatrix, SimilarityGraph, _add_transpose, _freeze, _label_array, _unit_rows,
+)
 
 
 # Penalty schedule of the augmented-Lagrangian loop: a solver detail, not a model parameter.
@@ -55,20 +57,15 @@ class SelfRepresentation:
 
 @dataclass(frozen=True)
 class ClusterAssignment:
+    """Labels in [0, k), one per image; notes name each cluster the labels leave empty and a k-means cap."""
+
     labels: np.ndarray
     k: int
     notes: tuple[str, ...] = ()
 
     def __post_init__(self):
-        labels = np.asarray(self.labels)
-        if labels.ndim != 1 or labels.size and labels.dtype.kind not in "iu":
-            raise DatasetError(f"cluster labels must be a 1-D integer array, got {labels.dtype} "
-                               f"of shape {labels.shape}")
-        labels = _freeze(np.array(labels, dtype=np.int64))
-        object.__setattr__(self, "labels", labels)
         _check_args("int", {"ge": 1}, k=self.k)
-        if labels.size and (labels.min() < 0 or labels.max() >= self.k):
-            raise DatasetError(f"cluster labels out of range [0, {self.k}): got {labels.min()} to {labels.max()}")
+        object.__setattr__(self, "labels", _label_array(self.labels, "cluster labels", self.k))
 
     def cluster_sizes(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.k)
@@ -320,31 +317,13 @@ def _farthest_first_centers(points: np.ndarray, k: int, first: int) -> np.ndarra
 
 
 def _lloyd(points: np.ndarray, centers: np.ndarray, max_iter: int = 300):
-    """Lloyd iterations with empty-cluster repair; returns labels, inertia, notes."""
+    """Lloyd iterations; returns labels, inertia, and notes naming the empty clusters and a reached cap."""
     k = centers.shape[0]
     notes = []
     labels = np.zeros(points.shape[0], dtype=np.int64)
     for _ in range(max_iter):
         d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_labels = np.argmin(d2, axis=1)
-        point_d2 = d2[np.arange(points.shape[0]), new_labels]
-
-        repairs = 0
-        empty = [c for c in range(k) if not np.any(new_labels == c)]
-        while empty and repairs < 3:
-            # Re-seed each empty centroid at the point farthest from its own centroid.
-            for c in empty:
-                far = int(np.argmax(point_d2))
-                centers[c] = points[far]
-                new_labels[far] = c
-                point_d2[far] = 0.0
-            repairs += 1
-            empty = [c for c in range(k) if not np.any(new_labels == c)]
-        if empty:
-            note = f"clusters {empty} empty after {repairs} repair passes"
-            if note not in notes:
-                notes.append(note)
-
         done = np.array_equal(new_labels, labels)
         labels = new_labels
         for c in range(k):
@@ -358,6 +337,9 @@ def _lloyd(points: np.ndarray, centers: np.ndarray, max_iter: int = 300):
     d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
     labels = np.argmin(d2, axis=1)
     inertia = float(d2[np.arange(points.shape[0]), labels].sum())
+    empty = np.flatnonzero(np.bincount(labels, minlength=k) == 0)
+    if empty.size:
+        notes.append(f"clusters {empty.tolist()} are empty")
     return labels, inertia, notes
 
 
@@ -378,6 +360,7 @@ def spectral_cluster(aff: SimilarityGraph, k: int, seed: int = 0) -> ClusterAssi
 
     Deterministic for a fixed seed: k-means uses greedy farthest-point
     seeding from seeded random starts, 10 restarts, best inertia wins.
+    Empty clusters (only fewer than k distinct embedding rows make one) stay empty; notes name them.
     """
     _check_args(SimilarityGraph, {}, aff=aff)
     n = aff.size

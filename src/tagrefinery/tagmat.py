@@ -16,7 +16,7 @@ import numpy as np
 import scipy.io
 import scipy.sparse as sp
 
-from .config import DatasetError, _check_args, _read_input
+from .config import DatasetError, _check_args, _read_input, _shown
 
 SYMMETRY_TOL = 1e-12
 LAPLACIAN_ROWSUM_TOL = 1e-9
@@ -68,6 +68,17 @@ def _check_finite(values: np.ndarray, what: str) -> None:
     """The package's one value rule for a matrix: its (stored) values are finite; else a DatasetError."""
     if not np.all(np.isfinite(values)):
         raise DatasetError(f"{what} contains non-finite values")
+
+
+def _label_array(labels, what: str, k=math.inf) -> np.ndarray:
+    """The package's one rule for cluster labels: labels as a frozen int64 array if they are a 1-D integer
+    array in [0, k); else a DatasetError starts with what ("cluster labels out of range [0, 2): got -1 to 0")."""
+    labels = np.asarray(labels)
+    if labels.ndim != 1 or labels.size and labels.dtype.kind not in "iu":
+        raise DatasetError(f"{what} must be a 1-D integer array, got {labels.dtype} of shape {labels.shape}")
+    if labels.size and (labels.min() < 0 or labels.max() >= k):
+        raise DatasetError(f"{what} out of range [0, {k}): got {labels.min()} to {labels.max()}")
+    return _freeze(np.array(labels, dtype=np.int64))
 
 
 def _matrix(x, what: str, symmetric: bool = False) -> np.ndarray:
@@ -280,12 +291,13 @@ class DatasetBundle:
     def __post_init__(self):
         object.__setattr__(self, "image_ids", tuple(self.image_ids))
         object.__setattr__(self, "tag_names", tuple(self.tag_names))
-        for key in ("image_features", "tag_features", "image_ids", "tag_names", "ground_truth"):
+        for key in _BUNDLE_FILES:
             _fits_tags(self.tags, key, getattr(self, key))
 
 
 def _fits_tags(tags: TagMatrix, key: str, value):
-    """value, the bundle component named key, once it fits the tag matrix (ground truth may be None)."""
+    """value, the bundle component named key, once it fits the tag matrix (which fits itself; ground truth may
+    be None)."""
     n_i, n_t = tags.n_images, tags.n_tags
     if key == "image_features" and value.n_rows != n_i:
         raise DatasetError(f"tag matrix has {n_i} images but image features have {value.n_rows} rows")
@@ -387,10 +399,6 @@ def top_n_tags(scores, n: int) -> np.ndarray:
 # File formats: Matrix Market matrices, id lists, manifests
 # ---------------------------------------------------------------------------
 
-_MANIFEST_REQUIRED = ("tags", "image_features", "tag_features", "image_ids", "tag_names")
-_MANIFEST_OPTIONAL = ("ground_truth",)
-
-
 def write_sparse_matrix(path, tags: TagMatrix) -> None:
     _check_args(TagMatrix, {}, tags=tags)
     open(path, "wb").close()  # scipy's mmwrite fails silently where open() raises OSError
@@ -430,10 +438,38 @@ def read_id_list(path) -> list[str]:
         return [line.rstrip("\n") for line in fh if line.strip()]
 
 
+def _id_text(ids, what: str) -> str:
+    """ids, one per line, if they are a list, tuple or 1-D array whose every id reads back (read_id_list) as
+    itself: none blank or whitespace only, none holding a line break. Else a DatasetError starts with what."""
+    if not isinstance(ids, (list, tuple, np.ndarray)) or getattr(ids, "ndim", 1) != 1:
+        raise DatasetError(f"{what} expected a list, tuple or 1-D array, got {_shown(ids)}")
+    names = [f"{name}" for name in ids]
+    bad = [i for i, name in enumerate(names) if not name.strip() or "\n" in name or "\r" in name]
+    if bad:
+        raise DatasetError(f"{what} holds {names[bad[0]]!r} at index {bad[0]}: an id must not be blank "
+                           "or hold a line break")
+    return "".join(f"{name}\n" for name in names)
+
+
 def write_id_list(path, ids) -> None:
+    """Write ids one per line; ids that would not read back as themselves (_id_text) are refused first."""
+    text = _id_text(ids, "ids")
     with open(path, "w", encoding="utf-8") as fh:
-        for name in ids:
-            fh.write(f"{name}\n")
+        fh.write(text)
+
+
+# The bundle format: manifest key -> file suffix, reader, writer. load_dataset reads (so the first bad component
+# is the one reported) and save_dataset writes in this order; every key but ground_truth is required.
+_FEATURE_IO = (lambda path: FeatureMatrix(read_dense_matrix(path)),
+               lambda path, features: write_dense_matrix(path, features.data))
+_BUNDLE_FILES = {
+    "tags": ("_tags.mtx", read_sparse_matrix, write_sparse_matrix),
+    "image_features": ("_image_features.mtx", *_FEATURE_IO),
+    "tag_features": ("_tag_features.mtx", *_FEATURE_IO),
+    "image_ids": ("_image_ids.txt", read_id_list, write_id_list),
+    "tag_names": ("_tag_names.txt", read_id_list, write_id_list),
+    "ground_truth": ("_ground_truth.mtx", read_sparse_matrix, write_sparse_matrix),
+}
 
 
 def parse_manifest(path) -> dict[str, str]:
@@ -449,12 +485,12 @@ def parse_manifest(path) -> dict[str, str]:
                 raise DatasetError(f"line {lineno}: expected 'key: value', got {line!r}")
             key, value = line.split(":", 1)
             key, value = key.strip(), value.strip()
-            if key not in _MANIFEST_REQUIRED + _MANIFEST_OPTIONAL:
+            if key not in _BUNDLE_FILES:
                 raise DatasetError(f"line {lineno}: unknown manifest key {key!r}")
             if key in entries:
                 raise DatasetError(f"line {lineno}: duplicate manifest key {key!r}")
             entries[key] = os.path.join(base, value)
-    missing = [k for k in _MANIFEST_REQUIRED if k not in entries]
+    missing = [k for k in _BUNDLE_FILES if k not in entries and k != "ground_truth"]
     if missing:
         raise DatasetError(f"manifest missing keys {missing}")
     return entries
@@ -471,42 +507,23 @@ def load_dataset(manifest_path) -> DatasetBundle:
     """
     entries = _read_input("manifest", manifest_path, parse_manifest)
     tags = _read_input("tags", entries["tags"], read_sparse_matrix)
-
-    def component(key, value):
-        return _fits_tags(tags, key, FeatureMatrix(value) if key.endswith("_features") else value)
-
-    reads = {
-        "image_features": read_dense_matrix,
-        "tag_features": read_dense_matrix,
-        "image_ids": read_id_list,
-        "tag_names": read_id_list,
-        "ground_truth": read_sparse_matrix,
-    }
     return DatasetBundle(tags=tags, **{
-        key: _read_input(key, entries[key], read, build=functools.partial(component, key))
-        for key, read in reads.items() if key in entries
+        key: _read_input(key, entries[key], read, build=functools.partial(_fits_tags, tags, key))
+        for key, (_, read, _) in _BUNDLE_FILES.items() if key != "tags" and key in entries
     })
 
 
 def save_dataset(bundle: DatasetBundle, out_dir, name: str = "dataset") -> str:
-    """Write a bundle as manifest + component files; returns the manifest path."""
+    """Write a bundle as manifest + component files; returns the manifest path. A bundle holding an id that
+    would not read back as itself (_id_text) is refused before any directory or file is made."""
     _check_args(DatasetBundle, {}, bundle=bundle)
+    for key in ("image_ids", "tag_names"):
+        _id_text(getattr(bundle, key), key)
     os.makedirs(out_dir, exist_ok=True)
-    files = {
-        "tags": f"{name}_tags.mtx",
-        "image_features": f"{name}_image_features.mtx",
-        "tag_features": f"{name}_tag_features.mtx",
-        "image_ids": f"{name}_image_ids.txt",
-        "tag_names": f"{name}_tag_names.txt",
-    }
-    write_sparse_matrix(os.path.join(out_dir, files["tags"]), bundle.tags)
-    write_dense_matrix(os.path.join(out_dir, files["image_features"]), bundle.image_features.data)
-    write_dense_matrix(os.path.join(out_dir, files["tag_features"]), bundle.tag_features.data)
-    write_id_list(os.path.join(out_dir, files["image_ids"]), bundle.image_ids)
-    write_id_list(os.path.join(out_dir, files["tag_names"]), bundle.tag_names)
-    if bundle.ground_truth is not None:
-        files["ground_truth"] = f"{name}_ground_truth.mtx"
-        write_sparse_matrix(os.path.join(out_dir, files["ground_truth"]), bundle.ground_truth)
+    files = {key: f"{name}{suffix}" for key, (suffix, _, _) in _BUNDLE_FILES.items()
+             if getattr(bundle, key) is not None}
+    for key, fname in files.items():
+        _BUNDLE_FILES[key][2](os.path.join(out_dir, fname), getattr(bundle, key))
     manifest_path = os.path.join(out_dir, f"{name}.manifest")
     with open(manifest_path, "w", encoding="utf-8") as fh:
         fh.write("# tagrefinery dataset manifest\n")

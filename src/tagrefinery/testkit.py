@@ -19,7 +19,7 @@ from .metrics import inject_noise
 from .refine import _check_rank
 from .subspace import ClusterAssignment, SelfRepresentation
 from .tagmat import (
-    DatasetBundle, DatasetError, FeatureMatrix, TagMatrix, _freeze, _matrix, _unit_rows, top_n_tags,
+    DatasetBundle, DatasetError, FeatureMatrix, TagMatrix, _freeze, _label_array, _matrix, _unit_rows, top_n_tags,
 )
 
 logger = logging.getLogger(__name__)
@@ -115,10 +115,11 @@ def clustering_accuracy(pred, truth) -> float:
     """Best label-permutation agreement between a predicted and true clustering.
 
     The Hungarian assignment on the confusion matrix finds the best
-    permutation exactly for any number of labels.
+    permutation exactly for any number of labels. Both are held to
+    ClusterAssignment's label rule: a 1-D integer array with no negative label.
     """
-    pred_labels = pred.labels if isinstance(pred, ClusterAssignment) else np.asarray(pred)
-    truth = np.asarray(truth)
+    pred_labels = _label_array(pred.labels if isinstance(pred, ClusterAssignment) else pred, "pred")
+    truth = _label_array(truth, "truth")
     if pred_labels.shape[0] != truth.shape[0]:
         raise DatasetError(
             f"length mismatch: {pred_labels.shape[0]} predictions, {truth.shape[0]} truths"

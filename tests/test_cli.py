@@ -1018,14 +1018,6 @@ class TestRefineCommand:
         for name in earlier:
             assert (out / name).read_bytes() == first[name], name
 
-    def test_apply_without_factors_rejected(self, tmp_path):
-        manifest = make_bundle(tmp_path)
-        rc = main([
-            "refine", "--manifest", manifest,
-            "--output-dir", str(tmp_path / "out"), "--apply",
-        ])
-        assert rc == 2
-
 
 class TestShareCommand:
     def test_share_drops_the_affinity_from_the_run(self, tmp_path):

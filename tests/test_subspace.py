@@ -256,6 +256,16 @@ class TestSpectralCluster:
         assert notes == []
         np.testing.assert_array_equal(labels, [0, 0, 0, 1, 1, 1])
 
+    def test_empty_cluster_is_noted_not_patched(self):
+        # Two distinct points cannot fill three clusters: the labels leave one empty and the notes say which.
+        points = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
+        labels, _, notes = _lloyd(points, np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]]))
+        np.testing.assert_array_equal(np.bincount(labels, minlength=3), [2, 0, 2])
+        assert notes == ["clusters [1] are empty"]
+        labels, _, notes = _kmeans(points, 3, 0)
+        np.testing.assert_array_equal(np.bincount(labels, minlength=3), [2, 2, 0])
+        assert notes == ["clusters [2] are empty"]
+
 
 def bits(a):
     """uint64 view of a float64 array, so that equality also compares signs of zeros."""

@@ -2,21 +2,22 @@
 
 import math
 import os
+import tempfile
 import tracemalloc
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from oracles import tags_from_dense
 from tagrefinery import config as configuration
 from tagrefinery import tagmat
-from tagrefinery.metrics import NoiseSpec, ap_ar_at_n, inject_noise
+from tagrefinery.metrics import NoiseSpec, ap_ar_at_n, inject_noise, save_report
 from tagrefinery.refine import (
     FactorPair,
     RefineConfig,
@@ -45,9 +46,12 @@ from tagrefinery.tagmat import (
     save_dataset,
     top_n_tags,
     write_dense_matrix,
+    write_id_list,
     write_sparse_matrix,
 )
-from tagrefinery.testkit import gen_annotation_bundle, gen_planted_annotation, gen_union_of_subspaces
+from tagrefinery.testkit import (
+    clustering_accuracy, gen_annotation_bundle, gen_planted_annotation, gen_union_of_subspaces,
+)
 
 
 def small_bundle(n_images=3, n_tags=4, seed=0):
@@ -535,6 +539,7 @@ ROW_SHOWN = "numpy.ndarray"
 # A path under a regular file: a writer that touched the disk before checking its argument would raise OSError
 # there, and nothing can be left behind.
 UNWRITABLE = os.path.join(__file__, "out")
+ID_RULE = "an id must not be blank or hold a line break"
 # Library entry point -> (a call with one bad scalar, config or matrix-type argument, the DatasetError message
 # naming it).
 BAD_LIBRARY_VALUES = {
@@ -639,6 +644,33 @@ BAD_LIBRARY_VALUES = {
                              "factors expected an instance of FactorPair, got null"),
     "save_dataset-bundle": (lambda: save_dataset(ROW, UNWRITABLE),
                             f"bundle expected an instance of DatasetBundle, got {ROW_SHOWN}"),
+    "write_id_list-none": (lambda: write_id_list(UNWRITABLE, None),
+                           "ids expected a list, tuple or 1-D array, got null"),
+    "write_id_list-str": (lambda: write_id_list(UNWRITABLE, "abc"),
+                          'ids expected a list, tuple or 1-D array, got "abc"'),
+    "write_id_list-2d": (lambda: write_id_list(UNWRITABLE, np.array([["a", "b"]])),
+                         f"ids expected a list, tuple or 1-D array, got {ROW_SHOWN}"),
+    "write_id_list-blank": (lambda: write_id_list(UNWRITABLE, ["a", " "]),
+                            f"ids holds ' ' at index 1: {ID_RULE}"),
+    "write_id_list-empty": (lambda: write_id_list(UNWRITABLE, ("", "b")), f"ids holds '' at index 0: {ID_RULE}"),
+    "write_id_list-newline": (lambda: write_id_list(UNWRITABLE, np.array(["a", "x\ny"])),
+                              f"ids holds 'x\\ny' at index 1: {ID_RULE}"),
+    "write_id_list-return": (lambda: write_id_list(UNWRITABLE, ["x\ry"]), f"ids holds 'x\\ry' at index 0: {ID_RULE}"),
+    "save_dataset-image_ids": (lambda: save_dataset(replace(small_bundle(), image_ids=("a", "x\ny", "c")),
+                                                    UNWRITABLE),
+                               f"image_ids holds 'x\\ny' at index 1: {ID_RULE}"),
+    "save_dataset-tag_names": (lambda: save_dataset(replace(small_bundle(), tag_names=("a", "b", "c", " ")),
+                                                    UNWRITABLE),
+                               f"tag_names holds ' ' at index 3: {ID_RULE}"),
+    "save_report-report": (lambda: save_report(None, UNWRITABLE), "report expected an instance of EvalReport, got null"),
+    "clustering_accuracy-pred-negative": (lambda: clustering_accuracy([-1, 0, 1, 1], [0, 0, 1, 1]),
+                                          "pred out of range [0, inf): got -1 to 1"),
+    "clustering_accuracy-pred-float": (lambda: clustering_accuracy([0.0, 0.0, 1.0, 1.0], [0, 0, 1, 1]),
+                                       "pred must be a 1-D integer array, got float64 of shape (4,)"),
+    "clustering_accuracy-truth-negative": (lambda: clustering_accuracy([0, 0, 1, 1], np.array([0, 0, 1, -2])),
+                                           "truth out of range [0, inf): got -2 to 1"),
+    "clustering_accuracy-truth-2d": (lambda: clustering_accuracy([0, 1], [[0, 1]]),
+                                     "truth must be a 1-D integer array, got int64 of shape (1, 2)"),
 }
 
 
@@ -851,6 +883,28 @@ class TestBundleAndManifest:
         )
         assert loaded.image_ids == bundle.image_ids
         assert loaded.tag_names == bundle.tag_names
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.text(), min_size=3, max_size=3))
+    @example([" ", "img1", "img2"])
+    @example(["x\ny", "img1", "img2"])
+    @example([" lead", "trail ", "a\x0bb\u2028c"])
+    def test_an_id_is_refused_or_read_back_as_itself(self, ids):
+        """save_dataset refuses exactly the ids an id list written line by line would not read back, before it
+        makes the output directory; every other id loads as itself."""
+        with tempfile.TemporaryDirectory() as tmp:
+            naive = os.path.join(tmp, "naive.txt")
+            with open(naive, "w", encoding="utf-8") as fh:
+                fh.writelines(f"{name}\n" for name in ids)
+            reads_back = tagmat.read_id_list(naive) == ids
+            out = os.path.join(tmp, "out")
+            try:
+                manifest = save_dataset(replace(small_bundle(), image_ids=ids), out)
+            except DatasetError as exc:
+                assert not reads_back and str(exc).endswith(ID_RULE)
+                assert not os.path.exists(out)
+            else:
+                assert reads_back and load_dataset(manifest).image_ids == tuple(ids)
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DatasetError, match=r"^manifest: .*nope\.manifest: No such file or directory$"):
