@@ -117,9 +117,8 @@ def _config_problems(config) -> list[tuple[str, str]]:
     and metadata, in field order; if there are none, its _cross_field() pairs."""
     problems = []
     for field in dataclasses.fields(config):
-        kind = field.type.__name__ if type(field.type) is type else str(field.type)  # "int", "list[int]"
-        value = getattr(config, field.name)
-        problems += [(field.name, reason) for reason in _value_problems(kind, field.metadata, value)]
+        value = getattr(config, field.name)  # field.type is the declared type's name: "int", "list[int]"
+        problems += [(field.name, reason) for reason in _value_problems(field.type, field.metadata, value)]
     return problems or getattr(config, "_cross_field", list)()
 
 
@@ -344,20 +343,20 @@ def resolve_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _build_configs(cfg: dict) -> tuple:
-    """The (ssc, sharing, refine) configs of the resolved config, once every section is made; one error names
-    each problem of every section as `section.key: …` (a top-level key: `key: …`)."""
+def _build_configs(cfg: dict) -> dict:
+    """Section name ("top" for the top-level keys) -> its config, once every section of the resolved config
+    is made; one error names each problem of every section as `section.key: …` (a top-level key: `key: …`)."""
     configs, problems = {}, []
-    for section, cls in (("", _TopConfig), *_SECTIONS):
-        values = cfg[section] if section else cfg
+    for section, cls in (("top", _TopConfig), *_SECTIONS):
+        values = cfg if cls is _TopConfig else cfg[section]
         try:
             configs[section] = cls(**{f.name: values[f.name] for f in dataclasses.fields(cls)})
         except DatasetError as exc:
-            prefix = f"{section}." if section else ""
+            prefix = "" if cls is _TopConfig else f"{section}."
             problems += [f"{prefix}{key}: {reason}" for key, reason in exc.problems]
     if problems:
         raise DatasetError("; ".join(problems))
-    return configs["ssc"], configs["sharing"], configs["refine"]
+    return configs
 
 
 # ---------------------------------------------------------------------------
@@ -365,70 +364,64 @@ def _build_configs(cfg: dict) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON configuration file")
-    parser.add_argument(
+def build_parser() -> argparse.ArgumentParser:
+    """The command line: each subcommand sets `stages`, the stages it runs, and a flag that changes what runs
+    sets them where it is parsed (`refine --apply`, `pipeline --skip-eval`; `tune --completed` in load_command)."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="JSON configuration file")
+    common.add_argument(
         "--set", action="append", metavar="KEY=VALUE",
         help="override a config value by dotted path, e.g. --set refine.mu=0.7",
     )
-    parser.add_argument("--manifest", help="dataset manifest path (overrides config)")
-    parser.add_argument("--output-dir", help="artifact directory (overrides config)")
-    parser.add_argument(
+    common.add_argument("--manifest", help="dataset manifest path (overrides config)")
+    common.add_argument("--output-dir", help="artifact directory (overrides config)")
+    common.add_argument(
         "--threads", type=int,
         help="the threads config key: BLAS threads, set as OMP/OPENBLAS/MKL_NUM_THREADS before numpy "
              "loads, so a replay with the same value is bit-stable on any machine",
     )
-    parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
-
-
-def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tagrefinery",
         description="Complete and refine noisy image-tag annotation matrices.",
     )
+    parser.set_defaults(import_factors=None, completed=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("cluster", help="self-representation + spectral clustering of images")
-    _add_common(p)
+    p = sub.add_parser("cluster", parents=[common], help="self-representation + spectral clustering of images")
     p.add_argument("--k", type=int, help="number of clusters (overrides config)")
     p.set_defaults(stages=("cluster",))
 
-    p = sub.add_parser("share", help="densify tags by in-cluster neighbor voting")
-    _add_common(p)
+    p = sub.add_parser("share", parents=[common], help="densify tags by in-cluster neighbor voting")
     p.add_argument("--labels", help="cluster labels file (default: <output-dir>/labels.txt)")
     p.add_argument("--affinity", help="affinity matrix file (default: <output-dir>/affinity.mtx)")
     p.set_defaults(stages=("share",))
 
-    p = sub.add_parser("refine", help="low-rank refinement of a (completed) tag matrix")
-    _add_common(p)
+    p = sub.add_parser("refine", parents=[common], help="low-rank refinement of a (completed) tag matrix")
     p.add_argument("--tags-in", help="completed tag matrix to refine instead of the bundle's")
     p.add_argument(
         "--import-factors", nargs=2, metavar=("P.mtx", "Q.mtx"),
         help="factors for --apply",
     )
     p.add_argument(
-        "--apply", action="store_true",
+        "--apply", dest="stages", action="store_const", const=("apply",),
         help="only apply imported factors to the bundle's features (no solving)",
     )
     p.set_defaults(stages=("refine",))
 
-    p = sub.add_parser("pipeline", help="cluster -> share -> refine -> eval")
-    _add_common(p)
+    p = sub.add_parser("pipeline", parents=[common], help="cluster -> share -> refine -> eval")
     p.add_argument("--k", type=int, help="number of clusters (overrides config)")
-    p.add_argument("--skip-eval", action="store_true", help="skip evaluation even with ground truth")
+    p.add_argument("--skip-eval", dest="stages", action="store_const", const=("cluster", "share", "refine"),
+                   help="skip evaluation even with ground truth")
     p.set_defaults(stages=("cluster", "share", "refine", "eval"))
 
-    p = sub.add_parser("eval", help="AP@N / AR@N of a prediction matrix against ground truth")
-    _add_common(p)
+    p = sub.add_parser("eval", parents=[common], help="AP@N / AR@N of a prediction matrix against ground truth")
     p.add_argument("--predictions", required=True, help="Matrix Market score or tag matrix")
     p.set_defaults(stages=("eval",))
 
-    p = sub.add_parser("synth", help="generate a synthetic bundle (manifest + files)")
-    _add_common(p)
+    p = sub.add_parser("synth", parents=[common], help="generate a synthetic bundle (manifest + files)")
     p.set_defaults(stages=("synth",))
 
-    p = sub.add_parser("tune", help="grid-search refine parameters against validation AP@N")
-    _add_common(p)
+    p = sub.add_parser("tune", parents=[common], help="grid-search refine parameters against validation AP@N")
     p.add_argument("--completed", help="reuse an existing completed matrix instead of re-sharing")
     p.set_defaults(stages=("cluster", "share", "tune"))
 
@@ -438,15 +431,13 @@ def build_parser() -> argparse.ArgumentParser:
 def load_command(argv=None) -> tuple | None:
     """Parse a command line, set up logging, then resolve and check its config.
 
-    Returns (flags, resolved config, (ssc, sharing, refine) configs), or None once a bad config is logged,
-    for which the command exits 2.
+    Returns (flags, resolved config, section name -> config), or None once a bad config is logged, for
+    which the command exits 2. `tune --completed` stands in for cluster and share, so it runs tune alone.
     """
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(levelname)s %(message)s",
-    )
+    if args.completed:
+        args.stages = ("tune",)
+    logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(message)s")
     try:
         cfg = resolve_config(args)
         return args, cfg, _build_configs(cfg)

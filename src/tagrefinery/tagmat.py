@@ -21,7 +21,7 @@ from .config import DatasetError, _check_args, _read_input, _shown
 SYMMETRY_TOL = 1e-12
 LAPLACIAN_ROWSUM_TOL = 1e-9
 # Blocked passes over dense arrays (CSR building, symmetry checks, transpose sums)
-# take about this many bytes of float64 per step; SSC's soft threshold takes 1/16.
+# take about this many bytes of float64 per step; SSC sizes its own (subspace._sweep_rows).
 _BLOCK_BYTES = 1 << 20
 
 
@@ -70,15 +70,29 @@ def _check_finite(values: np.ndarray, what: str) -> None:
         raise DatasetError(f"{what} contains non-finite values")
 
 
+def _index_array(x, what: str, k=math.inf) -> np.ndarray:
+    """The package's one rule for indices: np.asarray(x) if it is a 1-D integer array in [0, k), checked
+    without a copy; else a DatasetError starts with what ("cluster labels out of range [0, 2): got -1 to 0")."""
+    x = np.asarray(x)
+    if x.ndim != 1 or x.size and x.dtype.kind not in "iu":
+        raise DatasetError(f"{what} must be a 1-D integer array, got {x.dtype} of shape {x.shape}")
+    if x.size and (x.min() < 0 or x.max() >= k):
+        raise DatasetError(f"{what} out of range [0, {k}): got {x.min()} to {x.max()}")
+    return x
+
+
 def _label_array(labels, what: str, k=math.inf) -> np.ndarray:
-    """The package's one rule for cluster labels: labels as a frozen int64 array if they are a 1-D integer
-    array in [0, k); else a DatasetError starts with what ("cluster labels out of range [0, 2): got -1 to 0")."""
-    labels = np.asarray(labels)
-    if labels.ndim != 1 or labels.size and labels.dtype.kind not in "iu":
-        raise DatasetError(f"{what} must be a 1-D integer array, got {labels.dtype} of shape {labels.shape}")
-    if labels.size and (labels.min() < 0 or labels.max() >= k):
-        raise DatasetError(f"{what} out of range [0, {k}): got {labels.min()} to {labels.max()}")
-    return _freeze(np.array(labels, dtype=np.int64))
+    """The package's one rule for cluster labels: _index_array's, then a frozen int64 copy of them."""
+    return _freeze(np.array(_index_array(labels, what, k), dtype=np.int64))
+
+
+def _float_array(x, what: str, copy: bool | None) -> np.ndarray:
+    """np.array(x, dtype=np.float64, copy=copy); a DatasetError names what if x is not numbers in rows of
+    one length (a string, a ragged list), which numpy refuses with a bare ValueError or TypeError."""
+    try:
+        return np.array(x, dtype=np.float64, copy=copy)
+    except (TypeError, ValueError):
+        raise DatasetError(f"{what} must be a rectangular array of numbers") from None
 
 
 def _matrix(x, what: str, symmetric: bool = False) -> np.ndarray:
@@ -90,7 +104,7 @@ def _matrix(x, what: str, symmetric: bool = False) -> np.ndarray:
     SYMMETRY_TOL; else a DatasetError starts with what ("Laplacian contains non-finite values").
     """
     if not (type(x) is np.ndarray and x.dtype == np.float64 and _frozen(x)):
-        x = np.array(x, dtype=np.float64)
+        x = _float_array(x, what, copy=True)
     _check_shape(x.shape, what)
     _check_finite(x, what)
     if symmetric and (x.shape[0] != x.shape[1] or _asymmetry(x) > SYMMETRY_TOL):
@@ -181,9 +195,16 @@ class TagMatrix:
 
     @classmethod
     def from_entries(cls, n_images, n_tags, rows, cols, vals) -> "TagMatrix":
-        coo = sp.coo_array(
-            (np.asarray(vals, dtype=np.float64), (rows, cols)), shape=(n_images, n_tags)
-        )
+        """The tag matrix of vals at (rows, cols), duplicates summed. The shape is positive integers, rows and
+        cols integers within it (_index_array) and vals numbers, all three of one length; else a DatasetError
+        names what is at fault."""
+        _check_args("int", {"ge": 1}, n_images=n_images, n_tags=n_tags)
+        rows, cols = _index_array(rows, "rows", n_images), _index_array(cols, "cols", n_tags)
+        vals = _float_array(vals, "vals", copy=None)
+        if not rows.shape == cols.shape == vals.shape:
+            raise DatasetError(f"rows, cols and vals must be of one length, got {rows.shape}, {cols.shape} "
+                               f"and {vals.shape}")
+        coo = sp.coo_array((vals, (rows, cols)), shape=(n_images, n_tags))
         return cls(_held_csr(sp.csr_array(coo)))
 
     def toarray(self) -> np.ndarray:
@@ -200,7 +221,7 @@ def _csr_from_dense(arr) -> sp.csr_array:
     Gives the arrays and index dtype of sp.csr_array(arr) without int64
     coordinates. NaN is kept, so TagMatrix rejects it. Handed over frozen (_held_csr).
     """
-    arr = np.asarray(arr, dtype=np.float64)
+    arr = _float_array(arr, "tag matrix", copy=None)
     _check_shape(arr.shape, "tag matrix")
     n_rows, n_cols = arr.shape
     step = _block_rows(n_cols)
@@ -363,7 +384,9 @@ def graph_laplacian(graph: SimilarityGraph) -> GraphLaplacian:
     buffer, which GraphLaplacian keeps. Off the diagonal, 0 - W is the
     float operation of np.diag(d) - W; on it, (0 - W_ii) + d_i equals
     d_i - W_ii because W_ii is a zero and d_i is -0 only where W_ii is. So
-    the bits, signed zeros included, are those of np.diag(d) - W.
+    the bits, signed zeros included, are those of np.diag(d) - W until the
+    last step, which subtracts each row's sum (its roundoff residual) from
+    its diagonal entry so that L @ 1 = 0 holds to machine precision.
     """
     _check_args(SimilarityGraph, {}, graph=graph)
     w = graph.weights
@@ -389,7 +412,7 @@ def top_n_tags(scores, n: int) -> np.ndarray:
     count returns every column in ranked order.
     """
     _check_args("int", {"ge": 1}, n=n)
-    scores = np.asarray(scores, dtype=np.float64)
+    scores = _float_array(scores, "score matrix", copy=None)
     if scores.ndim != 2:
         raise DatasetError(f"expected a 2-D score matrix, got shape {scores.shape}")
     return np.argsort(-scores, axis=1, kind="stable")[:, :n]

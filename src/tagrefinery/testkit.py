@@ -88,15 +88,16 @@ def _cluster_points(rng, centers, dim_subspace, n_per_cluster, spread, noise):
 def subspace_preserving_rate(rep, labels) -> float:
     """Average fraction of each point's coefficient mass placed within its own cluster.
 
-    Accepts a SelfRepresentation or a raw coefficient matrix. Rows with no
+    Accepts a SelfRepresentation or a raw coefficient matrix, held to _matrix's rule (2-D, at least 1x1,
+    finite) and to be square, with one label per row held to ClusterAssignment's label rule. Rows with no
     coefficient mass are excluded from the average; if every row is zero
     there is nothing to measure and an error is raised.
     """
-    z = rep.z if isinstance(rep, SelfRepresentation) else np.asarray(rep, dtype=np.float64)
-    labels = np.asarray(labels)
+    z = rep.z if isinstance(rep, SelfRepresentation) else _matrix(rep, "z")
+    labels = _label_array(labels, "labels")
     if z.shape[0] != z.shape[1] or z.shape[0] != labels.shape[0]:
         raise DatasetError(f"shape mismatch: z {z.shape}, labels {labels.shape}")
-    mass = np.abs(z).copy()
+    mass = np.abs(z)
     np.fill_diagonal(mass, 0.0)
     totals = mass.sum(axis=1)
     valid = totals > 0
@@ -116,7 +117,8 @@ def clustering_accuracy(pred, truth) -> float:
 
     The Hungarian assignment on the confusion matrix finds the best
     permutation exactly for any number of labels. Both are held to
-    ClusterAssignment's label rule: a 1-D integer array with no negative label.
+    ClusterAssignment's label rule: a 1-D integer array with no negative label;
+    with no labels at all the accuracy is undefined, and an error is raised.
     """
     pred_labels = _label_array(pred.labels if isinstance(pred, ClusterAssignment) else pred, "pred")
     truth = _label_array(truth, "truth")
@@ -130,6 +132,8 @@ def clustering_accuracy(pred, truth) -> float:
     import scipy.optimize
 
     n = truth.shape[0]
+    if n == 0:
+        raise DatasetError("pred and truth hold no labels; accuracy undefined")
     k = int(max(pred_labels.max(initial=0), truth.max(initial=0))) + 1
     confusion = np.zeros((k, k), dtype=np.int64)
     np.add.at(confusion, (pred_labels, truth), 1)

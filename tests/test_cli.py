@@ -173,6 +173,22 @@ class TestConfigResolution:
         assert rc == 2
         assert "synth.seed" in caplog.text
 
+    # A flag that changes what runs sets the stage list where the command line is parsed; no stage reads it.
+    @pytest.mark.parametrize("argv, stages", [
+        (["pipeline"], ("cluster", "share", "refine", "eval")),
+        (["pipeline", "--skip-eval"], ("cluster", "share", "refine")),
+        (["refine", "--apply"], ("apply",)),
+        (["tune", "--completed", "completed.mtx"], ("tune",)),
+    ], ids=["pipeline", "pipeline-skip-eval", "refine-apply", "tune-completed"])
+    def test_a_flag_that_changes_what_runs_sets_the_stage_list(self, argv, stages):
+        assert config.load_command(argv)[0].stages == stages
+
+    def test_verbose_is_no_flag(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            config.build_parser().parse_args(["pipeline", "-v"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: -v" in capsys.readouterr().err
+
 
 class TestTypeRule:
     LEAVES = list(config_leaves(DEFAULT_CONFIG))
@@ -1025,7 +1041,7 @@ class TestShareCommand:
             "pipeline", "--manifest", make_bundle(tmp_path), "--output-dir", str(tmp_path / "out"), "--k", "2",
         ])
         cfg = resolve_config(args)
-        run = cli._Run(args, cfg, *config._build_configs(cfg), bundle=load_dataset(cfg["manifest"]))
+        run = cli._Run(args, **config._build_configs(cfg), bundle=load_dataset(cfg["manifest"]))
         cli._cluster(run)
         assert run.affinity is not None
         cli._share(run)

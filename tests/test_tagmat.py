@@ -1,5 +1,7 @@
 """Data model, graph construction, ranking, and file format tests."""
 
+from __future__ import annotations  # field types are names, as in every config section
+
 import math
 import os
 import tempfile
@@ -51,6 +53,7 @@ from tagrefinery.tagmat import (
 )
 from tagrefinery.testkit import (
     clustering_accuracy, gen_annotation_bundle, gen_planted_annotation, gen_union_of_subspaces,
+    subspace_preserving_rate,
 )
 
 
@@ -671,6 +674,38 @@ BAD_LIBRARY_VALUES = {
                                            "truth out of range [0, inf): got -2 to 1"),
     "clustering_accuracy-truth-2d": (lambda: clustering_accuracy([0, 1], [[0, 1]]),
                                      "truth must be a 1-D integer array, got int64 of shape (1, 2)"),
+    "clustering_accuracy-empty": (lambda: clustering_accuracy([], []),
+                                  "pred and truth hold no labels; accuracy undefined"),
+    "subspace_preserving_rate-labels-2d": (lambda: subspace_preserving_rate(np.eye(2)[::-1], [[0], [1]]),
+                                           "labels must be a 1-D integer array, got int64 of shape (2, 1)"),
+    "subspace_preserving_rate-labels-float": (lambda: subspace_preserving_rate(np.eye(2)[::-1], [0.0, 1.0]),
+                                              "labels must be a 1-D integer array, got float64 of shape (2,)"),
+    "subspace_preserving_rate-z-1d": (lambda: subspace_preserving_rate(np.ones(2), [0, 1]),
+                                      "z must be 2-D, got shape (2,)"),
+    "subspace_preserving_rate-z-nan": (lambda: subspace_preserving_rate([[0.0, math.nan], [1.0, 0.0]], [0, 1]),
+                                       "z contains non-finite values"),
+    "subspace_preserving_rate-empty": (lambda: subspace_preserving_rate(np.zeros((0, 0)), []),
+                                       "z must be at least 1x1, got (0, 0)"),
+    "FeatureMatrix-str": (lambda: FeatureMatrix([["a"]]), "feature matrix must be a rectangular array of numbers"),
+    "FeatureMatrix-ragged": (lambda: FeatureMatrix([[1.0], [1.0, 2.0]]),
+                             "feature matrix must be a rectangular array of numbers"),
+    "TagMatrix.from_dense-str": (lambda: TagMatrix.from_dense([["a"]]),
+                                 "tag matrix must be a rectangular array of numbers"),
+    "SimilarityGraph-str": (lambda: SimilarityGraph([[0, "x"], ["x", 0]]),
+                            "similarity graph must be a rectangular array of numbers"),
+    "top_n_tags-str": (lambda: top_n_tags([["a"]], 1), "score matrix must be a rectangular array of numbers"),
+    "TagMatrix.from_entries-float": (lambda: TagMatrix.from_entries(2, 2, [0.5], [1.7], [1.0]),
+                                     "rows must be a 1-D integer array, got float64 of shape (1,)"),
+    "TagMatrix.from_entries-row": (lambda: TagMatrix.from_entries(2, 2, [5], [1], [1.0]),
+                                   "rows out of range [0, 2): got 5 to 5"),
+    "TagMatrix.from_entries-col": (lambda: TagMatrix.from_entries(2, 2, [0, 1], [1, -1], [1.0, 1.0]),
+                                   "cols out of range [0, 2): got -1 to 1"),
+    "TagMatrix.from_entries-lengths": (lambda: TagMatrix.from_entries(2, 2, [0, 1], [0], [1.0]),
+                                       "rows, cols and vals must be of one length, got (2,), (1,) and (1,)"),
+    "TagMatrix.from_entries-vals": (lambda: TagMatrix.from_entries(2, 2, [0], [0], ["a"]),
+                                    "vals must be a rectangular array of numbers"),
+    "TagMatrix.from_entries-shape": (lambda: TagMatrix.from_entries(2.5, 0, [0], [0], [1.0]),
+                                     "n_images expected an integer, got 2.5; n_tags must be a positive integer, got 0"),
 }
 
 
@@ -731,11 +766,10 @@ class TestConfigProblems:
                              ids=BOUND_PHRASES.keys())
     def test_library_argument_of_a_field_kind_and_bound_gets_its_reason(self, name, value, reason):
         declared = next(f for f in fields(Bounds) if f.name == name)
-        kind = declared.type.__name__ if type(declared.type) is type else str(declared.type)
         with pytest.raises(DatasetError) as err:
-            configuration._check_args(kind, declared.metadata, **{name: value})
+            configuration._check_args(declared.type, declared.metadata, **{name: value})
         assert str(err.value) == f"{name} {reason}"
-        configuration._check_args(kind, declared.metadata, **{name: getattr(Bounds(), name)})
+        configuration._check_args(declared.type, declared.metadata, **{name: getattr(Bounds(), name)})
 
     def test_values_within_bounds_have_no_problem(self):
         assert configuration._config_problems(Bounds()) == []
@@ -805,7 +839,7 @@ WRONG_KINDS = {
 KIND_CASES = [
     (cls, f.name, value, f"{f.name} expected {expected}, got {shown}")
     for cls in KIND_CONFIGS for f in fields(cls) if cls is not Bounded or f.name in ("grid", "choice")
-    for expected, values in [WRONG_KINDS[f.type.__name__ if type(f.type) is type else str(f.type)]]
+    for expected, values in [WRONG_KINDS[f.type]]
     for value, shown in values
 ]
 
